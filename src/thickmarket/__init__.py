@@ -13,22 +13,14 @@ from .calibrate import (
 from .core import (
     HazardProfile,
     ModelParams,
-    MonthIndex,
     PeriodicSeries,
     seasonal_deviation,
 )
 from .errors import ConvergenceError, DataError, DomainError, RankDeficientError
-from .mapping import (
-    EquilibriumState,
-    apply_T,
-    apply_T_damped,
-    compute_outputs,
-    reservation_cutoffs,
-)
+from .mapping import EquilibriumState, compute_outputs, reservation_cutoffs
 from .solver import (
     EquilibriumSolution,
     SolverConfig,
-    residual,
     solve_equilibrium,
     solve_with_endogenous_u,
 )
@@ -46,20 +38,16 @@ __all__ = [
     "EquilibriumState",
     "HazardProfile",
     "ModelParams",
-    "MonthIndex",
     "MoveShares",
     "PeriodicSeries",
     "RankDeficientError",
     "SolverConfig",
-    "apply_T",
-    "apply_T_damped",
     "compose_beta",
     "compute_affine_coefficients",
     "compute_outputs",
     "hazards_from_shares",
     "normalize_shares",
     "reservation_cutoffs",
-    "residual",
     "seasonal_deviation",
     "shares_from_trends",
     "solve_equilibrium",

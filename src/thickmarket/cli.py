@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 solver non-convergence, 2 input or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,6 +60,7 @@ from .workflows import (
 )
 
 ENV_OUTDIR = "THICKMARKET_OUTDIR"
+INPUT_FILE = "FILE"   # metavar of every option naming an input file
 
 
 def _out_dir(args) -> Path:
@@ -68,11 +70,28 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write_manifest(out_dir: Path, command: str, replay: list[str],
-                    parameters: dict, outputs: list[Path],
-                    inputs: list[str]) -> Path:
+def _write_manifest(out_dir: Path, args, parameters: dict,
+                    outputs: list[Path]) -> Path:
+    """Write ``manifest.json``; replay argv and inputs come from the parser.
+
+    Every option of the command except ``--out`` is replayed in parser
+    order: flags only when set, unset (``None``) options not at all.
+    """
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    replay, inputs = [args.command], []
+    for action in sub.choices[args.command]._actions:
+        value = getattr(args, action.dest, None)
+        if (not action.option_strings or action.dest == "out"
+                or value is None or value is False):
+            continue
+        replay.append(action.option_strings[0])
+        if action.nargs != 0:
+            replay.append(str(value))   # str of a float is its exact repr
+        if action.metavar == INPUT_FILE:
+            inputs.append(str(value))
     manifest = {
-        "command": command,
+        "command": args.command,
         "replay": replay,
         "parameters": parameters,
         "inputs": inputs,
@@ -148,27 +167,12 @@ def cmd_calibrate(args) -> list[Path]:
     # machine-handoff file: full precision so solve sees the exact hazards
     outputs = [write_results(doc, out_dir / "hazards.json",
                              full_precision=True)]
-    replay = ["calibrate"] + _share_replay(args) + ["--eta", repr(eta)]
-    _write_manifest(out_dir, "calibrate", replay,
+    _write_manifest(out_dir, args,
                     {"eta": eta, "kappa": scale.kappa, "source": label},
-                    outputs, _share_inputs(args))
+                    outputs)
     print(f"calibrated hazards from {label}: kappa={scale.kappa:.6g} eta={eta}")
     print(f"wrote {outputs[0]}")
     return outputs
-
-
-def _share_replay(args) -> list[str]:
-    if args.fixture:
-        return ["--fixture", args.fixture]
-    if args.shares:
-        return ["--shares", str(args.shares)]
-    return ["--trends", str(args.trends), "--trend-years", args.trend_years]
-
-
-def _share_inputs(args) -> list[str]:
-    if args.fixture:
-        return []
-    return [str(args.shares)] if args.shares else [str(args.trends)]
 
 
 def cmd_solve(args) -> list[Path]:
@@ -206,29 +210,11 @@ def cmd_solve(args) -> list[Path]:
         out_dir / "deviations.csv", format="csv"))
     outputs.append(write_results(summary, out_dir / "summary.json"))
 
-    if args.hazards_file:
-        source_replay = ["--hazards", str(args.hazards_file)]
-        inputs = [str(args.hazards_file)]
-    else:
-        source_replay = _share_replay(args)
-        inputs = _share_inputs(args)
-    replay = (["solve"] + source_replay
-              + ["--annual-rate", repr(args.annual_rate),
-                 "--delta", repr(args.delta), "--theta", repr(args.theta),
-                 "--lambda", repr(args.lam), "--tol", repr(args.tol),
-                 "--rent-ratio", repr(args.rent_ratio)])
-    if eta is not None:
-        replay += ["--eta", repr(eta)]
-    if args.u_fixed is not None:
-        replay += ["--u-fixed", repr(args.u_fixed)]
-    if args.warm_start:
-        replay += ["--warm-start", str(args.warm_start)]
-        inputs.append(str(args.warm_start))
-    _write_manifest(out_dir, "solve", replay,
+    _write_manifest(out_dir, args,
                     {"eta": eta, "u": u, "lambda": args.lam,
                      "tolerance": args.tol, "delta": args.delta,
                      "theta": args.theta, "source": label},
-                    outputs, inputs)
+                    outputs)
     name = summary["P"].get("peak_month_name", summary["P"]["peak_month"])
     print(f"solved {label}: u={u:.6g}, {solution.iterations} iterations, "
           f"residual {solution.final_residual:.3g}")
@@ -261,10 +247,10 @@ def cmd_compare(args) -> list[Path]:
     post_shares, post_eta, post_label = _resolve_side(
         args.post_fixture, args.post_shares, args.post_eta, "post")
 
-    sol_pre, _, _ = solve_calibration(pre_shares, pre_eta, delta=args.delta,
-                                      theta=args.theta, config=config)
-    sol_post, _, _ = solve_calibration(post_shares, post_eta, delta=args.delta,
-                                       theta=args.theta, config=config)
+    model = {"annual_rate": args.annual_rate, "delta": args.delta,
+             "theta": args.theta, "config": config}
+    sol_pre, _, _ = solve_calibration(pre_shares, pre_eta, **model)
+    sol_post, _, _ = solve_calibration(post_shares, post_eta, **model)
     report = compare_calibrations(sol_pre, sol_post)
 
     rows = []
@@ -283,23 +269,10 @@ def cmd_compare(args) -> list[Path]:
                       out_dir / "compare.csv", format="csv"),
         write_results(report, out_dir / "compare.json"),
     ]
-    replay = ["compare"]
-    inputs = []
-    for side, shares_path, fixture in (("pre", args.pre_shares, args.pre_fixture),
-                                       ("post", args.post_shares, args.post_fixture)):
-        if shares_path:
-            replay += [f"--{side}-shares", str(shares_path)]
-            inputs.append(str(shares_path))
-        else:
-            replay += [f"--{side}-fixture", fixture]
-    replay += ["--pre-eta", repr(pre_eta), "--post-eta", repr(post_eta),
-               "--delta", repr(args.delta), "--theta", repr(args.theta),
-               "--lambda", repr(args.lam), "--tol", repr(args.tol),
-               "--rent-ratio", repr(args.rent_ratio)]
-    _write_manifest(out_dir, "compare", replay,
+    _write_manifest(out_dir, args,
                     {"pre_eta": pre_eta, "post_eta": post_eta,
                      "pre_source": pre_label, "post_source": post_label},
-                    outputs, inputs)
+                    outputs)
     for key in ("P", "Q"):
         ch = report["delta"][key]["season_mean_changes"]
         print(f"{key}: peak {report['pre'][key]['peak_month_name']} -> "
@@ -308,23 +281,6 @@ def cmd_compare(args) -> list[Path]:
     for p in outputs:
         print(f"wrote {p}")
     return outputs
-
-
-def _panel_replay(args) -> list[str]:
-    replay = ["--mode", args.mode, "--min-months", str(args.min_months),
-              "--value-column", args.value_column,
-              "--date-column", args.date_column]
-    if args.deflate_by:
-        replay += ["--deflate-by", str(args.deflate_by),
-                   "--base-year", str(args.base_year)]
-    return replay
-
-
-def _panel_inputs(args) -> list[str]:
-    inputs = [str(args.data)]
-    if args.deflate_by:
-        inputs.append(str(args.deflate_by))
-    return inputs
 
 
 def _load_components(args):
@@ -371,13 +327,8 @@ def cmd_shift_test(args) -> list[Path]:
         write_results(report, out_dir / "shift_test.json"),
         write_results(table, out_dir / "shift_test.txt", format="table"),
     ]
-    replay = ["shift-test", "--data", str(args.data),
-              "--break-year", str(args.break_year)] + _panel_replay(args)
-    if args.no_year_effects:
-        replay.append("--no-year-effects")
-    _write_manifest(out_dir, "shift-test", replay,
-                    {"break_year": args.break_year, "mode": args.mode},
-                    outputs, _panel_inputs(args))
+    _write_manifest(out_dir, args,
+                    {"break_year": args.break_year, "mode": args.mode}, outputs)
     print(f"joint F = {joint.statistic:.3g} (p = {joint.p_value:.3g}); "
           f"contrast t = {contrast.statistic:.3g} (p1 = {contrast.p_value:.3g})")
     print(f"seasonal deltas (pp): winter {deltas.winter:+.2f}, "
@@ -405,12 +356,9 @@ def cmd_break_scan(args) -> list[Path]:
         write_results({"columns": ["year", "F", "p"], "rows": rows},
                       out_dir / "break_scan.txt", format="table"),
     ]
-    replay = ["break-scan", "--data", str(args.data),
-              "--from-year", str(args.from_year),
-              "--to-year", str(args.to_year)] + _panel_replay(args)
-    _write_manifest(out_dir, "break-scan", replay,
+    _write_manifest(out_dir, args,
                     {"from_year": args.from_year, "to_year": args.to_year},
-                    outputs, _panel_inputs(args))
+                    outputs)
     for e in scan.entries:
         print(f"  {e.year}: F = {e.F:.3g} (p = {e.p_value:.3g})")
     for year, reason in scan.skipped:
@@ -430,18 +378,13 @@ def cmd_replicate_nt(args) -> list[Path]:
                 "fields beta_hat, delta, theta, u, survival (per-season list) "
                 "and optional labels/targets")
         params = json.loads(path.read_text())
-        inputs = [str(path)]
     else:
         params = load_biannual_benchmark()
-        inputs = []
     config = SolverConfig(lam=args.lam, tolerance=args.tol,
                           max_iterations=args.max_iter)
     report = replicate_biannual(params, config)
     outputs = [write_results(report, out_dir / "benchmark_report.json")]
-    replay = ["replicate-nt", "--lambda", repr(args.lam), "--tol", repr(args.tol)]
-    if args.params:
-        replay += ["--params", str(args.params)]
-    _write_manifest(out_dir, "replicate-nt", replay, {}, outputs, inputs)
+    _write_manifest(out_dir, args, {}, outputs)
     labels = report["labels"]
     for i, label in enumerate(labels):
         print(f"  {label}: vacancies {report['vacancies'][i]:.4f}, "
@@ -480,9 +423,9 @@ def _add_out(p):
 def _add_share_source(p):
     p.add_argument("--fixture", choices=["sipp-pre", "sipp-post"], default=None,
                    help="bundled share table")
-    p.add_argument("--shares", default=None,
+    p.add_argument("--shares", default=None, metavar=INPUT_FILE,
                    help="CSV with header month,share (months 1-12 or Jan-Dec)")
-    p.add_argument("--trends", default=None,
+    p.add_argument("--trends", default=None, metavar=INPUT_FILE,
                    help="monthly search-interest CSV (date,value); shares are "
                         "within-year volumes averaged over --trend-years")
     p.add_argument("--trend-years", default=None,
@@ -512,19 +455,21 @@ def _add_model_flags(p):
 
 
 def _add_panel_flags(p):
-    p.add_argument("--data", required=True, help="monthly CSV (date,value)")
+    p.add_argument("--data", required=True, metavar=INPUT_FILE,
+                   help="monthly CSV (date,value)")
     p.add_argument("--value-column", default="value")
     p.add_argument("--date-column", default="date")
     p.add_argument("--mode", choices=["annual", "centered12"], default="annual",
                    help="deviation mode: annual mean or centred 12-month mean")
     p.add_argument("--min-months", type=int, default=6,
                    help="minimum months for a year to enter (annual mode)")
-    p.add_argument("--deflate-by", default=None,
+    p.add_argument("--deflate-by", default=None, metavar=INPUT_FILE,
                    help="price-index CSV used to deflate the series first")
     p.add_argument("--base-year", type=int, default=2019,
                    help="index base year when deflating (mean = 100)")
 
 
+@functools.cache   # one parser per process: main, rerun and manifests share it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thickmarket",
@@ -539,9 +484,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the periodic equilibrium")
     _add_share_source(p)
     p.add_argument("--hazards", dest="hazards_file", default=None,
+                   metavar=INPUT_FILE,
                    help="calibrated hazard JSON (output of 'calibrate') "
                         "instead of a share source")
-    p.add_argument("--warm-start", default=None,
+    p.add_argument("--warm-start", default=None, metavar=INPUT_FILE,
                    help="equilibrium snapshot JSON used as the initial state")
     _add_model_flags(p)
     _add_solver_flags(p)
@@ -553,9 +499,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="pre vs post calibration side by side")
     p.add_argument("--pre-fixture", default="sipp-pre")
     p.add_argument("--post-fixture", default="sipp-post")
-    p.add_argument("--pre-shares", default=None,
+    p.add_argument("--pre-shares", default=None, metavar=INPUT_FILE,
                    help="month,share CSV for the pre side (needs --pre-eta)")
-    p.add_argument("--post-shares", default=None,
+    p.add_argument("--post-shares", default=None, metavar=INPUT_FILE,
                    help="month,share CSV for the post side (needs --post-eta)")
     p.add_argument("--pre-eta", type=float, default=None)
     p.add_argument("--post-eta", type=float, default=None)
@@ -580,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replicate-nt",
                        help="two-season benchmark validation (n = 2)")
-    p.add_argument("--params", default=None,
+    p.add_argument("--params", default=None, metavar=INPUT_FILE,
                    help="JSON parameter file (default: bundled fixture)")
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
     p.add_argument("--tol", type=float, default=1e-5)

@@ -17,39 +17,13 @@ from .errors import DomainError
 MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
-
-def month_add(m: int, k: int, n: int = 12) -> int:
-    """Cyclic month arithmetic on 1-based labels: month m shifted by k."""
-    return (m - 1 + k) % n + 1
-
-
-@dataclass(frozen=True)
-class MonthIndex:
-    """A 1-based calendar position on a cycle of length ``period``."""
-
-    value: int
-    period: int = 12
-
-    def __post_init__(self):
-        if self.period < 1:
-            raise DomainError(f"period must be >= 1, got {self.period}")
-        if not 1 <= self.value <= self.period:
-            raise DomainError(
-                f"month index must lie in 1..{self.period}, got {self.value}")
-
-    def __add__(self, k: int) -> "MonthIndex":
-        return MonthIndex(month_add(self.value, k, self.period), self.period)
-
-    def __sub__(self, k: int) -> "MonthIndex":
-        return self + (-k)
-
-    @property
-    def succ(self) -> "MonthIndex":
-        return self + 1
-
-    @property
-    def pred(self) -> "MonthIndex":
-        return self - 1
+# Meteorological seasons as calendar months (1-based).
+SEASONS = {
+    "winter": (12, 1, 2),
+    "spring": (3, 4, 5),
+    "summer": (6, 7, 8),
+    "autumn": (9, 10, 11),
+}
 
 
 @dataclass(frozen=True)

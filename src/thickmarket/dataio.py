@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,6 +90,9 @@ def read_monthly_csv(path, value_column: str = "value",
                 raise DataError(
                     f"line {line_no}: cannot parse value '{row[value_column]}'"
                 ) from None
+            if not math.isfinite(value):
+                raise DataError(f"line {line_no}: non-finite value '{raw}' "
+                                f"in {path}")
             rows.append((date, value))
     rows.sort(key=lambda r: r[0])
     for (d1, _), (d2, _) in zip(rows, rows[1:]):
@@ -122,11 +126,16 @@ def read_shares_csv(path) -> MoveShares:
             if not np.isnan(raw[month - 1]):
                 raise DataError(f"line {line_no}: duplicate month '{row['month']}'")
             try:
-                raw[month - 1] = float(row["share"])
+                share = float(row["share"])
             except ValueError:
                 raise DataError(
                     f"line {line_no}: cannot parse share '{row['share']}'"
                 ) from None
+            if not (math.isfinite(share) and share > 0.0):
+                raise DataError(
+                    f"{path}: line {line_no}: share for {MONTH_NAMES[month - 1]} "
+                    f"must be positive and finite, got '{row['share']}'")
+            raw[month - 1] = share
     if np.any(np.isnan(raw)):
         missing = [MONTH_NAMES[i] for i in range(12) if np.isnan(raw[i])]
         raise DataError(f"{path}: missing shares for {missing}")

@@ -11,7 +11,6 @@ parameters follow the same calibration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from .calibrate import MoveShares, normalize_shares
@@ -36,31 +35,6 @@ def sipp_pre_shares() -> MoveShares:
 
 def sipp_post_shares() -> MoveShares:
     return normalize_shares(SIPP_POST_RAW, label="post", source="sipp_table")
-
-
-@dataclass(frozen=True)
-class FixtureLibrary:
-    sipp_pre: MoveShares
-    sipp_post: MoveShares
-    eta_pre: float
-    eta_post: float
-    annual_rate: float
-    delta: float
-    theta: float
-    rent_price_ratio: float
-
-
-def fixture_library() -> FixtureLibrary:
-    return FixtureLibrary(
-        sipp_pre=sipp_pre_shares(),
-        sipp_post=sipp_post_shares(),
-        eta_pre=ETA_PRE,
-        eta_post=ETA_POST,
-        annual_rate=DEFAULT_ANNUAL_RATE,
-        delta=DEFAULT_DELTA,
-        theta=DEFAULT_THETA,
-        rent_price_ratio=DEFAULT_RENT_PRICE_RATIO,
-    )
 
 
 def shares_fixture(name: str) -> tuple[MoveShares, float]:

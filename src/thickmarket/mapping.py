@@ -47,10 +47,7 @@ class EquilibriumState:
 def reservation_cutoffs(X: np.ndarray, v: np.ndarray, params: ModelParams,
                         coeffs: AffineCoefficients) -> np.ndarray:
     """Clamped cutoffs min(max(0, (beta X_{m+1} + u - D_m)/A_m), v_m)."""
-    D = coeffs.continuation_weights(X)
-    X_next = np.roll(X, -1, axis=-1)
-    eps = (params.beta * X_next + params.u - D) / coeffs.A.values
-    return np.clip(eps, 0.0, v)
+    return _step(X, v, params, coeffs)[2]
 
 
 def _step(X: np.ndarray, v: np.ndarray, params: ModelParams,

@@ -17,14 +17,8 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import stats as sps
 
+from .core import SEASONS
 from .errors import DataError, DomainError, RankDeficientError
-
-SEASONS = {
-    "winter": (12, 1, 2),
-    "spring": (3, 4, 5),
-    "summer": (6, 7, 8),
-    "autumn": (9, 10, 11),
-}
 
 
 @dataclass(frozen=True)

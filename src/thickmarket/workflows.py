@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calibrate import MoveShares, compose_beta, hazards_from_shares
-from .core import MONTH_NAMES, HazardProfile, ModelParams, seasonal_deviation
+from .core import MONTH_NAMES, SEASONS, HazardProfile, ModelParams, seasonal_deviation
 from .errors import DataError
 from .fixtures import (
     DEFAULT_ANNUAL_RATE,
@@ -14,13 +14,6 @@ from .fixtures import (
     DEFAULT_THETA,
 )
 from .solver import EquilibriumSolution, SolverConfig, solve_equilibrium, solve_with_endogenous_u
-
-SEASON_MONTHS = {
-    "winter": (12, 1, 2),
-    "spring": (3, 4, 5),
-    "summer": (6, 7, 8),
-    "autumn": (9, 10, 11),
-}
 
 
 def solve_hazards(hazards: HazardProfile,
@@ -80,7 +73,7 @@ def deviation_summary(solution: EquilibriumSolution) -> dict:
             info["peak_month_name"] = MONTH_NAMES[info["peak_month"] - 1]
             info["season_means"] = {
                 season: float(np.mean([dev[m - 1] for m in ms]))
-                for season, ms in SEASON_MONTHS.items()
+                for season, ms in SEASONS.items()
             }
         return info
 
@@ -151,7 +144,7 @@ def compare_calibrations(solution_pre: EquilibriumSolution,
             "season_mean_changes": {
                 season: post[key]["season_means"][season]
                 - pre[key]["season_means"][season]
-                for season in SEASON_MONTHS
+                for season in SEASONS
             } if "season_means" in pre[key] else {},
         }
     return out

@@ -2,23 +2,20 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
+import sys
 
+# The suite works on small matrices where BLAS thread pools only add
+# contention (orders of magnitude on 2-core CI boxes). BLAS reads these
+# once, when numpy loads it, so they are set before numpy is imported.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+NUMPY_LOADED_BEFORE_PIN = "numpy" in sys.modules
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
-@pytest.fixture(scope="session", autouse=True)
-def _single_threaded_blas():
-    # The suite works on small matrices where BLAS thread pools only add
-    # contention (orders of magnitude on 2-core CI boxes).
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        yield
-        return
-    with threadpool_limits(limits=1):
-        yield
-
-from thickmarket import (
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from thickmarket import (  # noqa: E402
     HazardProfile,
     ModelParams,
     SolverConfig,
@@ -28,7 +25,7 @@ from thickmarket import (
     solve_equilibrium,
     solve_with_endogenous_u,
 )
-from thickmarket.fixtures import (
+from thickmarket.fixtures import (  # noqa: E402
     DEFAULT_DELTA,
     DEFAULT_THETA,
     ETA_POST,
@@ -36,6 +33,13 @@ from thickmarket.fixtures import (
     sipp_post_shares,
     sipp_pre_shares,
 )
+
+
+def pytest_report_header(config):
+    pin = " ".join(f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS)
+    if NUMPY_LOADED_BEFORE_PIN:
+        pin += " (not applied: numpy was loaded first)"
+    return f"BLAS pin: {pin}"
 
 
 def month_invariant_oracle(phi: float, beta: float, u: float) -> tuple:

@@ -1,17 +1,47 @@
 """Command wiring: exit codes, wrapper fidelity, manifest replay."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+from thickmarket import cli
 from thickmarket.cli import main
 from thickmarket.calibrate import hazards_from_shares, solve_kappa
+from thickmarket.errors import DataError
 from thickmarket.fixtures import ETA_POST, sipp_post_shares
+
+PARSER = cli._build_parser()
+SUBPARSERS = next(a for a in PARSER._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+INPUT_FILE_OPTIONS = {"--shares", "--trends", "--hazards", "--warm-start",
+                      "--data", "--deflate-by", "--params", "--pre-shares",
+                      "--post-shares"}
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def non_default_argv(command):
+    """Every option of a subcommand (bar --out), each off its default."""
+    argv = [command]
+    for action in SUBPARSERS[command]._actions:
+        if not action.option_strings or action.dest in ("help", "out"):
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+        elif action.choices:
+            argv += [flag, next(c for c in action.choices if c != action.default)]
+        elif action.type is float:
+            argv += [flag, repr(0.1 + 0.2)]   # needs all 17 digits to round-trip
+        elif action.type is int:
+            argv += [flag, "7"]
+        else:
+            argv += [flag, f"{action.dest}-value"]
+    return argv
 
 
 def make_shift_panel(path, rng, shift_months=(3, 4, 5), shift=2.0,
@@ -58,6 +88,15 @@ class TestCalibrateCommand:
                        "\n".join(f"{m},1" for m in range(1, 13)) + "\n")
         assert run(["calibrate", "--shares", csv,
                     "--out", tmp_path / "cal"]) == 2
+
+    def test_zero_share_names_month_and_file(self, tmp_path, capsys):
+        csv = tmp_path / "zero.csv"
+        csv.write_text("month,share\n" + "\n".join(
+            f"{m},{0 if m == 1 else 1}" for m in range(1, 13)) + "\n")
+        assert run(["calibrate", "--shares", csv, "--eta", 0.1,
+                    "--out", tmp_path / "cal"]) == 2
+        err = capsys.readouterr().err
+        assert "Jan" in err and str(csv) in err
 
     def test_missing_source_is_input_error(self, tmp_path):
         assert run(["calibrate", "--out", tmp_path / "cal"]) == 2
@@ -150,6 +189,21 @@ class TestManifests:
         assert "hazards.json" in manifest["outputs"]
         assert manifest["replay"][0] == "calibrate"
 
+    @pytest.mark.parametrize("command", sorted(set(SUBPARSERS) - {"rerun"}))
+    def test_replay_round_trips_every_option(self, tmp_path, command):
+        argv = non_default_argv(command)
+        args = PARSER.parse_args(argv + ["--out", str(tmp_path)])
+        for action in SUBPARSERS[command]._actions:
+            if action.option_strings and action.dest not in ("help", "out"):
+                assert getattr(args, action.dest) != action.default, action.dest
+
+        cli._write_manifest(tmp_path, args, {}, [])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert vars(PARSER.parse_args(manifest["replay"])) == {**vars(args),
+                                                                "out": None}
+        assert manifest["inputs"] == [argv[i + 1] for i, a in enumerate(argv)
+                                      if a in INPUT_FILE_OPTIONS]
+
     def test_rerun_missing_manifest(self, tmp_path):
         assert run(["rerun", tmp_path / "none.json"]) == 2
 
@@ -170,6 +224,22 @@ class TestCompareCommand:
                     "--tol", 1e-4, "--out", out]) == 0
         doc = json.loads((out / "compare.json").read_text())
         assert max(abs(x) for x in doc["delta"]["P"]["per_month"]) == 0.0
+
+    def test_annual_rate_reaches_both_solves(self, tmp_path, monkeypatch):
+        calls = []
+
+        def record(shares, eta, **kwargs):
+            calls.append(kwargs)
+            return None, None, None
+
+        def stop(*_):
+            raise DataError("stop before writing outputs")
+
+        monkeypatch.setattr(cli, "solve_calibration", record)
+        monkeypatch.setattr(cli, "compare_calibrations", stop)
+        assert run(["compare", "--annual-rate", 0.02,
+                    "--out", tmp_path / "cmp"]) == 2
+        assert [c["annual_rate"] for c in calls] == [0.02, 0.02]
 
     def test_shares_file_without_eta_is_input_error(self, tmp_path):
         csv = tmp_path / "shares.csv"
@@ -214,6 +284,16 @@ class TestShiftTestCommand:
         doc = json.loads((out / "shift_test.json").read_text())
         assert doc["joint_F"]["F"] < 3.0
         assert abs(doc["seasonal_delta"]["spring"]) < 1.5
+
+    def test_non_finite_value_is_input_error(self, tmp_path, capsys):
+        panel = make_shift_panel(tmp_path / "panel.csv",
+                                 np.random.default_rng(50))
+        lines = panel.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",nan"
+        panel.write_text("\n".join(lines) + "\n")
+        assert run(["shift-test", "--data", panel,
+                    "--out", tmp_path / "st"]) == 2
+        assert "line 6: non-finite value" in capsys.readouterr().err
 
     def test_centered_mode_runs(self, tmp_path):
         rng = np.random.default_rng(46)

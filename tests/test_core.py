@@ -7,36 +7,9 @@ from thickmarket import (
     DomainError,
     HazardProfile,
     ModelParams,
-    MonthIndex,
     PeriodicSeries,
     seasonal_deviation,
 )
-from thickmarket.core import month_add
-
-
-class TestMonthIndex:
-    def test_successor_wraps(self):
-        assert MonthIndex(12).succ == MonthIndex(1)
-        assert MonthIndex(1).pred == MonthIndex(12)
-
-    def test_arithmetic_is_modular(self):
-        assert (MonthIndex(11) + 3).value == 2
-        assert (MonthIndex(2) - 4).value == 10
-        assert (MonthIndex(5) + 12).value == 5
-
-    def test_general_period(self):
-        assert MonthIndex(2, period=2).succ == MonthIndex(1, period=2)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            MonthIndex(0)
-        with pytest.raises(DomainError):
-            MonthIndex(13)
-
-    @pytest.mark.parametrize("m,k,expected", [(12, 1, 1), (1, -1, 12),
-                                              (6, 18, 12), (3, -27, 12)])
-    def test_month_add(self, m, k, expected):
-        assert month_add(m, k) == expected
 
 
 class TestPeriodicSeries:

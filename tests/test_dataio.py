@@ -90,6 +90,12 @@ class TestReadMonthlyCsv:
         series = read_monthly_csv(p, value_column="price", date_column="period")
         assert series.values.tolist() == [9.5]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line(self, tmp_path, bad):
+        p = write_csv(tmp_path / "s.csv", ["2019-01,100", f"2019-02,{bad}"])
+        with pytest.raises(DataError, match="line 3: non-finite value"):
+            read_monthly_csv(p)
+
 
 class TestReadSharesCsv:
     def test_month_names(self, tmp_path):
@@ -112,6 +118,16 @@ class TestReadSharesCsv:
         with pytest.raises(DataError, match="missing"):
             read_shares_csv(write_csv(tmp_path / "m.csv", rows,
                                       header="month,share"))
+
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
+    def test_non_positive_or_non_finite_share_names_month_and_file(
+            self, tmp_path, bad):
+        rows = [f"{m},{bad if m == 3 else 1}" for m in range(1, 13)]
+        path = write_csv(tmp_path / "m.csv", rows, header="month,share")
+        with pytest.raises(DataError) as err:
+            read_shares_csv(path)
+        message = str(err.value)
+        assert "line 4" in message and "Mar" in message and str(path) in message
 
 
 class TestDeflation:

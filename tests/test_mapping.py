@@ -8,13 +8,11 @@ from thickmarket import (
     EquilibriumState,
     ModelParams,
     PeriodicSeries,
-    apply_T,
-    apply_T_damped,
     compute_affine_coefficients,
     compute_outputs,
     reservation_cutoffs,
 )
-from thickmarket.mapping import _step
+from thickmarket.mapping import _step, apply_T, apply_T_damped
 
 
 def random_states(box, n, rng):

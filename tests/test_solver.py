@@ -11,12 +11,12 @@ from thickmarket import (
     ModelParams,
     SolverConfig,
     compute_affine_coefficients,
-    residual,
     solve_equilibrium,
     solve_with_endogenous_u,
 )
 from thickmarket.fixtures import load_biannual_benchmark
 from thickmarket.mapping import _step
+from thickmarket.solver import residual
 from thickmarket.workflows import replicate_biannual
 
 
