@@ -3,7 +3,9 @@
 Every run writes its outputs plus a ``manifest.json`` recording the
 resolved parameters and a replayable argument vector; ``rerun`` replays a
 manifest into a fresh directory and reproduces the outputs byte for byte.
-Exit codes: 0 success, 1 solver non-convergence, 2 input or domain error.
+Exit codes: 0 success, 1 solver non-convergence, 2 input or domain error
+(including malformed JSON), 3 internal error (an unexpected exception; its
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from .dataio import (
     deflate_and_index,
     equilibrium_to_dict,
     hazards_to_dict,
+    load_json_object,
     read_equilibrium_json,
     read_hazards_json,
     read_monthly_csv,
@@ -377,7 +381,7 @@ def cmd_replicate_nt(args) -> list[Path]:
                 f"no such parameter file: {path}; provide a JSON file with "
                 "fields beta_hat, delta, theta, u, survival (per-season list) "
                 "and optional labels/targets")
-        params = json.loads(path.read_text())
+        params = load_json_object(path)
     else:
         params = load_biannual_benchmark()
     config = SolverConfig(lam=args.lam, tolerance=args.tol,
@@ -403,7 +407,7 @@ def cmd_rerun(args) -> list[Path]:
     path = Path(args.manifest)
     if not path.exists():
         raise DataError(f"no such manifest: {path}")
-    manifest = json.loads(path.read_text())
+    manifest = load_json_object(path)
     replay = manifest.get("replay")
     if not replay:
         raise DataError(f"manifest {path} has no replay arguments")
@@ -557,6 +561,10 @@ def main(argv=None) -> int:
     except (DataError, DomainError, RankDeficientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     return 0
 
 

@@ -275,12 +275,23 @@ def hazards_to_dict(profile, kappa: float, eta: float) -> dict:
     }
 
 
+def load_json_object(path: Path) -> dict:
+    """Parse a JSON file holding an object; malformed JSON is a DataError."""
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def read_hazards_json(path):
     """Load a calibrated hazard document (as written by hazards_to_dict)."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    doc = json.loads(path.read_text())
+    doc = load_json_object(path)
     if "survival" not in doc:
         raise DataError(f"{path}: hazard document lacks a 'survival' array")
     return doc
@@ -291,7 +302,7 @@ def read_equilibrium_json(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    doc = json.loads(path.read_text())
+    doc = load_json_object(path)
     missing = {"X", "v", "epsilon", "Q", "P"} - set(doc)
     if missing:
         raise DataError(f"{path}: snapshot lacks arrays {sorted(missing)}")

@@ -5,7 +5,15 @@ until the undamped residual ||T(Z) - Z|| (sup norm over all X and v
 coordinates) falls below the tolerance. Stopping on the undamped residual
 is strictly tighter than stopping on the distance between successive
 damped iterates (which equals lam times the residual) and guarantees the
-reported final residual is below tolerance. An outer loop optionally pins
+reported final residual is below tolerance.
+
+The iterate lives in one length-2n vector Z = (X, v); X and v are views
+into it that the map reads. Each step forms dZ = T(Z) - Z once, takes the
+residual as max|dZ|, and updates Z += lam*dZ in place. This is the same
+arithmetic, element by element and in the same order, as updating X and
+v as separate arrays, so every iterate and iteration count is bit for bit
+that of the two-array loop; the vector only saves numpy calls, which
+dominate the cost of a step on 12-month arrays. An outer loop optionally pins
 the housing service flow u to a rent-to-price ratio times the average
 equilibrium price.
 """
@@ -41,6 +49,14 @@ class SolverConfig:
             raise DomainError(f"lam must lie in (0, 1], got {self.lam}")
         if not self.tolerance > 0.0:
             raise DomainError("tolerance must be positive")
+        if not self.max_iterations >= 1:
+            raise DomainError(
+                f"max_iterations must be at least 1, got {self.max_iterations}")
+        if not self.u_max_outer_iterations >= 1:
+            raise DomainError("u_max_outer_iterations must be at least 1, "
+                              f"got {self.u_max_outer_iterations}")
+        if not self.u_outer_tolerance > 0.0:
+            raise DomainError("u_outer_tolerance must be positive")
         if not 0.0 < self.rent_price_ratio < 1.0:
             raise DomainError("rent_price_ratio must lie in (0, 1)")
         if not 0.0 < self.u_damping <= 1.0:
@@ -68,26 +84,23 @@ def residual(state: EquilibriumState, params: ModelParams,
     """Sup-norm fixed-point defect ||T(state) - state|| over X and v."""
     X, v = state.X.values, state.v.values
     X_new, v_new, _ = _step(X, v, params, coeffs)
-    return _defect(X, v, X_new, v_new)
-
-
-def _defect(X, v, X_new, v_new) -> float:
     return float(max(np.abs(X_new - X).max(), np.abs(v_new - v).max()))
 
 
 def _initial_point(params: ModelParams, coeffs: AffineCoefficients,
                    config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Start (X, v); may alias the config's arrays, so callers copy."""
     n = params.period
     if config.initial_X is None:
         X = np.full(n, coeffs.box.X_lo)
     else:
-        X = np.asarray(config.initial_X, dtype=float).copy()
+        X = np.asarray(config.initial_X, dtype=float)
         if X.shape != (n,):
             raise DomainError(f"initial_X must have shape ({n},)")
     if config.initial_v is None:
-        v = params.hazards.hazard.values.copy()
+        v = params.hazards.hazard.values
     else:
-        v = np.asarray(config.initial_v, dtype=float).copy()
+        v = np.asarray(config.initial_v, dtype=float)
         if v.shape != (n,):
             raise DomainError(f"initial_v must have shape ({n},)")
     return X, v
@@ -113,19 +126,24 @@ def solve_equilibrium(params: ModelParams, config: SolverConfig | None = None,
             "no longer covered by theory", RuntimeWarning, stacklevel=2)
 
     lam = config.lam
-    X, v = _initial_point(params, coeffs, config)
+    n = params.period
+    Z = np.concatenate(_initial_point(params, coeffs, config))
+    X, v = Z[:n], Z[n:]
+    buf = np.empty_like(Z)
 
     iterations = 0
     res = np.inf
     converged = False
     for iterations in range(1, config.max_iterations + 1):
         X_new, v_new, _ = _step(X, v, params, coeffs)
-        res = _defect(X, v, X_new, v_new)
+        dZ = np.concatenate((X_new, v_new))
+        dZ -= Z
+        res = float(np.abs(dZ, out=buf).max())
         if res < config.tolerance:
             converged = True
             break
-        X += lam * (X_new - X)
-        v += lam * (v_new - v)
+        dZ *= lam
+        Z += dZ
 
     if not converged and raise_on_fail:
         raise ConvergenceError(

@@ -346,3 +346,42 @@ class TestReplicateBenchmark:
         assert run(["replicate-nt", "--params", pfile, "--out", out]) == 0
         doc = json.loads((out / "benchmark_report.json").read_text())
         assert doc["sale_probability"][0] == doc["sale_probability"][1]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--hazards", "{file}", "--u-fixed", 0.0014],
+        ["solve", "--fixture", "sipp-pre", "--u-fixed", 0.0014,
+         "--warm-start", "{file}"],
+        ["replicate-nt", "--params", "{file}"],
+        ["rerun", "{file}"],
+    ], ids=["hazards", "warm-start", "params", "manifest"])
+    @pytest.mark.parametrize("text", ["{bad", "[1, 2]"],
+                             ids=["malformed", "not-an-object"])
+    def test_bad_json_is_input_error(self, tmp_path, capsys, argv, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = [bad if a == "{file}" else a for a in argv]
+        assert run(argv + ["--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+
+    def test_unexpected_exception_exits_3(self, tmp_path, capsys,
+                                          monkeypatch):
+        def broken(shares, eta):
+            raise ZeroDivisionError("boom")
+        monkeypatch.setattr(cli, "hazards_from_shares", broken)
+        assert run(["calibrate", "--fixture", "sipp-pre",
+                    "--out", tmp_path / "x"]) == 3
+        err = capsys.readouterr().err
+        assert "internal error: ZeroDivisionError('boom')" in err
+        assert "Traceback" in err
+
+    @pytest.mark.parametrize("command", ["solve", "replicate-nt"])
+    def test_empty_iteration_budget_is_domain_error(self, tmp_path, capsys,
+                                                    command):
+        source = (["--fixture", "sipp-pre", "--u-fixed", 0.0014]
+                  if command == "solve" else [])
+        assert run([command, *source, "--max-iter", 0,
+                    "--out", tmp_path / "x"]) == 2
+        assert "at least 1" in capsys.readouterr().err

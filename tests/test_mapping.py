@@ -171,3 +171,73 @@ class TestOutputs:
                                                  pre_coeffs)
             Q, _ = compute_outputs(state, pre_params, pre_coeffs)
             assert np.all(Q.values >= 0.0)
+
+
+def _step_reference(X, v, params, coeffs):
+    """Reference map: np.roll, np.clip and the original operation order."""
+    beta, u = params.beta, params.u
+    phi = params.hazards.survival.values
+    A = coeffs.A.values
+    D = coeffs.continuation_weights(X)
+    X_next = np.roll(X, -1, axis=-1)
+    eps = (beta * X_next + u - D) / A
+    eps_bar = np.clip(eps, 0.0, v)
+    v_new = 1.0 - phi + phi * np.roll(eps_bar, 1, axis=-1)
+    gap = v - eps_bar
+    X_new = beta * X_next + u + 0.5 * A * gap * gap / np.maximum(v, coeffs.box.v_lo)
+    return X_new, v_new, eps_bar
+
+
+def _outputs_reference(X, v, eps, params, coeffs):
+    beta, u, theta = params.beta, params.u, params.theta
+    A = coeffs.A.values
+    Q = np.maximum(0.0, v - eps)
+    X_next = np.roll(X, -1)
+    P = ((1.0 - theta) * u / (1.0 - beta)
+         + theta * (beta * X_next + u)
+         + theta * 0.5 * A * (v - eps))
+    return Q, P
+
+
+def same_bits(a, b):
+    """Bit-for-bit equality, so that -0.0 and 0.0 differ too."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestKernelMatchesReference:
+    """The kernel keeps the reference formulas' operations, order and bits."""
+
+    def check(self, X, v, params, coeffs):
+        got = _step(X, v, params, coeffs)
+        want = _step_reference(X, v, params, coeffs)
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+
+    def test_start_point(self, pre_params, pre_coeffs):
+        X = np.full(12, pre_coeffs.box.X_lo)
+        v = pre_params.hazards.hazard.values.copy()
+        self.check(X, v, pre_params, pre_coeffs)
+
+    def test_random_batch(self, pre_params, pre_coeffs):
+        X, v = random_states(pre_coeffs.box, 200, np.random.default_rng(10))
+        self.check(X, v, pre_params, pre_coeffs)
+
+    def test_clamp_binding_at_both_ends(self, pre_params, pre_coeffs):
+        box = pre_coeffs.box
+        X = np.where(np.arange(12) % 2 == 0, box.X_lo, box.X_hi)
+        v = np.linspace(box.v_lo, box.v_hi, 12)
+        raw = ((pre_params.beta * np.roll(X, -1) + pre_params.u
+                - pre_coeffs.continuation_weights(X)) / pre_coeffs.A.values)
+        assert np.any(raw < 0.0) and np.any(raw > v)
+        self.check(X, v, pre_params, pre_coeffs)
+
+    def test_outputs(self, pre_params, pre_coeffs):
+        X, v = random_states(pre_coeffs.box, 20, np.random.default_rng(11))
+        for i in range(20):
+            state = EquilibriumState.from_arrays(X[i], v[i], pre_params,
+                                                 pre_coeffs)
+            Q, P = compute_outputs(state, pre_params, pre_coeffs)
+            Q_ref, P_ref = _outputs_reference(
+                X[i], v[i], state.epsilon.values, pre_params, pre_coeffs)
+            assert same_bits(Q.values, Q_ref)
+            assert same_bits(P.values, P_ref)

@@ -7,6 +7,7 @@ import pytest
 
 from thickmarket import (
     ConvergenceError,
+    DomainError,
     HazardProfile,
     ModelParams,
     SolverConfig,
@@ -77,6 +78,15 @@ class TestConvergenceContract:
         assert not sol.converged
         assert sol.iterations == 10
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 0), ("max_iterations", -5),
+        ("u_max_outer_iterations", 0), ("u_outer_tolerance", 0.0),
+        ("u_outer_tolerance", -1e-8), ("u_outer_tolerance", float("nan")),
+    ])
+    def test_empty_budget_or_tolerance_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            SolverConfig(**{field: value})
+
     def test_warns_above_damping_threshold(self, pre_params, pre_coeffs):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -86,6 +96,60 @@ class TestConvergenceContract:
                              max_iterations=50),
                 raise_on_fail=False)
         assert any("lambda_bar" in str(w.message) for w in caught)
+
+
+def _reference_loop(params, coeffs, X, v, config):
+    """The damped iteration as first written, on separate X and v arrays."""
+    X, v = X.copy(), v.copy()
+    res = np.inf
+    for iterations in range(1, config.max_iterations + 1):
+        X_new, v_new, _ = _step(X, v, params, coeffs)
+        res = float(max(np.abs(X_new - X).max(), np.abs(v_new - v).max()))
+        if res < config.tolerance:
+            break
+        X += config.lam * (X_new - X)
+        v += config.lam * (v_new - v)
+    return X, v, res, iterations
+
+
+class TestFusedLoopMatchesReference:
+    """One (X, v) vector follows the two-array trajectory bit for bit."""
+
+    def check(self, params, coeffs, X0, v0, config):
+        sol = solve_equilibrium(params, config, raise_on_fail=False)
+        X, v, res, iterations = _reference_loop(params, coeffs, X0, v0, config)
+        assert np.array_equal(sol.state.X.values, X)
+        assert np.array_equal(sol.state.v.values, v)
+        assert sol.final_residual == res
+        assert sol.iterations == iterations
+
+    def test_cold_start(self, pre_params, pre_coeffs):
+        self.check(pre_params, pre_coeffs, np.full(12, pre_coeffs.box.X_lo),
+                   pre_params.hazards.hazard.values,
+                   SolverConfig(max_iterations=300))
+
+    def test_warm_start_to_convergence(self, pre_params, pre_coeffs,
+                                       pre_solution_tight):
+        X0 = pre_solution_tight.state.X.values * 1.001
+        v0 = pre_solution_tight.state.v.values
+        config = SolverConfig(initial_X=X0, initial_v=v0)
+        self.check(pre_params, pre_coeffs, X0, v0, config)
+
+    def test_caller_start_arrays_not_mutated(self, pre_params, pre_coeffs):
+        X0 = np.full(12, pre_coeffs.box.X_hi)
+        v0 = np.full(12, pre_coeffs.box.v_hi)
+        config = SolverConfig(initial_X=X0, initial_v=v0, max_iterations=50)
+        sol = solve_equilibrium(pre_params, config, raise_on_fail=False)
+        assert np.all(X0 == pre_coeffs.box.X_hi)
+        assert np.all(v0 == pre_coeffs.box.v_hi)
+        assert not np.shares_memory(sol.state.X.values, sol.state.v.values)
+        assert not np.shares_memory(sol.state.X.values, X0)
+
+    def test_fixture_hazards_not_mutated(self, pre_params):
+        before = pre_params.hazards.hazard.values.copy()
+        solve_equilibrium(pre_params, SolverConfig(max_iterations=50),
+                          raise_on_fail=False)
+        assert np.array_equal(pre_params.hazards.hazard.values, before)
 
 
 class TestUniquenessAndSymmetry:
