@@ -1,8 +1,9 @@
 """Command-line interface: calibration, solving, and seasonality tests.
 
 Every run writes its outputs plus a ``manifest.json`` recording the
-resolved parameters and a replayable argument vector; ``rerun`` replays a
-manifest into a fresh directory and reproduces the outputs byte for byte.
+resolved parameters, a replayable argument vector and the working
+directory; ``rerun`` replays a manifest, from any directory, into a fresh
+output directory and reproduces the outputs byte for byte.
 Exit codes: 0 success, 1 solver non-convergence, 2 input or domain error
 (including malformed JSON), 3 internal error (an unexpected exception; its
 traceback goes to stderr).
@@ -100,6 +101,7 @@ def _write_manifest(out_dir: Path, args, parameters: dict,
         "parameters": parameters,
         "inputs": inputs,
         "outputs": [p.name for p in outputs],
+        "cwd": os.getcwd(),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -257,15 +259,10 @@ def cmd_compare(args) -> list[Path]:
     sol_post, _, _ = solve_calibration(post_shares, post_eta, **model)
     report = compare_calibrations(sol_pre, sol_post)
 
-    rows = []
-    for m in range(1, 13):
-        rows.append([MONTH_NAMES[m - 1],
-                     report["pre"]["P"]["deviation"][m - 1],
-                     report["post"]["P"]["deviation"][m - 1],
-                     report["delta"]["P"]["per_month"][m - 1],
-                     report["pre"]["Q"]["deviation"][m - 1],
-                     report["post"]["Q"]["deviation"][m - 1],
-                     report["delta"]["Q"]["per_month"][m - 1]])
+    columns = [column for key in ("P", "Q") for column in (
+        report["pre"][key]["deviation"], report["post"][key]["deviation"],
+        report["delta"][key]["per_month"])]
+    rows = [list(row) for row in zip(MONTH_NAMES, *columns)]
     outputs = [
         write_results({"columns": ["month", "P_dev_pre", "P_dev_post",
                                    "P_dev_change", "Q_dev_pre", "Q_dev_post",
@@ -411,8 +408,14 @@ def cmd_rerun(args) -> list[Path]:
     replay = manifest.get("replay")
     if not replay:
         raise DataError(f"manifest {path} has no replay arguments")
-    argv = list(replay) + (["--out", args.out] if args.out else [])
-    return _dispatch(_build_parser().parse_args(argv))
+    out = _out_dir(args).resolve()   # relative input paths resolve in "cwd"
+    replayed = _build_parser().parse_args(list(replay) + ["--out", str(out)])
+    here = os.getcwd()
+    os.chdir(manifest.get("cwd", here))
+    try:
+        return _dispatch(replayed)
+    finally:
+        os.chdir(here)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ One application of the map, given mover values X and vacancy stocks v:
   (iv)  X'_m = beta X_{m+1} + u + (A_m/2) (v_m - e_m)^2 / max(v_m, v_lo)
 
 All subscripts wrap cyclically. The map sends the box K into itself; its
-damped version (1-lam)*Z + lam*T(Z) shares its fixed points and is the
-iteration actually used by the solver.
+damped version (1-lam)*Z + lam*T(Z) shares its fixed points. The map is
+piecewise smooth: its only kinks are the clamps on e_m and max(v_m, v_lo),
+which is what lets the solver run Newton on T(Z) - Z.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .affine import AffineCoefficients
 from .core import ModelParams, PeriodicSeries
-from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -80,30 +80,6 @@ def _behind(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
 
 
-def apply_T(state: EquilibriumState, params: ModelParams,
-            coeffs: AffineCoefficients) -> EquilibriumState:
-    """One application of the undamped equilibrium map.
-
-    The returned state's cutoffs are re-derived from the updated (X, v) so
-    every state object is internally consistent; at a fixed point they
-    coincide with the cutoffs used inside the update.
-    """
-    X_new, v_new, _ = _step(state.X.values, state.v.values, params, coeffs)
-    return EquilibriumState.from_arrays(X_new, v_new, params, coeffs)
-
-
-def apply_T_damped(state: EquilibriumState, lam: float, params: ModelParams,
-                   coeffs: AffineCoefficients) -> EquilibriumState:
-    """Damped update (1-lam)*state + lam*T(state) on the (X, v) coordinates."""
-    if not 0.0 < lam <= 1.0:
-        raise DomainError(f"damping coefficient must lie in (0, 1], got {lam}")
-    X, v = state.X.values, state.v.values
-    X_new, v_new, _ = _step(X, v, params, coeffs)
-    X_damped = (1.0 - lam) * X + lam * X_new
-    v_damped = (1.0 - lam) * v + lam * v_new
-    return EquilibriumState.from_arrays(X_damped, v_damped, params, coeffs)
-
-
 def compute_outputs(state: EquilibriumState, params: ModelParams,
                     coeffs: AffineCoefficients) -> tuple[PeriodicSeries, PeriodicSeries]:
     """Transactions Q and Nash-bargained prices P at a state.
@@ -112,14 +88,15 @@ def compute_outputs(state: EquilibriumState, params: ModelParams,
     u/(1-beta), the marginal match value beta X_{m+1} + u, and the seller's
     share of the expected surplus (A_m/2)(v_m - e_m).
     """
-    beta, u, theta = params.beta, params.u, params.theta
-    X = state.X.values
-    v = state.v.values
-    eps = state.epsilon.values
-    A = coeffs.A.values
-
+    X, v, eps = state.X.values, state.v.values, state.epsilon.values
     Q = np.maximum(0.0, v - eps)
-    P = ((1.0 - theta) * u / (1.0 - beta)
-         + theta * (beta * _ahead(X) + u)
-         + theta * 0.5 * A * (v - eps))
-    return PeriodicSeries(Q), PeriodicSeries(P)
+    return PeriodicSeries(Q), PeriodicSeries(_prices(X, v, eps, params, coeffs))
+
+
+def _prices(X: np.ndarray, v: np.ndarray, eps: np.ndarray,
+            params: ModelParams, coeffs: AffineCoefficients) -> np.ndarray:
+    """Raw-array prices P_m at (X, v) with clamped cutoffs eps."""
+    beta, u, theta = params.beta, params.u, params.theta
+    return ((1.0 - theta) * u / (1.0 - beta)
+            + theta * (beta * _ahead(X) + u)
+            + theta * 0.5 * coeffs.A.values * (v - eps))

@@ -123,6 +123,12 @@ def pre_solution_tight(pre_params):
 
 
 @pytest.fixture(scope="session")
+def constant_solution_tight(constant_params):
+    """Month-invariant equilibrium at fixed u, solved tightly."""
+    return solve_equilibrium(constant_params, SolverConfig(tolerance=1e-9))
+
+
+@pytest.fixture(scope="session")
 def sipp_pre_endogenous(beta_pair, pre_hazards):
     """Full endogenous-u solve of the pre-2021 calibration."""
     beta_hat, _ = beta_pair

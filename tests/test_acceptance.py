@@ -20,7 +20,6 @@ from thickmarket import (
     hazards_from_shares,
     normalize_shares,
     seasonal_deviation,
-    solve_equilibrium,
     solve_kappa,
     solve_with_endogenous_u,
 )
@@ -243,7 +242,8 @@ class TestCriterion5:
 
 
 class TestCriterion6:
-    def test_constant_hazard_analytics(self, constant_params, scalar_oracle):
+    def test_constant_hazard_analytics(self, constant_params, scalar_oracle,
+                                       constant_solution_tight):
         """Closed forms at constant hazard and the scalar-system oracle."""
         hz = HazardProfile.from_survival(np.full(12, 0.99))
         coeffs = compute_affine_coefficients(hz, 0.97, 1.0)
@@ -252,7 +252,7 @@ class TestCriterion6:
         a_err = np.abs(coeffs.A.values / a_expected - 1.0).max()
         w_err = np.abs(coeffs.W.sum(axis=1) / w_expected - 1.0).max()
 
-        sol = solve_equilibrium(constant_params, SolverConfig(tolerance=1e-9))
+        sol = constant_solution_tight
         eps, v, X = scalar_oracle(0.991, constant_params.beta,
                                   constant_params.u)
         sol_err = max(np.abs(sol.state.epsilon.values - eps).max(),

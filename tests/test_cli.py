@@ -204,6 +204,20 @@ class TestManifests:
         assert manifest["inputs"] == [argv[i + 1] for i, a in enumerate(argv)
                                       if a in INPUT_FILE_OPTIONS]
 
+    def test_rerun_from_another_directory(self, tmp_path, monkeypatch):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        (a / "s.csv").write_text("month,share\n" + "".join(
+            f"{m},{m}\n" for m in range(1, 13)))
+        monkeypatch.chdir(a)
+        assert run(["calibrate", "--shares", "s.csv", "--eta", 0.1,
+                    "--out", "out"]) == 0
+        monkeypatch.chdir(b)
+        assert run(["rerun", "../a/out/manifest.json", "--out", "out"]) == 0
+        assert ((a / "out" / "hazards.json").read_bytes()
+                == (b / "out" / "hazards.json").read_bytes())
+
     def test_rerun_missing_manifest(self, tmp_path):
         assert run(["rerun", tmp_path / "none.json"]) == 2
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from thickmarket import (
-    DomainError,
     EquilibriumState,
     ModelParams,
     PeriodicSeries,
@@ -12,13 +11,19 @@ from thickmarket import (
     compute_outputs,
     reservation_cutoffs,
 )
-from thickmarket.mapping import _step, apply_T, apply_T_damped
+from thickmarket.mapping import _step
 
 
 def random_states(box, n, rng):
     X = rng.uniform(box.X_lo, box.X_hi, size=(n, 12))
     v = rng.uniform(box.v_lo, box.v_hi, size=(n, 12))
     return X, v
+
+
+def damped_map(X, v, lam, params, coeffs):
+    """T_lam(Z) = (1 - lam) Z + lam T(Z) on the (X, v) coordinates."""
+    X_new, v_new, _ = _step(X, v, params, coeffs)
+    return (1.0 - lam) * X + lam * X_new, (1.0 - lam) * v + lam * v_new
 
 
 def pair_dist(X1, v1, X2, v2):
@@ -38,11 +43,10 @@ class TestMapStructure:
         params, coeffs = constant_setup
         X = np.full(12, coeffs.box.X_lo)
         v = np.full(12, coeffs.box.v_lo)
-        state = EquilibriumState.from_arrays(X, v, params, coeffs)
-        out = apply_T(state, params, coeffs)
-        assert np.ptp(out.X.values) == 0.0
-        assert np.ptp(out.v.values) == 0.0
-        assert np.ptp(out.epsilon.values) == 0.0
+        Xn, vn, _ = _step(X, v, params, coeffs)
+        assert np.ptp(Xn) == 0.0
+        assert np.ptp(vn) == 0.0
+        assert np.ptp(reservation_cutoffs(Xn, vn, params, coeffs)) == 0.0
 
     def test_clamp_invariant(self, pre_params, pre_coeffs):
         rng = np.random.default_rng(2)
@@ -71,42 +75,33 @@ class TestDamping:
     def test_lambda_one_is_bitwise_identical(self, pre_params, pre_coeffs):
         rng = np.random.default_rng(5)
         X, v = random_states(pre_coeffs.box, 1, rng)
-        state = EquilibriumState.from_arrays(X[0], v[0], pre_params, pre_coeffs)
-        a = apply_T(state, pre_params, pre_coeffs)
-        b = apply_T_damped(state, 1.0, pre_params, pre_coeffs)
-        assert np.array_equal(a.X.values, b.X.values)
-        assert np.array_equal(a.v.values, b.v.values)
-        assert np.array_equal(a.epsilon.values, b.epsilon.values)
+        Xa, va, _ = _step(X[0], v[0], pre_params, pre_coeffs)
+        Xb, vb = damped_map(X[0], v[0], 1.0, pre_params, pre_coeffs)
+        assert np.array_equal(Xa, Xb)
+        assert np.array_equal(va, vb)
+        assert np.array_equal(
+            reservation_cutoffs(Xa, va, pre_params, pre_coeffs),
+            reservation_cutoffs(Xb, vb, pre_params, pre_coeffs))
 
     def test_small_lambda_is_convex_combination(self, pre_params, pre_coeffs):
         rng = np.random.default_rng(6)
         X, v = random_states(pre_coeffs.box, 1, rng)
-        state = EquilibriumState.from_arrays(X[0], v[0], pre_params, pre_coeffs)
-        full = apply_T(state, pre_params, pre_coeffs)
-        damped = apply_T_damped(state, 0.01, pre_params, pre_coeffs)
-        assert np.allclose(damped.X.values,
-                           0.99 * state.X.values + 0.01 * full.X.values,
+        X, v = X[0], v[0]
+        X_full, v_full, _ = _step(X, v, pre_params, pre_coeffs)
+        X_damped, v_damped = damped_map(X, v, 0.01, pre_params, pre_coeffs)
+        assert np.allclose(X_damped, 0.99 * X + 0.01 * X_full,
                            rtol=0, atol=1e-14)
-        assert np.allclose(damped.v.values,
-                           0.99 * state.v.values + 0.01 * full.v.values,
+        assert np.allclose(v_damped, 0.99 * v + 0.01 * v_full,
                            rtol=0, atol=1e-14)
-
-    def test_invalid_lambda_rejected(self, pre_params, pre_coeffs):
-        state = EquilibriumState.from_arrays(
-            np.full(12, pre_coeffs.box.X_lo), np.full(12, pre_coeffs.box.v_lo),
-            pre_params, pre_coeffs)
-        for lam in (0.0, -0.1, 1.5):
-            with pytest.raises(DomainError):
-                apply_T_damped(state, lam, pre_params, pre_coeffs)
 
     def test_fixed_point_preserved_for_any_lambda(self, pre_params,
                                                   pre_solution_tight,
                                                   pre_coeffs):
-        state = pre_solution_tight.state
+        X = pre_solution_tight.state.X.values
+        v = pre_solution_tight.state.v.values
         for lam in (0.01, 0.3, 1.0):
-            out = apply_T_damped(state, lam, pre_params, pre_coeffs)
-            diff = max(np.abs(out.X.values - state.X.values).max(),
-                       np.abs(out.v.values - state.v.values).max())
+            X_out, v_out = damped_map(X, v, lam, pre_params, pre_coeffs)
+            diff = max(np.abs(X_out - X).max(), np.abs(v_out - v).max())
             assert diff < 1e-8
 
 

@@ -1,6 +1,10 @@
 """Solver: oracles, uniqueness, equivariance, endogenous u, benchmark."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,42 +19,61 @@ from thickmarket import (
     solve_equilibrium,
     solve_with_endogenous_u,
 )
-from thickmarket.fixtures import load_biannual_benchmark
+from thickmarket import solver
+from thickmarket.calibrate import normalize_shares
+from thickmarket.fixtures import (
+    DEFAULT_RENT_PRICE_RATIO,
+    SIPP_POST_RAW,
+    SIPP_PRE_RAW,
+    load_biannual_benchmark,
+)
 from thickmarket.mapping import _step
-from thickmarket.solver import residual
-from thickmarket.workflows import replicate_biannual
+from thickmarket.workflows import replicate_biannual, solve_calibration
+
+
+def defect(X, v, params, coeffs):
+    """Sup-norm fixed-point defect |T(X, v) - (X, v)| over X and v."""
+    X_new, v_new, _ = _step(X, v, params, coeffs)
+    return float(max(np.abs(X_new - X).max(), np.abs(v_new - v).max()))
+
+
+@pytest.fixture(scope="module")
+def pre_solution_default(pre_params):
+    """SIPP pre-2021 equilibrium at fixed u with the default configuration."""
+    return solve_equilibrium(pre_params, SolverConfig())
 
 
 class TestConstantHazardOracle:
-    def test_matches_scalar_bisection(self, constant_params, scalar_oracle):
-        sol = solve_equilibrium(constant_params, SolverConfig(tolerance=1e-9))
+    def test_matches_scalar_bisection(self, constant_params, scalar_oracle,
+                                      constant_solution_tight):
+        sol = constant_solution_tight
         eps, v, X = scalar_oracle(0.991, constant_params.beta,
                                   constant_params.u)
         assert np.abs(sol.state.epsilon.values - eps).max() < 1e-6
         assert np.abs(sol.state.v.values - v).max() < 1e-6
         assert np.abs(sol.state.X.values - X).max() < 1e-6
 
-    def test_solution_is_month_invariant(self, constant_params):
-        sol = solve_equilibrium(constant_params, SolverConfig(tolerance=1e-9))
+    def test_solution_is_month_invariant(self, constant_solution_tight):
+        sol = constant_solution_tight
         assert np.ptp(sol.state.X.values) < 1e-9
         assert np.ptp(sol.state.v.values) < 1e-9
 
 
 class TestConvergenceContract:
-    def test_final_residual_below_tolerance(self, pre_params, pre_solution_tight):
-        sol = solve_equilibrium(pre_params, SolverConfig())
+    def test_final_residual_below_tolerance(self, pre_params,
+                                            pre_solution_default):
+        sol = pre_solution_default
         assert sol.converged
         assert sol.final_residual < 1e-5
         coeffs = compute_affine_coefficients(pre_params.hazards,
                                              pre_params.beta, pre_params.u)
-        assert residual(sol.state, pre_params, coeffs) == sol.final_residual
+        assert defect(sol.state.X.values, sol.state.v.values, pre_params,
+                      coeffs) == sol.final_residual
 
     def test_initial_guess_is_not_a_fixed_point(self, pre_params, pre_coeffs):
         from thickmarket.solver import _initial_point
         X, v = _initial_point(pre_params, pre_coeffs, SolverConfig())
-        from thickmarket.mapping import EquilibriumState
-        state = EquilibriumState.from_arrays(X, v, pre_params, pre_coeffs)
-        assert residual(state, pre_params, pre_coeffs) > 0.0
+        assert defect(X, v, pre_params, pre_coeffs) > 0.0
 
     def test_residual_decreases_along_iteration(self, pre_params, pre_coeffs):
         X = np.full(12, pre_coeffs.box.X_lo)
@@ -80,8 +103,6 @@ class TestConvergenceContract:
 
     @pytest.mark.parametrize("field, value", [
         ("max_iterations", 0), ("max_iterations", -5),
-        ("u_max_outer_iterations", 0), ("u_outer_tolerance", 0.0),
-        ("u_outer_tolerance", -1e-8), ("u_outer_tolerance", float("nan")),
     ])
     def test_empty_budget_or_tolerance_rejected(self, field, value):
         with pytest.raises(DomainError, match=field):
@@ -152,9 +173,16 @@ class TestFusedLoopMatchesReference:
         assert np.array_equal(pre_params.hazards.hazard.values, before)
 
 
+@pytest.fixture(scope="module")
+def pre_solution_1e7(pre_params):
+    """SIPP pre-2021 equilibrium at fixed u from the cold start, tol 1e-7."""
+    return solve_equilibrium(pre_params, SolverConfig(tolerance=1e-7))
+
+
 class TestUniquenessAndSymmetry:
-    def test_two_starts_reach_same_fixed_point(self, pre_params, pre_coeffs):
-        low = solve_equilibrium(pre_params, SolverConfig(tolerance=1e-7))
+    def test_two_starts_reach_same_fixed_point(self, pre_params, pre_coeffs,
+                                               pre_solution_1e7):
+        low = pre_solution_1e7
         high = solve_equilibrium(
             pre_params,
             SolverConfig(tolerance=1e-7,
@@ -164,28 +192,30 @@ class TestUniquenessAndSymmetry:
                    np.abs(low.state.v.values - high.state.v.values).max())
         assert diff < 1e-4
 
-    def test_damping_does_not_move_the_limit(self, pre_params):
-        a = solve_equilibrium(pre_params, SolverConfig(tolerance=1e-7, lam=0.01))
+    def test_damping_does_not_move_the_limit(self, pre_params,
+                                             pre_solution_1e7):
+        a = pre_solution_1e7   # lam = 0.01
         b = solve_equilibrium(pre_params, SolverConfig(tolerance=1e-7, lam=0.005))
         diff = max(np.abs(a.state.X.values - b.state.X.values).max(),
                    np.abs(a.state.v.values - b.state.v.values).max())
         assert diff < 1e-4
 
-    def test_bitwise_determinism(self, pre_params):
-        a = solve_equilibrium(pre_params, SolverConfig())
+    def test_bitwise_determinism(self, pre_params, pre_solution_default):
+        a = pre_solution_default
         b = solve_equilibrium(pre_params, SolverConfig())
         assert np.array_equal(a.state.X.values, b.state.X.values)
         assert np.array_equal(a.state.v.values, b.state.v.values)
         assert np.array_equal(a.P.values, b.P.values)
         assert a.iterations == b.iterations
 
-    def test_rotating_hazards_rotates_solution(self, pre_params):
+    def test_rotating_hazards_rotates_solution(self, pre_params,
+                                               pre_solution_tight):
         k = 5
         rotated = ModelParams(
             beta_hat=pre_params.beta_hat, delta=pre_params.delta,
             theta=pre_params.theta, u=pre_params.u,
             hazards=pre_params.hazards.rotated(k))
-        base = solve_equilibrium(pre_params, SolverConfig(tolerance=1e-9))
+        base = pre_solution_tight
         rot = solve_equilibrium(rotated, SolverConfig(tolerance=1e-9))
         for attr in ("X", "v", "epsilon"):
             ref = getattr(base.state, attr).values
@@ -225,15 +255,159 @@ class TestEndogenousU:
         with pytest.raises(ConvergenceError, match="collapsed"):
             solve_with_endogenous_u(params, SolverConfig())
 
-    def test_u_damping_reaches_same_point(self, beta_pair, pre_hazards,
-                                          sipp_pre_endogenous):
-        beta_hat, _ = beta_pair
-        params = ModelParams(beta_hat=beta_hat, delta=0.025, theta=0.5,
-                             u=1.0, hazards=pre_hazards)
-        _, u_damped = solve_with_endogenous_u(
-            params, SolverConfig(u_damping=0.5))
-        _, u_ref = sipp_pre_endogenous
-        assert abs(u_damped - u_ref) / u_ref < 1e-6
+
+def random_calibration(i):
+    """Shares ~ Dirichlet(3 x SIPP table), pre and post alternating;
+    eta ~ U(0.07, 0.12)."""
+    rng = np.random.default_rng([2026, i])
+    base = SIPP_PRE_RAW if i % 2 == 0 else SIPP_POST_RAW
+    shares = normalize_shares(rng.dirichlet(3.0 * np.asarray(base)))
+    return shares, float(rng.uniform(0.07, 0.12))
+
+
+def count_steps(monkeypatch):
+    """Route solver._step through a counter; returns the list it fills."""
+    calls = []
+
+    def counting_step(*args):
+        calls.append(None)
+        return _step(*args)
+
+    monkeypatch.setattr(solver, "_step", counting_step)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def newton_solves():
+    """50 endogenous-u solves, each with the map evaluations it made."""
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_steps(mp)
+        for i in range(50):
+            calls.clear()
+            solution, u, params = solve_calibration(*random_calibration(i))
+            runs.append((solution, u, params, len(calls)))
+    return runs
+
+
+@pytest.fixture()
+def pre_seeded_at_u1(beta_pair, pre_hazards):
+    """SIPP pre-2021 parameters with the service flow seeded at u = 1, as
+    the workflows seed the endogenous-u solve."""
+    beta_hat, _ = beta_pair
+    return ModelParams(beta_hat=beta_hat, delta=0.025, theta=0.5, u=1.0,
+                       hazards=pre_hazards)
+
+
+class TestNewtonEndogenousU:
+    def test_residual_of_the_full_system(self, newton_solves):
+        for solution, u, params, _ in newton_solves:
+            assert defect(solution.state.X.values, solution.state.v.values,
+                          params, solution.coeffs) <= 1e-12
+            target = DEFAULT_RENT_PRICE_RATIO * solution.P.mean() / 12.0
+            assert abs(target - u) <= 1e-12
+
+    def test_iterations_count_every_map_evaluation(self, newton_solves):
+        for solution, _, _, steps in newton_solves:
+            assert solution.iterations == steps <= 50
+
+    def test_matches_tight_damped_fixed_u_solve(self, newton_solves):
+        # lam = 0.9 lies above lambda_bar, so convergence is checked by the
+        # residual alone; it keeps each reference solve near 600 steps.
+        config = SolverConfig(lam=0.9, tolerance=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for solution, _, params, _ in newton_solves:
+                ref = solve_equilibrium(params, config)
+                for attr in ("X", "v", "epsilon"):
+                    assert np.abs(getattr(ref.state, attr).values
+                                  - getattr(solution.state, attr).values
+                                  ).max() <= 1e-9
+                assert np.abs(ref.P.values - solution.P.values).max() <= 1e-9
+
+    def test_direction_solves_the_linearized_system(self, pre_params,
+                                                   pre_coeffs):
+        """J dz = -g, with J dz taken by central differences of G along dz
+        at random points of the box and u within a factor 2 of the
+        fixture's (the price formula restated here)."""
+        n, ratio = 12, DEFAULT_RENT_PRICE_RATIO
+        beta, theta, A = pre_params.beta, pre_params.theta, pre_coeffs.A.values
+
+        def G(z):
+            X, v, u = z[:n], z[n:-1], z[-1]
+            X_new, v_new, eps = _step(X, v, pre_params.with_u(u), pre_coeffs)
+            P = ((1.0 - theta) * u / (1.0 - beta)
+                 + theta * (beta * np.roll(X, -1) + u)
+                 + theta * 0.5 * A * (v - eps))
+            return np.r_[X_new - X, v_new - v, ratio * P.mean() / 12.0 - u], eps
+
+        rng = np.random.default_rng(12)
+        box, h = pre_coeffs.box, 1e-7
+        for _ in range(100):
+            z = np.r_[rng.uniform(box.X_lo, box.X_hi, n),
+                      rng.uniform(box.v_lo, box.v_hi, n),
+                      pre_params.u * rng.uniform(0.5, 2.0)]
+            g, eps = G(z)
+            dz = solver._newton_direction(z, eps, g, pre_params, pre_coeffs,
+                                          ratio)
+            J_dz = (G(z + h * dz)[0] - G(z - h * dz)[0]) / (2.0 * h)
+            assert np.abs(J_dz + g).max() <= 1e-6 * np.abs(g).max()
+
+    def test_forced_fallback_reaches_same_point(self, monkeypatch,
+                                                pre_seeded_at_u1,
+                                                sipp_pre_endogenous):
+        newton = solver._newton_direction
+        flipped = []
+
+        def uphill_first(*args):
+            dz = newton(*args)
+            if len(flipped) < 3:
+                flipped.append(None)
+                return -dz    # the line search cannot decrease |G| along it
+            return dz
+
+        monkeypatch.setattr(solver, "_newton_direction", uphill_first)
+        calls = count_steps(monkeypatch)
+        solution, u = solve_with_endogenous_u(pre_seeded_at_u1, SolverConfig())
+        reference, u_ref = sipp_pre_endogenous
+        assert len(flipped) == 3
+        assert solution.iterations == len(calls)
+        # each damped step is followed by one evaluation at its new point
+        assert solution.iterations >= reference.iterations + 3
+        assert abs(u - u_ref) <= 1e-12 * u_ref
+        for attr in ("X", "v"):
+            assert np.abs(getattr(solution.state, attr).values
+                          - getattr(reference.state, attr).values
+                          ).max() <= 1e-12
+
+    @pytest.mark.parametrize("budget", [1, 5])
+    def test_small_budget_raises(self, pre_seeded_at_u1, budget):
+        with pytest.raises(ConvergenceError, match="map evaluations"):
+            solve_with_endogenous_u(pre_seeded_at_u1,
+                                    SolverConfig(max_iterations=budget))
+
+    def test_budget_covers_every_evaluation(self, pre_seeded_at_u1,
+                                            sipp_pre_endogenous):
+        needed = sipp_pre_endogenous[0].iterations
+        solution, _ = solve_with_endogenous_u(
+            pre_seeded_at_u1, SolverConfig(max_iterations=needed))
+        assert solution.iterations == needed
+        with pytest.raises(ConvergenceError):
+            solve_with_endogenous_u(pre_seeded_at_u1,
+                                    SolverConfig(max_iterations=needed - 1))
+
+
+def test_workflows_import_leaves_scipy_unloaded():
+    """scipy costs about half a second to import; the solve path needs none."""
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, thickmarket.workflows; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestBiannualBenchmark:
