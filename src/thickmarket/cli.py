@@ -153,9 +153,8 @@ def _resolve_shares(args):
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        lam=args.lam, tolerance=args.tol, max_iterations=args.max_iter,
-        rent_price_ratio=args.rent_ratio)
+    return SolverConfig(lam=args.lam, max_iterations=args.max_iter,
+                        rent_price_ratio=args.rent_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +217,8 @@ def cmd_solve(args) -> list[Path]:
 
     _write_manifest(out_dir, args,
                     {"eta": eta, "u": u, "lambda": args.lam,
-                     "tolerance": args.tol, "delta": args.delta,
-                     "theta": args.theta, "source": label},
+                     "delta": args.delta, "theta": args.theta,
+                     "source": label},
                     outputs)
     name = summary["P"].get("peak_month_name", summary["P"]["peak_month"])
     print(f"solved {label}: u={u:.6g}, {solution.iterations} iterations, "
@@ -381,8 +380,7 @@ def cmd_replicate_nt(args) -> list[Path]:
         params = load_json_object(path)
     else:
         params = load_biannual_benchmark()
-    config = SolverConfig(lam=args.lam, tolerance=args.tol,
-                          max_iterations=args.max_iter)
+    config = SolverConfig(lam=args.lam, max_iterations=args.max_iter)
     report = replicate_biannual(params, config)
     outputs = [write_results(report, out_dir / "benchmark_report.json")]
     _write_manifest(out_dir, args, {}, outputs)
@@ -444,10 +442,9 @@ def _add_share_source(p):
 
 def _add_solver_flags(p):
     p.add_argument("--lambda", dest="lam", type=float, default=0.01,
-                   help="damping coefficient (default 0.01)")
-    p.add_argument("--tol", type=float, default=1e-5,
-                   help="sup-norm convergence tolerance (default 1e-5)")
-    p.add_argument("--max-iter", type=int, default=2_000_000)
+                   help="damped fallback step of the solver (default 0.01)")
+    p.add_argument("--max-iter", type=int, default=2_000_000,
+                   help="budget of map evaluations (default 2000000)")
     p.add_argument("--rent-ratio", type=float, default=DEFAULT_RENT_PRICE_RATIO,
                    help="annual rent-to-price ratio for endogenous u")
 
@@ -536,7 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None, metavar=INPUT_FILE,
                    help="JSON parameter file (default: bundled fixture)")
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--max-iter", type=int, default=2_000_000)
     _add_out(p)
     p.set_defaults(func=cmd_replicate_nt)

@@ -44,10 +44,6 @@ class RawSeries:
     def n_obs(self) -> int:
         return self.values.size
 
-    @property
-    def span(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return self.dates[0], self.dates[-1]
-
 
 def _parse_month(text: str, line_no: int) -> tuple[int, int]:
     token = text.strip()
@@ -176,10 +172,6 @@ def to_panel(series: RawSeries) -> MonthlyPanel:
     return MonthlyPanel(years=years, months=months, values=series.values)
 
 
-def incomplete_years(panel: MonthlyPanel) -> list[int]:
-    return sorted(y for y, c in panel.months_per_year().items() if c < 12)
-
-
 # ---------------------------------------------------------------------------
 # deterministic writers
 
@@ -259,7 +251,6 @@ def equilibrium_to_dict(solution, u: float | None = None) -> dict:
         "iterations": int(solution.iterations),
         "residual": float(solution.final_residual),
         "lambda": float(solution.lambda_used),
-        "converged": bool(solution.converged),
     }
     if u is not None:
         doc["u"] = float(u)

@@ -117,15 +117,15 @@ def constant_params(beta_pair):
 
 
 @pytest.fixture(scope="session")
-def pre_solution_tight(pre_params):
-    """SIPP pre-2021 equilibrium at fixed u, solved tightly."""
-    return solve_equilibrium(pre_params, SolverConfig(tolerance=1e-9))
+def pre_solution(pre_params):
+    """SIPP pre-2021 equilibrium at fixed u."""
+    return solve_equilibrium(pre_params, SolverConfig())
 
 
 @pytest.fixture(scope="session")
-def constant_solution_tight(constant_params):
-    """Month-invariant equilibrium at fixed u, solved tightly."""
-    return solve_equilibrium(constant_params, SolverConfig(tolerance=1e-9))
+def constant_solution(constant_params):
+    """Month-invariant equilibrium at fixed u."""
+    return solve_equilibrium(constant_params, SolverConfig())
 
 
 @pytest.fixture(scope="session")

@@ -128,8 +128,8 @@ class TestSolveCommand:
         assert run(["solve", "--fixture", "sipp-pre", "--u-fixed", 0.0014,
                     "--out", out]) == 0
         doc = json.loads((out / "solution.json").read_text())
-        assert doc["converged"] is True
-        assert doc["residual"] < 1e-5
+        assert "converged" not in doc
+        assert doc["residual"] <= 1e-12 * max(1.0, *doc["X"], *doc["v"])
         assert len(doc["P"]) == 12
         dev = (out / "deviations.csv").read_text().splitlines()
         assert dev[0] == "month,P_dev,Q_dev"
@@ -137,7 +137,7 @@ class TestSolveCommand:
 
     def test_nonconvergence_exit_code(self, tmp_path):
         assert run(["solve", "--fixture", "sipp-pre", "--u-fixed", 0.0014,
-                    "--max-iter", 10, "--out", tmp_path / "x"]) == 1
+                    "--max-iter", 3, "--out", tmp_path / "x"]) == 1
 
     def test_bad_fixture_is_input_error(self, tmp_path):
         rc = run(["solve", "--shares", tmp_path / "nope.csv", "--eta", 0.1,
@@ -235,7 +235,7 @@ class TestCompareCommand:
         out = tmp_path / "cmp"
         assert run(["compare", "--pre-shares", csv, "--pre-eta", 0.1,
                     "--post-shares", csv, "--post-eta", 0.1,
-                    "--tol", 1e-4, "--out", out]) == 0
+                    "--out", out]) == 0
         doc = json.loads((out / "compare.json").read_text())
         assert max(abs(x) for x in doc["delta"]["P"]["per_month"]) == 0.0
 
@@ -265,8 +265,7 @@ class TestCompareCommand:
     def test_identical_sides_give_zero_deltas(self, tmp_path):
         out = tmp_path / "cmp"
         assert run(["compare", "--pre-fixture", "sipp-pre",
-                    "--post-fixture", "sipp-pre", "--tol", 1e-4,
-                    "--out", out]) == 0
+                    "--post-fixture", "sipp-pre", "--out", out]) == 0
         doc = json.loads((out / "compare.json").read_text())
         for key in ("P", "Q"):
             assert max(abs(x) for x in doc["delta"][key]["per_month"]) == 0.0

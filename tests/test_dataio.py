@@ -10,7 +10,6 @@ from thickmarket.dataio import (
     RawSeries,
     deflate_and_index,
     equilibrium_to_dict,
-    incomplete_years,
     read_monthly_csv,
     read_shares_csv,
     to_panel,
@@ -55,7 +54,7 @@ class TestReadMonthlyCsv:
         rows = [f"{y}-{m:02d},{100 + i}" for i, (y, m) in enumerate(dates)]
         series = read_monthly_csv(write_csv(tmp_path / "s.csv", rows))
         assert series.n_obs == 209
-        assert series.span == ((2008, 2), (2025, 6))
+        assert (series.dates[0], series.dates[-1]) == ((2008, 2), (2025, 6))
 
     def test_day_field_truncated(self, tmp_path):
         p = write_csv(tmp_path / "s.csv", ["2019-01-31,100", "2019-02-28,101"])
@@ -184,13 +183,15 @@ class TestToPanel:
     def test_one_complete_year(self):
         dates = month_range((2020, 1), (2020, 12))
         panel = to_panel(RawSeries(dates=tuple(dates), values=np.arange(12.0)))
-        assert incomplete_years(panel) == []
+        assert panel.months_per_year() == {2020: 12}
 
     def test_partial_edge_years_flagged(self):
         dates = month_range((2008, 2), (2025, 6))
         panel = to_panel(RawSeries(dates=tuple(dates),
                                    values=np.arange(float(len(dates)))))
-        assert incomplete_years(panel) == [2008, 2025]
+        counts = panel.months_per_year()
+        assert sorted(y for y, c in counts.items() if c < 12) == [2008, 2025]
+        assert (counts[2008], counts[2025]) == (11, 6)
 
     def test_empty_series(self):
         panel = to_panel(RawSeries(dates=(), values=np.array([])))

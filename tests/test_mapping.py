@@ -95,10 +95,10 @@ class TestDamping:
                            rtol=0, atol=1e-14)
 
     def test_fixed_point_preserved_for_any_lambda(self, pre_params,
-                                                  pre_solution_tight,
+                                                  pre_solution,
                                                   pre_coeffs):
-        X = pre_solution_tight.state.X.values
-        v = pre_solution_tight.state.v.values
+        X = pre_solution.state.X.values
+        v = pre_solution.state.v.values
         for lam in (0.01, 0.3, 1.0):
             X_out, v_out = damped_map(X, v, lam, pre_params, pre_coeffs)
             diff = max(np.abs(X_out - X).max(), np.abs(v_out - v).max())

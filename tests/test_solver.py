@@ -1,9 +1,9 @@
 """Solver: oracles, uniqueness, equivariance, endogenous u, benchmark."""
 
+import itertools
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,8 @@ from thickmarket import (
     ModelParams,
     SolverConfig,
     compute_affine_coefficients,
+    compute_outputs,
+    hazards_from_shares,
     solve_equilibrium,
     solve_with_endogenous_u,
 )
@@ -27,7 +29,7 @@ from thickmarket.fixtures import (
     SIPP_PRE_RAW,
     load_biannual_benchmark,
 )
-from thickmarket.mapping import _step
+from thickmarket.mapping import EquilibriumState, _step
 from thickmarket.workflows import replicate_biannual, solve_calibration
 
 
@@ -37,34 +39,53 @@ def defect(X, v, params, coeffs):
     return float(max(np.abs(X_new - X).max(), np.abs(v_new - v).max()))
 
 
-@pytest.fixture(scope="module")
-def pre_solution_default(pre_params):
-    """SIPP pre-2021 equilibrium at fixed u with the default configuration."""
-    return solve_equilibrium(pre_params, SolverConfig())
+def random_calibration(i):
+    """Shares ~ Dirichlet(3 x SIPP table), pre and post alternating;
+    eta ~ U(0.07, 0.12)."""
+    rng = np.random.default_rng([2026, i])
+    base = SIPP_PRE_RAW if i % 2 == 0 else SIPP_POST_RAW
+    shares = normalize_shares(rng.dirichlet(3.0 * np.asarray(base)))
+    return shares, float(rng.uniform(0.07, 0.12))
+
+
+def count_steps(monkeypatch):
+    """Route solver._step through a counter; returns the list it fills."""
+    calls = []
+
+    def counting_step(*args):
+        calls.append(None)
+        return _step(*args)
+
+    monkeypatch.setattr(solver, "_step", counting_step)
+    return calls
+
+
+def stop_bound(solution):
+    """The solver's stopping bound 1e-12 * max(1, |(X, v)|) in sup norm."""
+    z = np.concatenate((solution.state.X.values, solution.state.v.values))
+    return 1e-12 * max(1.0, np.abs(z).max())
 
 
 class TestConstantHazardOracle:
     def test_matches_scalar_bisection(self, constant_params, scalar_oracle,
-                                      constant_solution_tight):
-        sol = constant_solution_tight
+                                      constant_solution):
+        sol = constant_solution
         eps, v, X = scalar_oracle(0.991, constant_params.beta,
                                   constant_params.u)
         assert np.abs(sol.state.epsilon.values - eps).max() < 1e-6
         assert np.abs(sol.state.v.values - v).max() < 1e-6
         assert np.abs(sol.state.X.values - X).max() < 1e-6
 
-    def test_solution_is_month_invariant(self, constant_solution_tight):
-        sol = constant_solution_tight
+    def test_solution_is_month_invariant(self, constant_solution):
+        sol = constant_solution
         assert np.ptp(sol.state.X.values) < 1e-9
         assert np.ptp(sol.state.v.values) < 1e-9
 
 
 class TestConvergenceContract:
-    def test_final_residual_below_tolerance(self, pre_params,
-                                            pre_solution_default):
-        sol = pre_solution_default
-        assert sol.converged
-        assert sol.final_residual < 1e-5
+    def test_final_residual_below_tolerance(self, pre_params, pre_solution):
+        sol = pre_solution
+        assert sol.final_residual <= stop_bound(sol)
         coeffs = compute_affine_coefficients(pre_params.hazards,
                                              pre_params.beta, pre_params.u)
         assert defect(sol.state.X.values, sol.state.v.values, pre_params,
@@ -91,15 +112,23 @@ class TestConvergenceContract:
 
     def test_nonconvergence_raises_with_residual(self, pre_params):
         with pytest.raises(ConvergenceError) as err:
-            solve_equilibrium(pre_params, SolverConfig(max_iterations=10))
+            solve_equilibrium(pre_params, SolverConfig(max_iterations=3))
         assert err.value.residual is not None
         assert err.value.residual > 0
 
-    def test_nonconvergence_partial_solution(self, pre_params):
-        sol = solve_equilibrium(pre_params, SolverConfig(max_iterations=10),
-                                raise_on_fail=False)
-        assert not sol.converged
-        assert sol.iterations == 10
+    def test_iterations_count_every_map_evaluation(self, monkeypatch,
+                                                   pre_params):
+        calls = count_steps(monkeypatch)
+        sol = solve_equilibrium(pre_params, SolverConfig())
+        assert sol.iterations == len(calls) <= 50
+
+    def test_budget_covers_every_evaluation(self, pre_params, pre_solution):
+        needed = pre_solution.iterations
+        sol = solve_equilibrium(pre_params, SolverConfig(max_iterations=needed))
+        assert sol.iterations == needed
+        with pytest.raises(ConvergenceError, match="map evaluations"):
+            solve_equilibrium(pre_params,
+                              SolverConfig(max_iterations=needed - 1))
 
     @pytest.mark.parametrize("field, value", [
         ("max_iterations", 0), ("max_iterations", -5),
@@ -108,59 +137,70 @@ class TestConvergenceContract:
         with pytest.raises(DomainError, match=field):
             SolverConfig(**{field: value})
 
-    def test_warns_above_damping_threshold(self, pre_params, pre_coeffs):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            solve_equilibrium(
-                pre_params,
-                SolverConfig(lam=min(1.0, 2.0 * pre_coeffs.lambda_bar),
-                             max_iterations=50),
-                raise_on_fail=False)
-        assert any("lambda_bar" in str(w.message) for w in caught)
 
+def _reference_loop(params, lam=0.9, tol=1e-12, max_iterations=100_000):
+    """The damped iteration (X, v) += lam*(T(X, v) - (X, v)) on separate
+    arrays from the cold start, stopped at max|T - id| < tol, written here
+    without the solver. Returns the state and the prices at its limit.
 
-def _reference_loop(params, coeffs, X, v, config):
-    """The damped iteration as first written, on separate X and v arrays."""
-    X, v = X.copy(), v.copy()
-    res = np.inf
-    for iterations in range(1, config.max_iterations + 1):
+    lam = 0.9 lies above lambda_bar, so convergence is checked by the
+    residual alone; it keeps each solve to a few hundred steps.
+    """
+    coeffs = compute_affine_coefficients(params.hazards, params.beta, params.u)
+    X = np.full(params.period, coeffs.box.X_lo)
+    v = params.hazards.hazard.values.copy()
+    for _ in range(max_iterations):
         X_new, v_new, _ = _step(X, v, params, coeffs)
-        res = float(max(np.abs(X_new - X).max(), np.abs(v_new - v).max()))
-        if res < config.tolerance:
-            break
-        X += config.lam * (X_new - X)
-        v += config.lam * (v_new - v)
-    return X, v, res, iterations
+        if max(np.abs(X_new - X).max(), np.abs(v_new - v).max()) < tol:
+            state = EquilibriumState.from_arrays(X, v, params, coeffs)
+            return state, compute_outputs(state, params, coeffs)[1]
+        X += lam * (X_new - X)
+        v += lam * (v_new - v)
+    raise AssertionError("reference loop did not converge")
+
+
+def assert_matches_reference(solution, params, tol=1e-9):
+    state, P = _reference_loop(params)
+    for attr in ("X", "v", "epsilon"):
+        assert np.abs(getattr(state, attr).values
+                      - getattr(solution.state, attr).values).max() <= tol
+    assert np.abs(P.values - solution.P.values).max() <= tol
+
+
+def two_season_params():
+    doc = load_biannual_benchmark()
+    return ModelParams(beta_hat=doc["beta_hat"], delta=doc["delta"],
+                       theta=doc["theta"], u=doc["u"],
+                       hazards=HazardProfile.from_survival(
+                           np.asarray(doc["survival"])))
 
 
 class TestFusedLoopMatchesReference:
-    """One (X, v) vector follows the two-array trajectory bit for bit."""
+    """Fixed-u Newton reaches the damped reference loop's limit and leaves
+    its inputs alone."""
 
-    def check(self, params, coeffs, X0, v0, config):
-        sol = solve_equilibrium(params, config, raise_on_fail=False)
-        X, v, res, iterations = _reference_loop(params, coeffs, X0, v0, config)
-        assert np.array_equal(sol.state.X.values, X)
-        assert np.array_equal(sol.state.v.values, v)
-        assert sol.final_residual == res
-        assert sol.iterations == iterations
-
-    def test_cold_start(self, pre_params, pre_coeffs):
-        self.check(pre_params, pre_coeffs, np.full(12, pre_coeffs.box.X_lo),
-                   pre_params.hazards.hazard.values,
-                   SolverConfig(max_iterations=300))
-
-    def test_warm_start_to_convergence(self, pre_params, pre_coeffs,
-                                       pre_solution_tight):
-        X0 = pre_solution_tight.state.X.values * 1.001
-        v0 = pre_solution_tight.state.v.values
-        config = SolverConfig(initial_X=X0, initial_v=v0)
-        self.check(pre_params, pre_coeffs, X0, v0, config)
+    def test_fixed_u_newton_matches_reference_loop(self, pre_params,
+                                                   pre_solution,
+                                                   constant_params,
+                                                   constant_solution,
+                                                   beta_pair):
+        assert_matches_reference(pre_solution, pre_params)
+        assert_matches_reference(constant_solution, constant_params)
+        params = two_season_params()
+        assert_matches_reference(solve_equilibrium(params), params)
+        for i in range(20):
+            params = ModelParams(
+                beta_hat=beta_pair[0], delta=0.025, theta=0.5, u=0.0014,
+                hazards=hazards_from_shares(*random_calibration(i)))
+            solution = solve_equilibrium(params)
+            assert solution.final_residual <= stop_bound(solution)
+            assert_matches_reference(solution, params)
 
     def test_caller_start_arrays_not_mutated(self, pre_params, pre_coeffs):
         X0 = np.full(12, pre_coeffs.box.X_hi)
         v0 = np.full(12, pre_coeffs.box.v_hi)
-        config = SolverConfig(initial_X=X0, initial_v=v0, max_iterations=50)
-        sol = solve_equilibrium(pre_params, config, raise_on_fail=False)
+        config = SolverConfig(initial_X=X0, initial_v=v0)
+        sol = solve_equilibrium(pre_params, config)
         assert np.all(X0 == pre_coeffs.box.X_hi)
         assert np.all(v0 == pre_coeffs.box.v_hi)
         assert not np.shares_memory(sol.state.X.values, sol.state.v.values)
@@ -168,40 +208,33 @@ class TestFusedLoopMatchesReference:
 
     def test_fixture_hazards_not_mutated(self, pre_params):
         before = pre_params.hazards.hazard.values.copy()
-        solve_equilibrium(pre_params, SolverConfig(max_iterations=50),
-                          raise_on_fail=False)
+        solve_equilibrium(pre_params, SolverConfig())
         assert np.array_equal(pre_params.hazards.hazard.values, before)
-
-
-@pytest.fixture(scope="module")
-def pre_solution_1e7(pre_params):
-    """SIPP pre-2021 equilibrium at fixed u from the cold start, tol 1e-7."""
-    return solve_equilibrium(pre_params, SolverConfig(tolerance=1e-7))
 
 
 class TestUniquenessAndSymmetry:
     def test_two_starts_reach_same_fixed_point(self, pre_params, pre_coeffs,
-                                               pre_solution_1e7):
-        low = pre_solution_1e7
-        high = solve_equilibrium(
-            pre_params,
-            SolverConfig(tolerance=1e-7,
-                         initial_X=np.full(12, pre_coeffs.box.X_hi),
-                         initial_v=np.full(12, pre_coeffs.box.v_hi)))
-        diff = max(np.abs(low.state.X.values - high.state.X.values).max(),
-                   np.abs(low.state.v.values - high.state.v.values).max())
-        assert diff < 1e-4
+                                               pre_solution):
+        """Starts at all four corners of the box reach one point."""
+        box = pre_coeffs.box
+        for X0, v0 in itertools.product((box.X_lo, box.X_hi),
+                                        (box.v_lo, box.v_hi)):
+            sol = solve_equilibrium(pre_params, SolverConfig(
+                initial_X=np.full(12, X0), initial_v=np.full(12, v0)))
+            diff = max(
+                np.abs(pre_solution.state.X.values - sol.state.X.values).max(),
+                np.abs(pre_solution.state.v.values - sol.state.v.values).max())
+            assert diff <= 1e-12
 
-    def test_damping_does_not_move_the_limit(self, pre_params,
-                                             pre_solution_1e7):
-        a = pre_solution_1e7   # lam = 0.01
-        b = solve_equilibrium(pre_params, SolverConfig(tolerance=1e-7, lam=0.005))
+    def test_damping_does_not_move_the_limit(self, pre_params, pre_solution):
+        a = pre_solution   # lam = 0.01
+        b = solve_equilibrium(pre_params, SolverConfig(lam=0.005))
         diff = max(np.abs(a.state.X.values - b.state.X.values).max(),
                    np.abs(a.state.v.values - b.state.v.values).max())
         assert diff < 1e-4
 
-    def test_bitwise_determinism(self, pre_params, pre_solution_default):
-        a = pre_solution_default
+    def test_bitwise_determinism(self, pre_params, pre_solution):
+        a = pre_solution
         b = solve_equilibrium(pre_params, SolverConfig())
         assert np.array_equal(a.state.X.values, b.state.X.values)
         assert np.array_equal(a.state.v.values, b.state.v.values)
@@ -209,14 +242,14 @@ class TestUniquenessAndSymmetry:
         assert a.iterations == b.iterations
 
     def test_rotating_hazards_rotates_solution(self, pre_params,
-                                               pre_solution_tight):
+                                               pre_solution):
         k = 5
         rotated = ModelParams(
             beta_hat=pre_params.beta_hat, delta=pre_params.delta,
             theta=pre_params.theta, u=pre_params.u,
             hazards=pre_params.hazards.rotated(k))
-        base = pre_solution_tight
-        rot = solve_equilibrium(rotated, SolverConfig(tolerance=1e-9))
+        base = pre_solution
+        rot = solve_equilibrium(rotated, SolverConfig())
         for attr in ("X", "v", "epsilon"):
             ref = getattr(base.state, attr).values
             got = getattr(rot.state, attr).values
@@ -226,17 +259,17 @@ class TestUniquenessAndSymmetry:
 
 
 class TestFixedPointIdentities:
-    def test_reservation_condition(self, pre_params, pre_solution_tight,
+    def test_reservation_condition(self, pre_params, pre_solution,
                                    pre_coeffs):
-        st = pre_solution_tight.state
+        st = pre_solution.state
         D = pre_coeffs.continuation_weights(st.X.values)
         lhs = pre_coeffs.A.values * st.epsilon.values + D
         rhs = pre_params.beta * np.roll(st.X.values, -1) + pre_params.u
         assert np.abs(lhs - rhs).max() < 1e-6
 
-    def test_vacancy_law(self, pre_params, pre_solution_tight):
+    def test_vacancy_law(self, pre_params, pre_solution):
         phi = pre_params.hazards.survival.values
-        st = pre_solution_tight.state
+        st = pre_solution.state
         implied = 1.0 - phi + phi * np.roll(st.epsilon.values, 1)
         assert np.abs(implied - st.v.values).max() < 1e-6
 
@@ -254,27 +287,6 @@ class TestEndogenousU:
                              u=1.0, hazards=pre_hazards)
         with pytest.raises(ConvergenceError, match="collapsed"):
             solve_with_endogenous_u(params, SolverConfig())
-
-
-def random_calibration(i):
-    """Shares ~ Dirichlet(3 x SIPP table), pre and post alternating;
-    eta ~ U(0.07, 0.12)."""
-    rng = np.random.default_rng([2026, i])
-    base = SIPP_PRE_RAW if i % 2 == 0 else SIPP_POST_RAW
-    shares = normalize_shares(rng.dirichlet(3.0 * np.asarray(base)))
-    return shares, float(rng.uniform(0.07, 0.12))
-
-
-def count_steps(monkeypatch):
-    """Route solver._step through a counter; returns the list it fills."""
-    calls = []
-
-    def counting_step(*args):
-        calls.append(None)
-        return _step(*args)
-
-    monkeypatch.setattr(solver, "_step", counting_step)
-    return calls
 
 
 @pytest.fixture(scope="module")
@@ -312,46 +324,49 @@ class TestNewtonEndogenousU:
             assert solution.iterations == steps <= 50
 
     def test_matches_tight_damped_fixed_u_solve(self, newton_solves):
-        # lam = 0.9 lies above lambda_bar, so convergence is checked by the
-        # residual alone; it keeps each reference solve near 600 steps.
-        config = SolverConfig(lam=0.9, tolerance=1e-12)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for solution, _, params, _ in newton_solves:
-                ref = solve_equilibrium(params, config)
-                for attr in ("X", "v", "epsilon"):
-                    assert np.abs(getattr(ref.state, attr).values
-                                  - getattr(solution.state, attr).values
-                                  ).max() <= 1e-9
-                assert np.abs(ref.P.values - solution.P.values).max() <= 1e-9
+        for solution, _, params, _ in newton_solves:
+            assert_matches_reference(solution, params)
 
-    def test_direction_solves_the_linearized_system(self, pre_params,
-                                                   pre_coeffs):
+    @staticmethod
+    def check_direction(params, coeffs, ratio):
         """J dz = -g, with J dz taken by central differences of G along dz
-        at random points of the box and u within a factor 2 of the
-        fixture's (the price formula restated here)."""
-        n, ratio = 12, DEFAULT_RENT_PRICE_RATIO
-        beta, theta, A = pre_params.beta, pre_params.theta, pre_coeffs.A.values
+        at random points of the box and, when ``ratio`` is given, u within
+        a factor 2 of the fixture's (the price formula restated here)."""
+        n = 12
+        beta, theta, A = params.beta, params.theta, coeffs.A.values
+        jac = solver._jacobian_blocks(params, coeffs, ratio)
 
         def G(z):
+            if ratio is None:
+                X, v = z[:n], z[n:]
+                X_new, v_new, eps = _step(X, v, params, coeffs)
+                return np.r_[X_new - X, v_new - v], eps
             X, v, u = z[:n], z[n:-1], z[-1]
-            X_new, v_new, eps = _step(X, v, pre_params.with_u(u), pre_coeffs)
+            X_new, v_new, eps = _step(X, v, params.with_u(u), coeffs)
             P = ((1.0 - theta) * u / (1.0 - beta)
                  + theta * (beta * np.roll(X, -1) + u)
                  + theta * 0.5 * A * (v - eps))
             return np.r_[X_new - X, v_new - v, ratio * P.mean() / 12.0 - u], eps
 
         rng = np.random.default_rng(12)
-        box, h = pre_coeffs.box, 1e-7
+        box, h = coeffs.box, 1e-7
         for _ in range(100):
             z = np.r_[rng.uniform(box.X_lo, box.X_hi, n),
-                      rng.uniform(box.v_lo, box.v_hi, n),
-                      pre_params.u * rng.uniform(0.5, 2.0)]
+                      rng.uniform(box.v_lo, box.v_hi, n)]
+            if ratio is not None:
+                z = np.r_[z, params.u * rng.uniform(0.5, 2.0)]
             g, eps = G(z)
-            dz = solver._newton_direction(z, eps, g, pre_params, pre_coeffs,
-                                          ratio)
+            dz = solver._newton_direction(z, eps, g, params, coeffs, jac)
             J_dz = (G(z + h * dz)[0] - G(z - h * dz)[0]) / (2.0 * h)
             assert np.abs(J_dz + g).max() <= 1e-6 * np.abs(g).max()
+
+    def test_direction_solves_the_linearized_system(self, pre_params,
+                                                   pre_coeffs):
+        self.check_direction(pre_params, pre_coeffs, DEFAULT_RENT_PRICE_RATIO)
+
+    def test_direction_solves_the_linearized_system_at_fixed_u(
+            self, pre_params, pre_coeffs):
+        self.check_direction(pre_params, pre_coeffs, None)
 
     def test_forced_fallback_reaches_same_point(self, monkeypatch,
                                                 pre_seeded_at_u1,
