@@ -8,62 +8,36 @@ each period shows the market's hot season following the movers: when the
 mobility distribution shifts toward spring, so do prices and transactions.
 """
 
-import numpy as np
-
-from thickmarket import (
-    ModelParams,
-    SolverConfig,
-    compose_beta,
-    hazards_from_shares,
-    seasonal_deviation,
-    solve_with_endogenous_u,
-)
 from thickmarket.core import MONTH_NAMES
-from thickmarket.fixtures import (
-    DEFAULT_ANNUAL_RATE,
-    DEFAULT_DELTA,
-    DEFAULT_THETA,
-    ETA_POST,
-    ETA_PRE,
-    sipp_post_shares,
-    sipp_pre_shares,
-)
-
-
-def solve_period(shares, eta):
-    hazards = hazards_from_shares(shares, eta)
-    beta_hat, _ = compose_beta(DEFAULT_ANNUAL_RATE, DEFAULT_DELTA)
-    params = ModelParams(beta_hat=beta_hat, delta=DEFAULT_DELTA,
-                         theta=DEFAULT_THETA, u=1.0, hazards=hazards)
-    solution, u = solve_with_endogenous_u(params, SolverConfig())
-    return hazards, solution, u
+from thickmarket.fixtures import shares_fixture
+from thickmarket.workflows import compare_calibrations, solve_calibration
 
 
 def main():
-    results = {}
-    for label, shares, eta in (("pre-2021", sipp_pre_shares(), ETA_PRE),
-                               ("post-2021", sipp_post_shares(), ETA_POST)):
-        hazards, solution, u = solve_period(shares, eta)
-        dev_p = seasonal_deviation(solution.P).values
-        dev_q = seasonal_deviation(solution.Q).values
-        results[label] = (hazards, dev_p, dev_q)
-        print(f"\n{label}: annual move rate {eta:.1%}, "
+    sides = {}
+    for side in ("pre", "post"):
+        shares, eta = shares_fixture(f"sipp-{side}")
+        solution, u, params = solve_calibration(shares, eta)
+        sides[side] = (eta, u, params.hazards.hazard.values, solution)
+    report = compare_calibrations(sides["pre"][3], sides["post"][3])
+
+    for side, (eta, u, hazard, solution) in sides.items():
+        P, Q = report[side]["P"], report[side]["Q"]
+        print(f"\n{side}-2021: annual move rate {eta:.1%}, "
               f"service flow u = {u:.5f}, "
               f"fixed-point residual {solution.final_residual:.1e}")
         print(f"{'month':>6} {'hazard':>8} {'P dev %':>8} {'Q dev %':>8}")
-        for m in range(12):
-            print(f"{MONTH_NAMES[m]:>6} {hazards.hazard.values[m]:8.4f} "
-                  f"{dev_p[m]:8.2f} {dev_q[m]:8.1f}")
-        print(f"price peak: {MONTH_NAMES[int(np.argmax(dev_p))]}, "
-              f"volume peak: {MONTH_NAMES[int(np.argmax(dev_q))]}")
+        for m, name in enumerate(MONTH_NAMES):
+            print(f"{name:>6} {hazard[m]:8.4f} "
+                  f"{P['deviation'][m]:8.2f} {Q['deviation'][m]:8.1f}")
+        print(f"price peak: {P['peak_month_name']}, "
+              f"volume peak: {Q['peak_month_name']}")
 
     print("\nShift in season means (post minus pre, percentage points):")
-    spring, summer = [2, 3, 4], [5, 6, 7]
-    for name, idx in (("P", 1), ("Q", 2)):
-        pre = results["pre-2021"][idx]
-        post = results["post-2021"][idx]
-        print(f"  {name}: spring {post[spring].mean() - pre[spring].mean():+6.2f}, "
-              f"summer {post[summer].mean() - pre[summer].mean():+6.2f}")
+    for key in ("P", "Q"):
+        change = report["delta"][key]["season_mean_changes"]
+        print(f"  {key}: spring {change['spring']:+6.2f}, "
+              f"summer {change['summer']:+6.2f}")
     print("\nMobility moved toward spring, and the equilibrium price and")
     print("volume cycles moved with it: the thick season arrives earlier.")
 

@@ -1,68 +1,55 @@
 """Demonstrate the seasonality test battery on a constructed panel.
 
 A synthetic monthly series carries a stable seasonal profile until 2021,
-then gains 2 points in March-May and loses 2 in September-November. The
-battery recovers the break: the within-year deviations feed a month/post
-interaction regression (robust joint F and a first-half-year contrast),
-season-by-season deltas, and a Chow scan over candidate break years.
+then gains 2 points in March-May and loses 2 in September-November. It is
+written to a CSV and run through the command-line battery: ``shift-test``
+(month/post interaction regression with a robust joint F, a first-half-year
+contrast and season-by-season deltas) and ``break-scan`` (a Chow scan over
+candidate break years), which recovers the break.
 """
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from thickmarket.seastats import (
-    MonthlyPanel,
-    annual_mean_deviation,
-    chow_scan,
-    directional_contrast,
-    fit_seasonal_shift,
-    joint_F_test,
-    seasonal_delta,
-)
+from thickmarket import cli
 
 
-def build_panel(seed=20210301):
+def write_panel(path, seed=20210301):
     rng = np.random.default_rng(seed)
-    rows = []
+    rows = ["date,value"]
     for year in range(2008, 2026):
         for month in range(1, 13):
             level = 100.0 + 5.0 * np.sin(2.0 * np.pi * month / 12.0)
             if year >= 2021:
-                if month in (3, 4, 5):
-                    level += 2.0
-                if month in (9, 10, 11):
-                    level -= 2.0
-            rows.append((year, month, level + 0.5 * rng.standard_normal()))
-    return MonthlyPanel.from_records(rows)
+                level += 2.0 * (month in (3, 4, 5)) - 2.0 * (month in (9, 10, 11))
+            level += 0.5 * rng.standard_normal()
+            rows.append(f"{year}-{month:02d},{float(level)!r}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def run(*argv):
+    if cli.main([str(a) for a in argv]) != 0:
+        raise SystemExit(f"thickmarket {argv[0]} failed")
 
 
 def main():
-    panel = build_panel()
-    components = annual_mean_deviation(panel)
-    print(f"panel: {panel.n_obs} observations, "
-          f"{len(components.year_means)} years retained")
-
-    fit = fit_seasonal_shift(components, break_year=2021)
-    joint = joint_F_test(fit)
-    contrast = directional_contrast(fit)
-    deltas = seasonal_delta(components, break_year=2021)
-
-    print(f"\njoint F({joint.df_numerator}, {joint.df_denominator}) = "
-          f"{joint.statistic:.2f}, p = {joint.p_value:.4f}")
-    print(f"H1-H2 contrast: t = {contrast.statistic:.2f}, "
-          f"one-sided p = {contrast.p_value:.4f}")
-    print("season deltas (pp): "
-          + ", ".join(f"{k} {v:+.2f}" for k, v in deltas.as_dict().items()))
-    print("month-by-post interactions:",
-          np.array2string(fit.mu, precision=2, suppress_small=True))
-
-    print("\nChow scan over candidate break years:")
-    scan = chow_scan(components, range(2013, 2024))
-    for entry in scan.entries:
-        marker = " <-- max" if entry.year == scan.best().year else ""
-        print(f"  {entry.year}: F = {entry.F:5.2f} (p = {entry.p_value:.4f})"
-              f"{marker}")
-    print("\nThe scan singles out the constructed break year, and the")
-    print("joint and directional tests agree the profile moved earlier.")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        data = write_panel(out / "panel.csv")
+        print("shift test at 2021:")
+        run("shift-test", "--data", data, "--break-year", 2021,
+            "--out", out / "shift")
+        print("\nChow scan over candidate break years:")
+        run("break-scan", "--data", data, "--from-year", 2013,
+            "--to-year", 2023, "--out", out / "scan")
+        scan = json.loads((out / "scan" / "break_scan.json").read_text())
+    print(f"\nThe scan peaks at {scan['max_F_year']}, the constructed break "
+          "year, and the joint and directional tests agree the profile "
+          "moved earlier.")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@
 
 from .affine import AffineCoefficients, Box, compute_affine_coefficients
 from .calibrate import (
-    CalibrationScale,
     MoveShares,
     compose_beta,
     hazards_from_shares,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineCoefficients",
     "Box",
-    "CalibrationScale",
     "ConvergenceError",
     "DataError",
     "DomainError",

@@ -28,12 +28,6 @@ class Box:
     X_lo: float
     X_hi: float
 
-    def contains(self, X: np.ndarray, v: np.ndarray, slack: float = 0.0) -> bool:
-        return bool(
-            np.all(X >= self.X_lo - slack) and np.all(X <= self.X_hi + slack)
-            and np.all(v >= self.v_lo - slack) and np.all(v <= self.v_hi + slack)
-        )
-
 
 @dataclass(frozen=True)
 class AffineCoefficients:
@@ -45,15 +39,12 @@ class AffineCoefficients:
     """
 
     A: PeriodicSeries
-    Phi: float
     W: np.ndarray
     Wstar: float
     A_min: float
     A_max: float
     lambda_bar: float
     box: Box
-    beta: float
-    u: float
     _D_matrix: np.ndarray  # row m0: D = _D_matrix @ X with calendar indexing
 
     @property
@@ -85,8 +76,7 @@ def compute_affine_coefficients(hazards: HazardProfile, beta: float,
     phi = hazards.survival.values
     n = phi.size
 
-    Phi = float(np.prod(phi))
-    denom = 1.0 - beta ** n * Phi
+    denom = 1.0 - beta ** n * float(np.prod(phi))
 
     A = np.empty(n)
     W = np.empty((n, n))
@@ -119,7 +109,7 @@ def compute_affine_coefficients(hazards: HazardProfile, beta: float,
         Dmat[m0, (m0 + 1 + np.arange(n)) % n] = W[m0, :]
 
     return AffineCoefficients(
-        A=PeriodicSeries(A), Phi=Phi, W=W, Wstar=Wstar,
+        A=PeriodicSeries(A), W=W, Wstar=Wstar,
         A_min=A_min, A_max=A_max, lambda_bar=lambda_bar, box=box,
-        beta=beta, u=u, _D_matrix=Dmat,
+        _D_matrix=Dmat,
     )

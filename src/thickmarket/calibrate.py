@@ -26,8 +26,6 @@ class MoveShares:
     """Nonnegative monthly move shares summing to one."""
 
     shares: PeriodicSeries
-    label: str = "custom"
-    source: str = "user"
     original_sum: float = 1.0   # sum of the raw inputs before normalization
 
     def __post_init__(self):
@@ -38,15 +36,7 @@ class MoveShares:
             raise DomainError(f"move shares must sum to 1, got {s.sum():.15g}")
 
 
-@dataclass(frozen=True)
-class CalibrationScale:
-    """The proportionality scalar kappa matching an annual move rate eta."""
-
-    kappa: float
-    eta: float
-
-
-def normalize_shares(raw, label: str = "custom", source: str = "user") -> MoveShares:
+def normalize_shares(raw) -> MoveShares:
     """Normalize raw nonnegative monthly counts or percentages to shares.
 
     The original sum is kept for diagnostics (published tables often sum
@@ -58,8 +48,7 @@ def normalize_shares(raw, label: str = "custom", source: str = "user") -> MoveSh
     total = float(arr.sum())
     if not total > 0.0:
         raise DomainError("move shares must have a positive sum")
-    return MoveShares(shares=PeriodicSeries(arr / total), label=label,
-                      source=source, original_sum=total)
+    return MoveShares(shares=PeriodicSeries(arr / total), original_sum=total)
 
 
 def survival_product(shares: MoveShares, kappa: float) -> float:
@@ -67,7 +56,7 @@ def survival_product(shares: MoveShares, kappa: float) -> float:
     return float(np.prod(1.0 - kappa * shares.shares.values))
 
 
-def solve_kappa(shares: MoveShares, eta: float) -> CalibrationScale:
+def solve_kappa(shares: MoveShares, eta: float) -> float:
     """Find the unique kappa with prod(1 - kappa*s_m) = 1 - eta by bisection.
 
     The root lies in (0, 1/max_m s_m): the product decreases strictly from
@@ -95,13 +84,12 @@ def solve_kappa(shares: MoveShares, eta: float) -> CalibrationScale:
             lo = kappa
         else:
             hi = kappa
-    return CalibrationScale(kappa=kappa, eta=eta)
+    return kappa
 
 
 def hazards_from_shares(shares: MoveShares, eta: float) -> HazardProfile:
     """Monthly survival profile phi_m = 1 - kappa * s_m at the solved kappa."""
-    scale = solve_kappa(shares, eta)
-    return HazardProfile.from_hazard(scale.kappa * shares.shares.values)
+    return HazardProfile.from_hazard(solve_kappa(shares, eta) * shares.shares.values)
 
 
 def compose_beta(annual_interest_rate: float, delta: float) -> tuple[float, float]:
@@ -127,7 +115,7 @@ def compose_beta(annual_interest_rate: float, delta: float) -> tuple[float, floa
     return beta_hat, beta
 
 
-def shares_from_trends(panel, years, label: str = "custom") -> MoveShares:
+def shares_from_trends(panel, years) -> MoveShares:
     """Average within-year monthly shares of a search-interest series.
 
     For each year in ``years`` the 12 monthly values are divided by their
@@ -155,5 +143,4 @@ def shares_from_trends(panel, years, label: str = "custom") -> MoveShares:
         share_rows.append(row / total)
     mean_shares = np.mean(share_rows, axis=0)
     return MoveShares(shares=PeriodicSeries(mean_shares / mean_shares.sum()),
-                      label=label, source="trends",
                       original_sum=float(mean_shares.sum()))

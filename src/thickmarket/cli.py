@@ -12,7 +12,9 @@ traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -48,11 +50,11 @@ from .fixtures import (
 )
 from .seastats import (
     annual_mean_deviation,
+    centered_mean_deviation,
     chow_scan,
     directional_contrast,
     fit_seasonal_shift,
     joint_F_test,
-    rolling_mean_deviation,
     seasonal_delta,
 )
 from .solver import SolverConfig
@@ -66,13 +68,7 @@ from .workflows import (
 
 ENV_OUTDIR = "THICKMARKET_OUTDIR"
 INPUT_FILE = "FILE"   # metavar of every option naming an input file
-
-
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(ENV_OUTDIR) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+FIXTURES = ["sipp-pre", "sipp-post"]
 
 
 def _write_manifest(out_dir: Path, args, parameters: dict,
@@ -126,29 +122,34 @@ def _parse_years(spec: str) -> list[int]:
     return years
 
 
-def _resolve_shares(args):
-    """Shares plus default eta from --fixture, --shares, or --trends."""
-    if args.fixture:
-        shares, eta_default = shares_fixture(args.fixture)
-        label = args.fixture
-    elif args.shares:
-        shares = read_shares_csv(args.shares)
-        eta_default = None
-        label = str(args.shares)
-    elif getattr(args, "trends", None):
+def _resolve_shares(args, side: str = ""):
+    """Shares, eta and a source label from --fixture, --shares or --trends.
+
+    With ``side`` ("pre" or "post") the options are compare's
+    --pre-*/--post-* ones, and a shares file beats the defaulted fixture.
+    """
+    def opt(name):
+        return getattr(args, f"{side}_{name}" if side else name, None)
+
+    eta, fixture, path = opt("eta"), opt("fixture"), opt("shares")
+    if fixture and not (side and path):
+        shares, eta_default = shares_fixture(fixture)
+        eta, label = (eta_default if eta is None else eta), fixture
+    elif path:
+        shares, label = read_shares_csv(path), str(path)
+    elif opt("trends"):
         if not args.trend_years:
             raise DataError("--trend-years is required with --trends "
                             "(e.g. 2010-2020)")
         panel = to_panel(read_monthly_csv(args.trends))
         shares = shares_from_trends(panel, _parse_years(args.trend_years))
-        eta_default = None
         label = f"{args.trends} [{args.trend_years}]"
     else:
         raise DataError("provide a share source: --fixture, --shares, "
                         "or --trends")
-    eta = args.eta if args.eta is not None else eta_default
     if eta is None:
-        raise DataError("--eta is required when not using a fixture")
+        raise DataError(f"--{side}-eta is required with --{side}-shares" if side
+                        else "--eta is required when not using a fixture")
     return shares, float(eta), label
 
 
@@ -161,27 +162,25 @@ def _solver_config(args) -> SolverConfig:
 # commands
 
 
-def cmd_calibrate(args) -> list[Path]:
-    out_dir = _out_dir(args)
+# Each command writes its outputs into ``out_dir`` and returns them with
+# its manifest parameters; ``_dispatch`` writes the manifest.
+
+
+def cmd_calibrate(args, out_dir: Path):
     shares, eta, label = _resolve_shares(args)
-    scale = solve_kappa(shares, eta)
+    kappa = solve_kappa(shares, eta)
     hazards = hazards_from_shares(shares, eta)
-    doc = hazards_to_dict(hazards, scale.kappa, eta)
+    doc = hazards_to_dict(hazards, kappa, eta)
     doc["shares"] = shares.shares.values.tolist()
     doc["source"] = label
     # machine-handoff file: full precision so solve sees the exact hazards
     outputs = [write_results(doc, out_dir / "hazards.json",
                              full_precision=True)]
-    _write_manifest(out_dir, args,
-                    {"eta": eta, "kappa": scale.kappa, "source": label},
-                    outputs)
-    print(f"calibrated hazards from {label}: kappa={scale.kappa:.6g} eta={eta}")
-    print(f"wrote {outputs[0]}")
-    return outputs
+    print(f"calibrated hazards from {label}: kappa={kappa:.6g} eta={eta}")
+    return outputs, {"eta": eta, "kappa": kappa, "source": label}
 
 
-def cmd_solve(args) -> list[Path]:
-    out_dir = _out_dir(args)
+def cmd_solve(args, out_dir: Path):
     config = _solver_config(args)
     if args.warm_start:
         snapshot = read_equilibrium_json(args.warm_start)
@@ -215,42 +214,19 @@ def cmd_solve(args) -> list[Path]:
         out_dir / "deviations.csv", format="csv"))
     outputs.append(write_results(summary, out_dir / "summary.json"))
 
-    _write_manifest(out_dir, args,
-                    {"eta": eta, "u": u, "lambda": args.lam,
-                     "delta": args.delta, "theta": args.theta,
-                     "source": label},
-                    outputs)
     name = summary["P"].get("peak_month_name", summary["P"]["peak_month"])
     print(f"solved {label}: u={u:.6g}, {solution.iterations} iterations, "
           f"residual {solution.final_residual:.3g}")
     print(f"price deviation peak: {name}; "
           f"range [{summary['P']['min']:.2f}%, {summary['P']['max']:.2f}%]")
-    for p in outputs:
-        print(f"wrote {p}")
-    return outputs
+    return outputs, {"eta": eta, "u": u, "lambda": args.lam,
+                     "delta": args.delta, "theta": args.theta, "source": label}
 
 
-def _resolve_side(fixture, shares_path, eta_override, side):
-    if shares_path:
-        shares, eta = read_shares_csv(shares_path), None
-        label = str(shares_path)
-    else:
-        shares, eta = shares_fixture(fixture)
-        label = fixture
-    if eta_override is not None:
-        eta = eta_override
-    if eta is None:
-        raise DataError(f"--{side}-eta is required with --{side}-shares")
-    return shares, eta, label
-
-
-def cmd_compare(args) -> list[Path]:
-    out_dir = _out_dir(args)
+def cmd_compare(args, out_dir: Path):
     config = _solver_config(args)
-    pre_shares, pre_eta, pre_label = _resolve_side(
-        args.pre_fixture, args.pre_shares, args.pre_eta, "pre")
-    post_shares, post_eta, post_label = _resolve_side(
-        args.post_fixture, args.post_shares, args.post_eta, "post")
+    pre_shares, pre_eta, pre_label = _resolve_shares(args, "pre")
+    post_shares, post_eta, post_label = _resolve_shares(args, "post")
 
     model = {"annual_rate": args.annual_rate, "delta": args.delta,
              "theta": args.theta, "config": config}
@@ -269,18 +245,13 @@ def cmd_compare(args) -> list[Path]:
                       out_dir / "compare.csv", format="csv"),
         write_results(report, out_dir / "compare.json"),
     ]
-    _write_manifest(out_dir, args,
-                    {"pre_eta": pre_eta, "post_eta": post_eta,
-                     "pre_source": pre_label, "post_source": post_label},
-                    outputs)
     for key in ("P", "Q"):
         ch = report["delta"][key]["season_mean_changes"]
         print(f"{key}: peak {report['pre'][key]['peak_month_name']} -> "
               f"{report['post'][key]['peak_month_name']}; "
               f"spring {ch['spring']:+.2f}pp, summer {ch['summer']:+.2f}pp")
-    for p in outputs:
-        print(f"wrote {p}")
-    return outputs
+    return outputs, {"pre_eta": pre_eta, "post_eta": post_eta,
+                     "pre_source": pre_label, "post_source": post_label}
 
 
 def _load_components(args):
@@ -291,12 +262,11 @@ def _load_components(args):
         series = deflate_and_index(series, cpi, base_year=args.base_year)
     panel = to_panel(series)
     if args.mode == "centered12":
-        return rolling_mean_deviation(panel, window="centered_12")
+        return centered_mean_deviation(panel)
     return annual_mean_deviation(panel, min_months_per_year=args.min_months)
 
 
-def cmd_shift_test(args) -> list[Path]:
-    out_dir = _out_dir(args)
+def cmd_shift_test(args, out_dir: Path):
     components = _load_components(args)
     fit = fit_seasonal_shift(components, args.break_year,
                              include_year_effects=not args.no_year_effects)
@@ -327,20 +297,15 @@ def cmd_shift_test(args) -> list[Path]:
         write_results(report, out_dir / "shift_test.json"),
         write_results(table, out_dir / "shift_test.txt", format="table"),
     ]
-    _write_manifest(out_dir, args,
-                    {"break_year": args.break_year, "mode": args.mode}, outputs)
     print(f"joint F = {joint.statistic:.3g} (p = {joint.p_value:.3g}); "
           f"contrast t = {contrast.statistic:.3g} (p1 = {contrast.p_value:.3g})")
     print(f"seasonal deltas (pp): winter {deltas.winter:+.2f}, "
           f"spring {deltas.spring:+.2f}, summer {deltas.summer:+.2f}, "
           f"autumn {deltas.autumn:+.2f}")
-    for p in outputs:
-        print(f"wrote {p}")
-    return outputs
+    return outputs, {"break_year": args.break_year, "mode": args.mode}
 
 
-def cmd_break_scan(args) -> list[Path]:
-    out_dir = _out_dir(args)
+def cmd_break_scan(args, out_dir: Path):
     components = _load_components(args)
     scan = chow_scan(components, range(args.from_year, args.to_year + 1))
     rows = [[e.year, e.F, e.p_value] for e in scan.entries]
@@ -356,20 +321,14 @@ def cmd_break_scan(args) -> list[Path]:
         write_results({"columns": ["year", "F", "p"], "rows": rows},
                       out_dir / "break_scan.txt", format="table"),
     ]
-    _write_manifest(out_dir, args,
-                    {"from_year": args.from_year, "to_year": args.to_year},
-                    outputs)
     for e in scan.entries:
         print(f"  {e.year}: F = {e.F:.3g} (p = {e.p_value:.3g})")
     for year, reason in scan.skipped:
         print(f"  {year}: skipped ({reason})")
-    for p in outputs:
-        print(f"wrote {p}")
-    return outputs
+    return outputs, {"from_year": args.from_year, "to_year": args.to_year}
 
 
-def cmd_replicate_nt(args) -> list[Path]:
-    out_dir = _out_dir(args)
+def cmd_replicate_nt(args, out_dir: Path):
     if args.params:
         path = Path(args.params)
         if not path.exists():
@@ -383,7 +342,6 @@ def cmd_replicate_nt(args) -> list[Path]:
     config = SolverConfig(lam=args.lam, max_iterations=args.max_iter)
     report = replicate_biannual(params, config)
     outputs = [write_results(report, out_dir / "benchmark_report.json")]
-    _write_manifest(out_dir, args, {}, outputs)
     labels = report["labels"]
     for i, label in enumerate(labels):
         print(f"  {label}: vacancies {report['vacancies'][i]:.4f}, "
@@ -393,12 +351,11 @@ def cmd_replicate_nt(args) -> list[Path]:
         print(f"validation against targets: {verdict} "
               f"(max errors: q {report['targets']['max_error_sale_probability']:.2g}, "
               f"v {report['targets']['max_error_vacancies']:.2g})")
-    for p in outputs:
-        print(f"wrote {p}")
-    return outputs
+    return outputs, {}
 
 
-def cmd_rerun(args) -> list[Path]:
+def cmd_rerun(args, out_dir: Path) -> list[Path]:
+    """Replay a manifest; the replayed command writes its own manifest."""
     path = Path(args.manifest)
     if not path.exists():
         raise DataError(f"no such manifest: {path}")
@@ -406,8 +363,17 @@ def cmd_rerun(args) -> list[Path]:
     replay = manifest.get("replay")
     if not replay:
         raise DataError(f"manifest {path} has no replay arguments")
-    out = _out_dir(args).resolve()   # relative input paths resolve in "cwd"
-    replayed = _build_parser().parse_args(list(replay) + ["--out", str(out)])
+    if not (isinstance(replay, list) and all(isinstance(a, str) for a in replay)):
+        raise DataError(f"manifest {path}: replay must be a list of strings")
+    # relative input paths resolve in "cwd", so the output path is absolute
+    argv = replay + ["--out", str(out_dir.resolve())]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            replayed = _build_parser().parse_args(argv)
+        except SystemExit:
+            reason = err.getvalue().rpartition("error: ")[2].strip()
+            raise DataError(f"manifest {path}: replay does not parse "
+                            f"({reason})") from None
     here = os.getcwd()
     os.chdir(manifest.get("cwd", here))
     try:
@@ -420,13 +386,8 @@ def cmd_rerun(args) -> list[Path]:
 # wiring
 
 
-def _add_out(p):
-    p.add_argument("--out", default=None,
-                   help=f"output directory (default: ${ENV_OUTDIR} or '.')")
-
-
 def _add_share_source(p):
-    p.add_argument("--fixture", choices=["sipp-pre", "sipp-post"], default=None,
+    p.add_argument("--fixture", choices=FIXTURES, default=None,
                    help="bundled share table")
     p.add_argument("--shares", default=None, metavar=INPUT_FILE,
                    help="CSV with header month,share (months 1-12 or Jan-Dec)")
@@ -482,7 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="move shares -> monthly hazard vector")
     _add_share_source(p)
-    _add_out(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("solve", help="solve the periodic equilibrium")
@@ -497,12 +457,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--u-fixed", type=float, default=None,
                    help="fix the service flow u instead of solving for it")
-    _add_out(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("compare", help="pre vs post calibration side by side")
-    p.add_argument("--pre-fixture", default="sipp-pre")
-    p.add_argument("--post-fixture", default="sipp-post")
+    p.add_argument("--pre-fixture", choices=FIXTURES, default="sipp-pre")
+    p.add_argument("--post-fixture", choices=FIXTURES, default="sipp-post")
     p.add_argument("--pre-shares", default=None, metavar=INPUT_FILE,
                    help="month,share CSV for the pre side (needs --pre-eta)")
     p.add_argument("--post-shares", default=None, metavar=INPUT_FILE,
@@ -511,21 +470,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--post-eta", type=float, default=None)
     _add_model_flags(p)
     _add_solver_flags(p)
-    _add_out(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("shift-test", help="post-break seasonal shift battery")
     _add_panel_flags(p)
     p.add_argument("--break-year", type=int, default=2021)
     p.add_argument("--no-year-effects", action="store_true")
-    _add_out(p)
     p.set_defaults(func=cmd_shift_test)
 
     p = sub.add_parser("break-scan", help="Chow F over candidate break years")
     _add_panel_flags(p)
     p.add_argument("--from-year", type=int, required=True)
     p.add_argument("--to-year", type=int, required=True)
-    _add_out(p)
     p.set_defaults(func=cmd_break_scan)
 
     p = sub.add_parser("replicate-nt",
@@ -534,19 +490,29 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="JSON parameter file (default: bundled fixture)")
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
     p.add_argument("--max-iter", type=int, default=2_000_000)
-    _add_out(p)
     p.set_defaults(func=cmd_replicate_nt)
 
     p = sub.add_parser("rerun", help="replay a manifest")
     p.add_argument("manifest")
-    _add_out(p)
     p.set_defaults(func=cmd_rerun)
 
+    for p in sub.choices.values():   # --out is every command's last option
+        p.add_argument("--out", default=None,
+                       help=f"output directory (default: ${ENV_OUTDIR} or '.')")
     return parser
 
 
 def _dispatch(args) -> list[Path]:
-    return args.func(args)
+    """Run a command: outputs, then the manifest, then a line per output."""
+    out_dir = Path(args.out or os.environ.get(ENV_OUTDIR) or ".")
+    if args.func is cmd_rerun:
+        return cmd_rerun(args, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs, parameters = args.func(args, out_dir)
+    _write_manifest(out_dir, args, parameters, outputs)
+    for p in outputs:
+        print(f"wrote {p}")
+    return outputs
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,6 @@ class RawSeries:
 
     dates: tuple[tuple[int, int], ...]   # (year, month) pairs
     values: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -95,8 +94,7 @@ def read_monthly_csv(path, value_column: str = "value",
         if d1 == d2:
             raise DataError(f"duplicate observation for {d1[0]}-{d1[1]:02d}")
     return RawSeries(dates=tuple(d for d, _ in rows),
-                     values=np.array([v for _, v in rows]),
-                     source=str(path))
+                     values=np.array([v for _, v in rows]))
 
 
 def read_shares_csv(path) -> MoveShares:
@@ -135,7 +133,7 @@ def read_shares_csv(path) -> MoveShares:
     if np.any(np.isnan(raw)):
         missing = [MONTH_NAMES[i] for i in range(12) if np.isnan(raw[i])]
         raise DataError(f"{path}: missing shares for {missing}")
-    return normalize_shares(raw, label="custom", source=str(path))
+    return normalize_shares(raw)
 
 
 def deflate_and_index(nominal: RawSeries, cpi: RawSeries,
@@ -161,8 +159,7 @@ def deflate_and_index(nominal: RawSeries, cpi: RawSeries,
         raise DataError(f"base year {base_year} is not fully present "
                         f"({int(base_mask.sum())} of 12 months)")
     scale = 100.0 / real[base_mask].mean()
-    return RawSeries(dates=nominal.dates, values=real * scale,
-                     source=nominal.source)
+    return RawSeries(dates=nominal.dates, values=real * scale)
 
 
 def to_panel(series: RawSeries) -> MonthlyPanel:

@@ -30,18 +30,18 @@ DEFAULT_RENT_PRICE_RATIO = 0.03
 
 
 def sipp_pre_shares() -> MoveShares:
-    return normalize_shares(SIPP_PRE_RAW, label="pre", source="sipp_table")
+    return normalize_shares(SIPP_PRE_RAW)
 
 
 def sipp_post_shares() -> MoveShares:
-    return normalize_shares(SIPP_POST_RAW, label="post", source="sipp_table")
+    return normalize_shares(SIPP_POST_RAW)
 
 
 def shares_fixture(name: str) -> tuple[MoveShares, float]:
     """Resolve a named share fixture to (shares, default eta)."""
-    if name in ("sipp-pre", "sipp_pre", "pre"):
+    if name == "sipp-pre":
         return sipp_pre_shares(), ETA_PRE
-    if name in ("sipp-post", "sipp_post", "post"):
+    if name == "sipp-post":
         return sipp_post_shares(), ETA_POST
     raise DataError(f"unknown share fixture '{name}' (use sipp-pre or sipp-post)")
 

@@ -11,7 +11,7 @@ date is not an artifact of the chosen split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
@@ -45,19 +45,6 @@ class MonthlyPanel:
         object.__setattr__(self, "months", months[order])
         object.__setattr__(self, "values", values[order])
 
-    @classmethod
-    def from_records(cls, records) -> "MonthlyPanel":
-        """Build from an iterable of (year, month, value) triples."""
-        rows = list(records)
-        if not rows:
-            return cls(np.empty(0, int), np.empty(0, int), np.empty(0))
-        y, m, v = zip(*rows)
-        return cls(np.asarray(y), np.asarray(m), np.asarray(v))
-
-    @property
-    def n_obs(self) -> int:
-        return self.years.size
-
     def months_per_year(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for y in self.years.tolist():
@@ -72,9 +59,7 @@ class SeasonalComponents:
     years: np.ndarray
     months: np.ndarray
     deviations: np.ndarray
-    year_means: dict[int, float] = field(default_factory=dict)
     dropped_years: tuple[int, ...] = ()
-    mode: str = "annual_mean"
 
     @property
     def n_obs(self) -> int:
@@ -88,7 +73,6 @@ class TestReport:
     df_numerator: int | None
     df_denominator: int
     one_sided: bool
-    description: str
 
 
 @dataclass(frozen=True)
@@ -98,25 +82,20 @@ class ShiftRegressionFit:
     ``gamma`` and ``mu`` are full 12-vectors satisfying the sum-to-zero
     identification exactly (the 12th element is minus the sum of the 11
     free coefficients). ``cov`` is the HC1 covariance of the full free
-    coefficient vector ``beta``, with ``gamma_idx`` and ``mu_idx`` locating
-    the free month and interaction blocks inside it.
+    coefficient vector ``beta``, with ``mu_idx`` locating the free
+    interaction block inside it.
     """
 
     gamma: np.ndarray
     mu: np.ndarray
-    psi: float
-    alpha: dict[int, float]
     beta: np.ndarray
     cov: np.ndarray
     names: tuple[str, ...]
-    gamma_idx: np.ndarray
     mu_idx: np.ndarray
     df_resid: int
     n_obs: int
     rss: float
     response_scale: float
-    break_year: int
-    include_year_effects: bool
 
     def is_exact_fit(self) -> bool:
         """True when residuals are at round-off level (noise-free input)."""
@@ -190,25 +169,16 @@ def annual_mean_deviation(panel: MonthlyPanel,
     means = np.array([year_means[y] for y in years.tolist()])
     d = 100.0 * (panel.values[mask] - means) / means
     return SeasonalComponents(years=years, months=months, deviations=d,
-                              year_means=year_means, dropped_years=dropped,
-                              mode="annual_mean")
+                              dropped_years=dropped)
 
 
-def rolling_mean_deviation(panel: MonthlyPanel, window: str = "annual_mean",
-                           min_months_per_year: int = 6) -> SeasonalComponents:
-    """Deviations from either the annual mean or a centred 12-month mean.
+def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
+    """Percentage deviation of each month from its centred 12-month mean.
 
-    ``annual_mean`` reproduces :func:`annual_mean_deviation`. ``centered_12``
-    divides by the 2x12 centred moving average (a 13-term window with half
+    The mean is the 2x12 centred moving average (a 13-term window with half
     weights on both endpoints), which annihilates any 12-periodic cycle;
     months without a complete window (boundaries, gaps) are omitted.
     """
-    if window == "annual_mean":
-        return annual_mean_deviation(panel, min_months_per_year)
-    if window != "centered_12":
-        raise DomainError(f"unknown window '{window}' "
-                          "(use 'annual_mean' or 'centered_12')")
-
     t_index = panel.years * 12 + (panel.months - 1)
     t0, t1 = int(t_index.min()), int(t_index.max())
     grid = np.full(t1 - t0 + 1, np.nan)
@@ -230,8 +200,7 @@ def rolling_mean_deviation(panel: MonthlyPanel, window: str = "annual_mean",
         out_dev.append(100.0 * (grid[pos] - gbar) / gbar)
     return SeasonalComponents(years=np.asarray(out_years, int),
                               months=np.asarray(out_months, int),
-                              deviations=np.asarray(out_dev, float),
-                              mode="centered_12")
+                              deviations=np.asarray(out_dev, float))
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +286,13 @@ def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
 
     blocks = [np.ones((d.size, 1))]
     names: list[str] = ["const"]
-    alpha_years: list[int] = []
     if include_year_effects:
         pre_baseline = int(years[post == 0.0].min())
         post_baseline = int(years[post == 1.0].min())
         for y in sorted(set(years.tolist()) - {pre_baseline, post_baseline}):
             blocks.append((years == y).astype(float)[:, None])
             names.append(f"year_{y}")
-            alpha_years.append(y)
 
-    post_idx = len(names)
     blocks.append(post[:, None])
     names.append("post")
 
@@ -346,16 +312,12 @@ def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
     mu_free = fit.coefficients[mu_idx]
     gamma = np.append(gamma_free, -gamma_free.sum())
     mu = np.append(mu_free, -mu_free.sum())
-    alpha = {y: float(fit.coefficients[names.index(f"year_{y}")])
-             for y in alpha_years}
 
     return ShiftRegressionFit(
-        gamma=gamma, mu=mu, psi=float(fit.coefficients[post_idx]), alpha=alpha,
-        beta=fit.coefficients, cov=fit.cov_hc1, names=tuple(names),
-        gamma_idx=gamma_idx, mu_idx=mu_idx, df_resid=fit.df_resid,
+        gamma=gamma, mu=mu, beta=fit.coefficients, cov=fit.cov_hc1,
+        names=tuple(names), mu_idx=mu_idx, df_resid=fit.df_resid,
         n_obs=d.size, rss=fit.rss,
-        response_scale=float(np.abs(d).max()) if d.size else 0.0,
-        break_year=break_year, include_year_effects=include_year_effects)
+        response_scale=float(np.abs(d).max()) if d.size else 0.0)
 
 
 def joint_F_test(fit: ShiftRegressionFit) -> TestReport:
@@ -389,9 +351,7 @@ def joint_F_test(fit: ShiftRegressionFit) -> TestReport:
         F = wald / q
     p = float(sps.f.sf(F, q, fit.df_resid))
     return TestReport(statistic=F, p_value=p, df_numerator=q,
-                      df_denominator=fit.df_resid, one_sided=False,
-                      description="joint robust F-test: month-by-post "
-                                  "interactions all zero")
+                      df_denominator=fit.df_resid, one_sided=False)
 
 
 def directional_contrast(fit: ShiftRegressionFit) -> TestReport:
@@ -420,9 +380,7 @@ def directional_contrast(fit: ShiftRegressionFit) -> TestReport:
         t_stat = estimate / np.sqrt(variance)
         p = float(sps.t.sf(t_stat, fit.df_resid))
     return TestReport(statistic=float(t_stat), p_value=p, df_numerator=None,
-                      df_denominator=fit.df_resid, one_sided=True,
-                      description="one-sided contrast: first half-year "
-                                  "interactions exceed second half-year")
+                      df_denominator=fit.df_resid, one_sided=True)
 
 
 def seasonal_delta(components: SeasonalComponents,

@@ -271,13 +271,13 @@ class TestCriterion7:
         uniform = normalize_shares(np.ones(12))
         worst_closed = 0.0
         for eta in (0.05, 0.083, 0.103, 0.25):
-            got = solve_kappa(uniform, eta).kappa
+            got = solve_kappa(uniform, eta)
             expected = 12.0 * (1.0 - (1.0 - eta) ** (1.0 / 12.0))
             worst_closed = max(worst_closed, abs(got - expected))
         worst_resid = 0.0
         for shares, eta in ((sipp_pre_shares(), ETA_PRE),
                             (sipp_post_shares(), ETA_POST)):
-            kappa = solve_kappa(shares, eta).kappa
+            kappa = solve_kappa(shares, eta)
             worst_resid = max(worst_resid,
                               abs(survival_product(shares, kappa) - (1 - eta)))
         ok = worst_closed < 1e-10 and worst_resid < 1e-12

@@ -54,24 +54,24 @@ class TestSolveKappa:
     def test_uniform_closed_form(self):
         shares = normalize_shares(np.ones(12))
         for eta in (0.05, 0.103, 0.3, 0.9):
-            scale = solve_kappa(shares, eta)
+            kappa = solve_kappa(shares, eta)
             expected = 12.0 * (1.0 - (1.0 - eta) ** (1.0 / 12.0))
-            assert abs(scale.kappa - expected) < 1e-10
+            assert abs(kappa - expected) < 1e-10
 
     def test_vanishing_move_rate(self):
         shares = sipp_pre_shares()
-        assert solve_kappa(shares, 1e-9).kappa < 1e-7
+        assert solve_kappa(shares, 1e-9) < 1e-7
 
     def test_product_residual(self):
         for shares, eta in ((sipp_pre_shares(), ETA_PRE),
                             (sipp_post_shares(), ETA_POST)):
-            scale = solve_kappa(shares, eta)
-            assert abs(survival_product(shares, scale.kappa) - (1 - eta)) < 1e-12
+            kappa = solve_kappa(shares, eta)
+            assert abs(survival_product(shares, kappa) - (1 - eta)) < 1e-12
 
     def test_against_fine_grid_scan(self):
         """Independent oracle: argmin over a 10^7-point grid of the product."""
         shares = sipp_pre_shares()
-        scale = solve_kappa(shares, ETA_PRE)
+        kappa = solve_kappa(shares, ETA_PRE)
         s = shares.shares.values
         hi = (1.0 - 1e-12) / s.max()
         n_grid = 10_000_000
@@ -85,7 +85,7 @@ class TestSolveKappa:
             j = int(np.argmin(err))
             if err[j] < best_err:
                 best_err, best_k = float(err[j]), float(chunk[j])
-        assert abs(scale.kappa - best_k) <= hi / (n_grid - 1)
+        assert abs(kappa - best_k) <= hi / (n_grid - 1)
 
     def test_bracketing_endpoints(self):
         rng = np.random.default_rng(11)
@@ -99,7 +99,7 @@ class TestSolveKappa:
 
     def test_kappa_increases_with_eta(self):
         shares = sipp_pre_shares()
-        kappas = [solve_kappa(shares, eta).kappa
+        kappas = [solve_kappa(shares, eta)
                   for eta in np.linspace(0.02, 0.9, 15)]
         assert np.all(np.diff(kappas) > 0.0)
 
@@ -172,7 +172,8 @@ class TestComposeBeta:
 def _trend_panel(per_year_values: dict[int, np.ndarray]) -> MonthlyPanel:
     rows = [(y, m, vals[m - 1]) for y, vals in per_year_values.items()
             for m in range(1, 13) if not np.isnan(vals[m - 1])]
-    return MonthlyPanel.from_records(rows)
+    years, months, values = zip(*rows)
+    return MonthlyPanel(np.array(years), np.array(months), np.array(values))
 
 
 class TestSharesFromTrends:

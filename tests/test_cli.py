@@ -10,7 +10,7 @@ from thickmarket import cli
 from thickmarket.cli import main
 from thickmarket.calibrate import hazards_from_shares, solve_kappa
 from thickmarket.errors import DataError
-from thickmarket.fixtures import ETA_POST, sipp_post_shares
+from thickmarket.fixtures import ETA_POST, shares_fixture, sipp_post_shares
 
 PARSER = cli._build_parser()
 SUBPARSERS = next(a for a in PARSER._actions
@@ -18,6 +18,15 @@ SUBPARSERS = next(a for a in PARSER._actions
 INPUT_FILE_OPTIONS = {"--shares", "--trends", "--hazards", "--warm-start",
                       "--data", "--deflate-by", "--params", "--pre-shares",
                       "--post-shares"}
+# one quick run of every manifest-writing command; "{panel}" is a price CSV
+COMMAND_ARGS = {
+    "calibrate": ["--fixture", "sipp-pre"],
+    "solve": ["--fixture", "sipp-pre", "--u-fixed", 0.0014],
+    "compare": [],
+    "shift-test": ["--data", "{panel}", "--break-year", 2021],
+    "break-scan": ["--data", "{panel}", "--from-year", 2014, "--to-year", 2023],
+    "replicate-nt": [],
+}
 
 
 def run(argv):
@@ -66,7 +75,7 @@ class TestCalibrateCommand:
         doc = json.loads((out / "hazards.json").read_text())
         shares = sipp_post_shares()
         hz = hazards_from_shares(shares, ETA_POST)
-        kappa = solve_kappa(shares, ETA_POST).kappa
+        kappa = solve_kappa(shares, ETA_POST)
         assert doc["hazard"] == hz.hazard.values.tolist()
         assert doc["kappa"] == kappa
         assert int(np.argmax(doc["hazard"])) + 1 == 8   # August modal post-2021
@@ -172,13 +181,29 @@ class TestSolveCommand:
 
 
 class TestManifests:
-    def test_reruns_reproduce_outputs_byte_identically(self, tmp_path):
-        out_a = tmp_path / "a"
-        assert run(["solve", "--fixture", "sipp-pre", "--u-fixed", 0.0014,
-                    "--out", out_a]) == 0
-        out_b = tmp_path / "b"
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_reruns_reproduce_outputs_byte_identically(self, tmp_path, capsys,
+                                                       command):
+        """The manifest lists the files written, stdout ends by naming them,
+        and a rerun rewrites them byte for byte."""
+        panel = make_shift_panel(tmp_path / "panel.csv",
+                                 np.random.default_rng(49))
+        argv = [panel if a == "{panel}" else a for a in COMMAND_ARGS[command]]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert run([command, *argv, "--out", out_a]) == 0
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        written = sorted(p.name for p in out_a.iterdir()
+                         if p.name != "manifest.json")
+        assert written and sorted(manifest["outputs"]) == written
+        lines = capsys.readouterr().out.splitlines()
+        wrote = [f"wrote {out_a / name}" for name in manifest["outputs"]]
+        assert lines[-len(wrote):] == wrote
+        assert not any(line.startswith("wrote ") for line in lines[:-len(wrote)])
+
         assert run(["rerun", out_a / "manifest.json", "--out", out_b]) == 0
-        for name in ("solution.json", "deviations.csv", "summary.json"):
+        assert sorted(p.name for p in out_b.iterdir()
+                      if p.name != "manifest.json") == written
+        for name in written:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_manifest_written_alongside_outputs(self, tmp_path):
@@ -221,6 +246,23 @@ class TestManifests:
     def test_rerun_missing_manifest(self, tmp_path):
         assert run(["rerun", tmp_path / "none.json"]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda replay: replay + ["--tol", "1e-4"],
+        lambda replay: " ".join(replay),
+        lambda replay: replay + [0.1],
+    ], ids=["retired-option", "string", "non-string-item"])
+    def test_replay_that_does_not_parse_is_input_error(self, tmp_path, capsys,
+                                                       edit):
+        out = tmp_path / "cal"
+        assert run(["calibrate", "--fixture", "sipp-pre", "--out", out]) == 0
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["replay"] = edit(manifest["replay"])
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["rerun", path, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: manifest {path}")
+
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THICKMARKET_OUTDIR", str(tmp_path / "envout"))
         assert run(["calibrate", "--fixture", "sipp-pre"]) == 0
@@ -254,6 +296,14 @@ class TestCompareCommand:
         assert run(["compare", "--annual-rate", 0.02,
                     "--out", tmp_path / "cmp"]) == 2
         assert [c["annual_rate"] for c in calls] == [0.02, 0.02]
+
+    def test_unknown_fixture_name_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--pre-fixture", "pre", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'pre'" in capsys.readouterr().err
+        with pytest.raises(DataError, match="unknown share fixture"):
+            shares_fixture("pre")
 
     def test_shares_file_without_eta_is_input_error(self, tmp_path):
         csv = tmp_path / "shares.csv"

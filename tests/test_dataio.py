@@ -195,7 +195,7 @@ class TestToPanel:
 
     def test_empty_series(self):
         panel = to_panel(RawSeries(dates=(), values=np.array([])))
-        assert panel.n_obs == 0
+        assert panel.years.size == 0
 
 
 class TestWriters:

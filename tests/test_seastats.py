@@ -3,27 +3,32 @@
 import numpy as np
 import pytest
 
-from thickmarket.errors import DataError, DomainError, RankDeficientError
+from thickmarket.errors import DataError, RankDeficientError
 from thickmarket.seastats import (
     MonthlyPanel,
     SeasonalComponents,
     annual_mean_deviation,
+    centered_mean_deviation,
     chow_scan,
     directional_contrast,
     fit_seasonal_shift,
     joint_F_test,
     ols_hc1,
-    rolling_mean_deviation,
     seasonal_delta,
 )
 
 MONTHS = np.arange(1, 13)
 
 
+def panel_of(rows) -> MonthlyPanel:
+    """Panel from (year, month, value) triples."""
+    years, months, values = zip(*rows)
+    return MonthlyPanel(np.array(years), np.array(months), np.array(values))
+
+
 def full_panel(year_values: dict[int, np.ndarray]) -> MonthlyPanel:
-    rows = [(y, m, vals[m - 1]) for y, vals in year_values.items()
-            for m in range(1, 13)]
-    return MonthlyPanel.from_records(rows)
+    return panel_of([(y, m, vals[m - 1]) for y, vals in year_values.items()
+                     for m in range(1, 13)])
 
 
 def components_from(yearly: dict[int, np.ndarray]) -> SeasonalComponents:
@@ -42,14 +47,14 @@ SEASONAL = SEASONAL - SEASONAL.mean()
 class TestMonthlyPanel:
     def test_duplicate_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
-            MonthlyPanel.from_records([(2020, 1, 1.0), (2020, 1, 2.0)])
+            panel_of([(2020, 1, 1.0), (2020, 1, 2.0)])
 
     def test_month_range_enforced(self):
         with pytest.raises(DataError):
-            MonthlyPanel.from_records([(2020, 13, 1.0)])
+            panel_of([(2020, 13, 1.0)])
 
     def test_sorted_storage(self):
-        p = MonthlyPanel.from_records([(2021, 2, 1.0), (2020, 5, 2.0),
+        p = panel_of([(2021, 2, 1.0), (2020, 5, 2.0),
                                        (2021, 1, 3.0)])
         assert p.years.tolist() == [2020, 2021, 2021]
         assert p.months.tolist() == [5, 1, 2]
@@ -61,14 +66,14 @@ class TestAnnualMeanDeviation:
         assert np.all(comp.deviations == 0.0)
 
     def test_two_month_year_with_low_threshold(self):
-        panel = MonthlyPanel.from_records([(2020, 1, 90.0), (2020, 2, 110.0)])
+        panel = panel_of([(2020, 1, 90.0), (2020, 2, 110.0)])
         comp = annual_mean_deviation(panel, min_months_per_year=2)
         assert np.allclose(sorted(comp.deviations), [-10.0, 10.0])
 
     def test_short_years_dropped_and_reported(self):
         rows = [(2020, m, 100.0) for m in range(1, 13)]
         rows += [(2021, m, 100.0) for m in range(1, 4)]
-        comp = annual_mean_deviation(MonthlyPanel.from_records(rows))
+        comp = annual_mean_deviation(panel_of(rows))
         assert comp.dropped_years == (2021,)
         assert set(comp.years.tolist()) == {2020}
 
@@ -104,25 +109,17 @@ class TestAnnualMeanDeviation:
 
 
 class TestRollingMeanDeviation:
-    def test_annual_mode_delegates(self):
-        rng = np.random.default_rng(19)
-        panel = full_panel({y: rng.uniform(50, 150, 12) for y in range(2010, 2013)})
-        a = rolling_mean_deviation(panel, window="annual_mean")
-        b = annual_mean_deviation(panel)
-        assert np.array_equal(a.deviations, b.deviations)
-
     def test_constant_series_is_flat_in_both_modes(self):
         panel = full_panel({y: np.full(12, 3.0) for y in range(2010, 2014)})
-        for mode in ("annual_mean", "centered_12"):
-            comp = rolling_mean_deviation(panel, window=mode)
-            assert np.all(comp.deviations == 0.0)
+        for deviation in (annual_mean_deviation, centered_mean_deviation):
+            assert np.all(deviation(panel).deviations == 0.0)
 
     def test_centered_window_annihilates_annual_cycle(self):
         # For level + pure 12-periodic cycle the 2x12 average equals the level.
         cycle = 10.0 * np.sin(2 * np.pi * MONTHS / 12.0)
         cycle = cycle - cycle.mean()
         panel = full_panel({y: 100.0 + cycle for y in range(2010, 2015)})
-        comp = rolling_mean_deviation(panel, window="centered_12")
+        comp = centered_mean_deviation(panel)
         expected = 100.0 * cycle / 100.0
         for y, m, d in zip(comp.years, comp.months, comp.deviations):
             assert abs(d - expected[m - 1]) < 1e-10
@@ -131,8 +128,7 @@ class TestRollingMeanDeviation:
         t = np.arange(60)
         vals = 100.0 + 0.7 * t + 8.0 * np.sin(2 * np.pi * t / 12.0)
         rows = [(2010 + i // 12, i % 12 + 1, vals[i]) for i in range(60)]
-        comp = rolling_mean_deviation(MonthlyPanel.from_records(rows),
-                                      window="centered_12")
+        comp = centered_mean_deviation(panel_of(rows))
         w = np.ones(13)
         w[0] = w[12] = 0.5
         assert comp.n_obs == 48
@@ -142,13 +138,8 @@ class TestRollingMeanDeviation:
 
     def test_boundary_months_omitted(self):
         panel = full_panel({2010: np.arange(1.0, 13.0)})
-        comp = rolling_mean_deviation(panel, window="centered_12")
+        comp = centered_mean_deviation(panel)
         assert comp.n_obs == 0
-
-    def test_unknown_mode_rejected(self):
-        panel = full_panel({2010: np.arange(1.0, 13.0)})
-        with pytest.raises(DomainError):
-            rolling_mean_deviation(panel, window="x13")
 
 
 class TestOlsHc1:
