@@ -26,7 +26,6 @@ class MoveShares:
     """Nonnegative monthly move shares summing to one."""
 
     shares: PeriodicSeries
-    original_sum: float = 1.0   # sum of the raw inputs before normalization
 
     def __post_init__(self):
         s = self.shares.values
@@ -37,18 +36,14 @@ class MoveShares:
 
 
 def normalize_shares(raw) -> MoveShares:
-    """Normalize raw nonnegative monthly counts or percentages to shares.
-
-    The original sum is kept for diagnostics (published tables often sum
-    to 99.9 or 100.1 because of rounding).
-    """
+    """Normalize raw nonnegative monthly counts or percentages to shares."""
     arr = np.asarray(raw, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("move shares cannot contain negative entries")
     total = float(arr.sum())
     if not total > 0.0:
         raise DomainError("move shares must have a positive sum")
-    return MoveShares(shares=PeriodicSeries(arr / total), original_sum=total)
+    return MoveShares(shares=PeriodicSeries(arr / total))
 
 
 def survival_product(shares: MoveShares, kappa: float) -> float:
@@ -142,5 +137,4 @@ def shares_from_trends(panel, years) -> MoveShares:
             raise DataError(f"year {year} has a non-positive annual total")
         share_rows.append(row / total)
     mean_shares = np.mean(share_rows, axis=0)
-    return MoveShares(shares=PeriodicSeries(mean_shares / mean_shares.sum()),
-                      original_sum=float(mean_shares.sum()))
+    return MoveShares(shares=PeriodicSeries(mean_shares / mean_shares.sum()))

@@ -516,8 +516,10 @@ def _dispatch(args) -> list[Path]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # usage error (2) or --help (0)
+        return exc.code
     try:
         _dispatch(args)
     except ConvergenceError as exc:

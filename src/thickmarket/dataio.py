@@ -39,10 +39,6 @@ class RawSeries:
                                 f"{cur} follows {prev}")
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_obs(self) -> int:
-        return self.values.size
-
 
 def _parse_month(text: str, line_no: int) -> tuple[int, int]:
     token = text.strip()

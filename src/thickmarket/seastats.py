@@ -7,6 +7,14 @@ sum-to-zero identification, then test the interactions jointly (robust
 Wald F), directionally (first half-year versus second), and season by
 season. A Chow scan over candidate break years checks that the break
 date is not an artifact of the chosen split.
+
+Every step is whole-array numpy with no Python loop over years or
+candidates. Year means come from ``np.bincount``. Least squares takes one
+R-only QR of [X y], so the explicit Q is never formed. The Chow scan
+works from per-(year, month) counts and sums of the month-centred
+deviations, cumulated over years. p-values come from ``scipy.special``,
+which imports far faster than ``scipy.stats``; ``scipy.linalg`` is loaded
+only to name the dependent columns of a rank-deficient design.
 """
 
 from __future__ import annotations
@@ -14,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import stats as sps
+from scipy import special
 
 from .core import SEASONS
 from .errors import DataError, DomainError, RankDeficientError
@@ -37,19 +44,13 @@ class MonthlyPanel:
             raise DataError("years, months, and values must be equal-length vectors")
         if np.any((months < 1) | (months > 12)):
             raise DataError("months must lie in 1..12")
-        keys = set(zip(years.tolist(), months.tolist()))
-        if len(keys) != years.size:
-            raise DataError("duplicate (year, month) observations in panel")
         order = np.lexsort((months, years))
+        keys = (years * 12 + months)[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise DataError("duplicate (year, month) observations in panel")
         object.__setattr__(self, "years", years[order])
         object.__setattr__(self, "months", months[order])
         object.__setattr__(self, "values", values[order])
-
-    def months_per_year(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for y in self.years.tolist():
-            out[y] = out.get(y, 0) + 1
-        return out
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,6 @@ class SeasonalComponents:
     deviations: np.ndarray
     dropped_years: tuple[int, ...] = ()
 
-    @property
-    def n_obs(self) -> int:
-        return self.years.size
-
 
 @dataclass(frozen=True)
 class TestReport:
@@ -72,7 +69,6 @@ class TestReport:
     p_value: float
     df_numerator: int | None
     df_denominator: int
-    one_sided: bool
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,6 @@ class ShiftRegressionFit:
     mu: np.ndarray
     beta: np.ndarray
     cov: np.ndarray
-    names: tuple[str, ...]
     mu_idx: np.ndarray
     df_resid: int
     n_obs: int
@@ -151,25 +146,22 @@ def annual_mean_deviation(panel: MonthlyPanel,
     and reported in ``dropped_years``. A retained year with zero mean is an
     error (the deviation would divide by zero).
     """
-    counts = panel.months_per_year()
-    kept = {y for y, c in counts.items() if c >= min_months_per_year}
-    dropped = tuple(sorted(set(counts) - kept))
+    years, year_idx, counts = np.unique(panel.years, return_inverse=True,
+                                        return_counts=True)
+    means = np.bincount(year_idx, weights=panel.values,
+                        minlength=years.size) / counts
+    kept = counts >= min_months_per_year
+    zero = kept & (means == 0.0)
+    if zero.any():
+        raise DataError(f"year {int(years[zero][0])} has zero mean; "
+                        "deviations are undefined")
 
-    year_means: dict[int, float] = {}
-    for y in sorted(kept):
-        mask = panel.years == y
-        mean = float(panel.values[mask].mean())
-        if mean == 0.0:
-            raise DataError(f"year {y} has zero mean; deviations are undefined")
-        year_means[y] = mean
-
-    mask = np.isin(panel.years, sorted(kept))
-    years = panel.years[mask]
-    months = panel.months[mask]
-    means = np.array([year_means[y] for y in years.tolist()])
-    d = 100.0 * (panel.values[mask] - means) / means
-    return SeasonalComponents(years=years, months=months, deviations=d,
-                              dropped_years=dropped)
+    mask = kept[year_idx]
+    mean = means[year_idx[mask]]
+    d = 100.0 * (panel.values[mask] - mean) / mean
+    return SeasonalComponents(years=panel.years[mask], months=panel.months[mask],
+                              deviations=d,
+                              dropped_years=tuple(years[~kept].tolist()))
 
 
 def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
@@ -209,9 +201,10 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
 
 def ols_hc1(design: np.ndarray, response: np.ndarray,
             names: tuple[str, ...] | None = None) -> OLSResult:
-    """OLS via pivoted QR with the HC1 sandwich covariance.
+    """OLS via the R factor of [X y] with the HC1 sandwich covariance.
 
-    HC1 = (n/(n-k)) (X'X)^{-1} X' diag(e^2) X (X'X)^{-1}. Raises
+    The QR of [X y] gives R = R[:k, :k] and Q'y = R[:k, k] without forming
+    Q. HC1 = (n/(n-k)) (X'X)^{-1} X' diag(e^2) X (X'X)^{-1}. Raises
     ``RankDeficientError`` naming the dependent columns when the design is
     rank deficient.
     """
@@ -223,12 +216,14 @@ def ols_hc1(design: np.ndarray, response: np.ndarray,
     if n <= k:
         raise DomainError(f"need more observations ({n}) than columns ({k})")
 
-    Q, R = np.linalg.qr(X, mode="reduced")
+    Ry = np.linalg.qr(np.column_stack([X, y]), mode="r")
+    R, qty = Ry[:k, :k], Ry[:k, k]
     diag = np.abs(np.diag(R))
     tol = (diag.max() if diag.size else 0.0) * max(n, k) * np.finfo(float).eps
     if np.any(diag <= tol):
         # Redo with column pivoting only to name the dependent columns.
-        _, Rp, piv = sla.qr(X, mode="economic", pivoting=True)
+        from scipy.linalg import qr
+        Rp, piv = qr(X, mode="r", pivoting=True)
         diag_p = np.abs(np.diag(Rp))
         tol_p = diag_p.max() * max(n, k) * np.finfo(float).eps
         rank = int((diag_p > tol_p).sum())
@@ -238,12 +233,12 @@ def ols_hc1(design: np.ndarray, response: np.ndarray,
             f"design matrix is rank deficient (rank {rank} of {k}); "
             f"dependent columns: {offending}", columns=list(offending))
 
-    beta = sla.solve_triangular(R, Q.T @ y)
+    beta = np.linalg.solve(R, qty)
 
     resid = y - X @ beta
     rss = float(resid @ resid)
 
-    r_inv = sla.solve_triangular(R, np.eye(k))
+    r_inv = np.linalg.inv(R)
     xtx_inv = r_inv @ r_inv.T
 
     scores = X * resid[:, None]
@@ -254,10 +249,8 @@ def ols_hc1(design: np.ndarray, response: np.ndarray,
 
 def _sum_coded_months(months: np.ndarray) -> np.ndarray:
     """11 columns: 1{month=j} - 1{month=12}, j = 1..11 (sum-to-zero coding)."""
-    cols = np.zeros((months.size, 11))
-    for j in range(11):
-        cols[:, j] = (months == j + 1).astype(float)
-    cols -= (months == 12).astype(float)[:, None]
+    cols = (months[:, None] == np.arange(1, 12)).astype(float)
+    cols[months == 12] = -1.0
     return cols
 
 
@@ -289,9 +282,9 @@ def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
     if include_year_effects:
         pre_baseline = int(years[post == 0.0].min())
         post_baseline = int(years[post == 1.0].min())
-        for y in sorted(set(years.tolist()) - {pre_baseline, post_baseline}):
-            blocks.append((years == y).astype(float)[:, None])
-            names.append(f"year_{y}")
+        effect_years = np.setdiff1d(years, [pre_baseline, post_baseline])
+        blocks.append((years[:, None] == effect_years).astype(float))
+        names.extend(f"year_{y}" for y in effect_years.tolist())
 
     blocks.append(post[:, None])
     names.append("post")
@@ -315,7 +308,7 @@ def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
 
     return ShiftRegressionFit(
         gamma=gamma, mu=mu, beta=fit.coefficients, cov=fit.cov_hc1,
-        names=tuple(names), mu_idx=mu_idx, df_resid=fit.df_resid,
+        mu_idx=mu_idx, df_resid=fit.df_resid,
         n_obs=d.size, rss=fit.rss,
         response_scale=float(np.abs(d).max()) if d.size else 0.0)
 
@@ -349,9 +342,9 @@ def joint_F_test(fit: ShiftRegressionFit) -> TestReport:
                     "do not lie in its range; the Wald statistic is undefined")
             wald = float(mu_free @ sol)
         F = wald / q
-    p = float(sps.f.sf(F, q, fit.df_resid))
+    p = float(special.fdtrc(q, fit.df_resid, F))
     return TestReport(statistic=F, p_value=p, df_numerator=q,
-                      df_denominator=fit.df_resid, one_sided=False)
+                      df_denominator=fit.df_resid)
 
 
 def directional_contrast(fit: ShiftRegressionFit) -> TestReport:
@@ -378,9 +371,9 @@ def directional_contrast(fit: ShiftRegressionFit) -> TestReport:
             p = 0.0 if estimate > 0 else 1.0
     else:
         t_stat = estimate / np.sqrt(variance)
-        p = float(sps.t.sf(t_stat, fit.df_resid))
+        p = float(special.stdtr(fit.df_resid, -t_stat))
     return TestReport(statistic=float(t_stat), p_value=p, df_numerator=None,
-                      df_denominator=fit.df_resid, one_sided=True)
+                      df_denominator=fit.df_resid)
 
 
 def seasonal_delta(components: SeasonalComponents,
@@ -411,41 +404,55 @@ def chow_scan(components: SeasonalComponents, candidate_years,
     """
     d = components.deviations
     months = components.months
-    years = components.years
     n = d.size
 
-    month_mean = np.zeros(13)
-    for m in range(1, 13):
-        sel = months == m
-        if sel.any():
-            month_mean[m] = d[sel].mean()
-    rss_restricted = float(((d - month_mean[months]) ** 2).sum())
+    month_n = np.bincount(months, minlength=13)
+    month_mean = np.bincount(months, weights=d, minlength=13) / np.maximum(month_n, 1)
+    e = d - month_mean[months]
+    rss_restricted = float(e @ e)
+
+    # Row j of the prefix tables covers the first j sample years.
+    years, year_idx = np.unique(components.years, return_inverse=True)
+    cell = year_idx * 12 + (months - 1)
+    count = np.zeros((years.size + 1, 12), dtype=int)
+    total = np.zeros((years.size + 1, 12))
+    count[1:] = np.bincount(cell, minlength=years.size * 12).reshape(-1, 12)
+    total[1:] = np.bincount(cell, weights=e, minlength=years.size * 12).reshape(-1, 12)
+    count, total = count.cumsum(axis=0), total.cumsum(axis=0)
+
+    candidates = np.array([int(y) for y in candidate_years], dtype=int)
+    before = np.searchsorted(years, candidates)
+    n_pre_m, s_pre = count[before], total[before]
+    n_post_m, s_post = count[-1] - n_pre_m, total[-1] - s_pre
+    n_pre = n_pre_m.sum(axis=1)
+    n_post = n - n_pre
+    # RSS_r - RSS_u is the between-sides sum of squares of each month, so
+    # the drop is a sum of nonnegative terms rather than a difference.
+    gap = s_pre / np.maximum(n_pre_m, 1) - s_post / np.maximum(n_post_m, 1)
+    drop = (n_pre_m * n_post_m / np.maximum(month_n[1:], 1) * gap ** 2).sum(axis=1)
+    rss_u = rss_restricted - drop
+
+    # Sums of squares at round-off level count as zero. A drop within the
+    # threshold of ShiftRegressionFit.is_exact_fit gives F = 0. RSS_u
+    # carries an error near eps * RSS_r, so an RSS_u below 1e-12 RSS_r
+    # gives F = inf: the two profiles fit exactly.
+    scale = max(1.0, float(np.abs(d).max(initial=0.0)))
+    roundoff = n * (1e-10 * scale) ** 2
+    q = 12
+    df_denom = n - 24
+    F = np.full(candidates.size, np.inf)
+    fits = rss_u > max(roundoff, 1e-12 * rss_restricted)
+    F[fits] = (drop[fits] / q) / (rss_u[fits] / df_denom)
+    F[drop <= roundoff] = 0.0
+    p = special.fdtrc(q, df_denom, F)
 
     entries = []
     skipped = []
-    for year in candidate_years:
-        year = int(year)
-        post = years >= year
-        n_pre, n_post = int((~post).sum()), int(post.sum())
-        if n_pre < min_side_obs or n_post < min_side_obs:
-            skipped.append((year, f"only {min(n_pre, n_post)} observations on "
-                                  f"one side (need {min_side_obs})"))
-            continue
-        rss_u = 0.0
-        for side in (post, ~post):
-            for m in range(1, 13):
-                sel = side & (months == m)
-                if sel.any():
-                    rss_u += float(((d[sel] - d[sel].mean()) ** 2).sum())
-        q = 12
-        df_denom = n - 24
-        numerator = max(0.0, rss_restricted - rss_u) / q
-        if numerator == 0.0:
-            F = 0.0
-        elif rss_u == 0.0:
-            F = np.inf
+    for k, year in enumerate(candidates.tolist()):
+        if n_pre[k] < min_side_obs or n_post[k] < min_side_obs:
+            skipped.append((year, f"only {int(min(n_pre[k], n_post[k]))} "
+                                  f"observations on one side (need {min_side_obs})"))
         else:
-            F = numerator / (rss_u / df_denom)
-        p = float(sps.f.sf(F, q, df_denom))
-        entries.append(ChowScanEntry(year=year, F=float(F), p_value=p))
+            entries.append(ChowScanEntry(year=year, F=float(F[k]),
+                                         p_value=float(p[k])))
     return ChowScanResult(entries=tuple(entries), skipped=tuple(skipped))

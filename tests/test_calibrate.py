@@ -29,11 +29,12 @@ class TestNormalizeShares:
         shares = sipp_pre_shares()
         assert abs(shares.shares.values.sum() - 1.0) < 1e-12
         assert abs(shares.shares.at(6) - 12.7 / 99.9) < 1e-12
-        assert abs(shares.original_sum - 99.9) < 1e-12
+        assert abs(np.sum(SIPP_PRE_RAW) - 99.9) < 1e-12
 
     def test_published_post_column_sum(self):
         shares = sipp_post_shares()
-        assert abs(shares.original_sum - 100.1) < 1e-12
+        assert abs(np.sum(SIPP_POST_RAW) - 100.1) < 1e-12
+        assert np.abs(shares.shares.values * 100.1 - SIPP_POST_RAW).max() < 1e-12
 
     def test_equal_inputs(self):
         shares = normalize_shares(np.ones(12))

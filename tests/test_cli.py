@@ -298,9 +298,8 @@ class TestCompareCommand:
         assert [c["annual_rate"] for c in calls] == [0.02, 0.02]
 
     def test_unknown_fixture_name_rejected(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["compare", "--pre-fixture", "pre", "--out", str(tmp_path)])
-        assert exc.value.code == 2
+        assert main(["compare", "--pre-fixture", "pre",
+                     "--out", str(tmp_path)]) == 2
         assert "invalid choice: 'pre'" in capsys.readouterr().err
         with pytest.raises(DataError, match="unknown share fixture"):
             shares_fixture("pre")
@@ -428,6 +427,16 @@ class TestExitCodes:
         assert run(argv + ["--out", tmp_path / "x"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["solve", "--no-such-option"], 2),
+        (["frobnicate"], 2),
+        (["solve", "--help"], 0),
+    ], ids=["unknown-option", "unknown-command", "help"])
+    def test_usage_returns_argparse_code(self, capsys, argv, code):
+        assert main(argv) == code
+        out = capsys.readouterr()
+        assert "usage:" in (out.err if code else out.out)
 
     def test_unexpected_exception_exits_3(self, tmp_path, capsys,
                                           monkeypatch):

@@ -40,7 +40,7 @@ class TestReadMonthlyCsv:
     def test_two_rows(self, tmp_path):
         p = write_csv(tmp_path / "s.csv", ["2019-01,100", "2019-02,101"])
         series = read_monthly_csv(p)
-        assert series.n_obs == 2
+        assert series.values.size == 2
         assert series.dates == ((2019, 1), (2019, 2))
         assert series.values.tolist() == [100.0, 101.0]
 
@@ -53,7 +53,7 @@ class TestReadMonthlyCsv:
         dates = month_range((2008, 2), (2025, 6))
         rows = [f"{y}-{m:02d},{100 + i}" for i, (y, m) in enumerate(dates)]
         series = read_monthly_csv(write_csv(tmp_path / "s.csv", rows))
-        assert series.n_obs == 209
+        assert series.values.size == 209
         assert (series.dates[0], series.dates[-1]) == ((2008, 2), (2025, 6))
 
     def test_day_field_truncated(self, tmp_path):
@@ -183,13 +183,15 @@ class TestToPanel:
     def test_one_complete_year(self):
         dates = month_range((2020, 1), (2020, 12))
         panel = to_panel(RawSeries(dates=tuple(dates), values=np.arange(12.0)))
-        assert panel.months_per_year() == {2020: 12}
+        years, counts = np.unique(panel.years, return_counts=True)
+        assert (years.tolist(), counts.tolist()) == ([2020], [12])
 
     def test_partial_edge_years_flagged(self):
         dates = month_range((2008, 2), (2025, 6))
         panel = to_panel(RawSeries(dates=tuple(dates),
                                    values=np.arange(float(len(dates)))))
-        counts = panel.months_per_year()
+        years, n = np.unique(panel.years, return_counts=True)
+        counts = dict(zip(years.tolist(), n.tolist()))
         assert sorted(y for y, c in counts.items() if c < 12) == [2008, 2025]
         assert (counts[2008], counts[2025]) == (11, 6)
 

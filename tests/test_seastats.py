@@ -48,6 +48,8 @@ class TestMonthlyPanel:
     def test_duplicate_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
             panel_of([(2020, 1, 1.0), (2020, 1, 2.0)])
+        with pytest.raises(DataError, match="duplicate"):
+            panel_of([(2020, 1, 1.0), (2021, 1, 2.0), (2020, 1, 3.0)])
 
     def test_month_range_enforced(self):
         with pytest.raises(DataError):
@@ -131,7 +133,7 @@ class TestRollingMeanDeviation:
         comp = centered_mean_deviation(panel_of(rows))
         w = np.ones(13)
         w[0] = w[12] = 0.5
-        assert comp.n_obs == 48
+        assert comp.deviations.size == 48
         for j, i in enumerate(range(6, 54)):
             gbar = np.dot(w, vals[i - 6:i + 7]) / 12.0
             assert abs(comp.deviations[j] - 100.0 * (vals[i] - gbar) / gbar) < 1e-12
@@ -139,7 +141,7 @@ class TestRollingMeanDeviation:
     def test_boundary_months_omitted(self):
         panel = full_panel({2010: np.arange(1.0, 13.0)})
         comp = centered_mean_deviation(panel)
-        assert comp.n_obs == 0
+        assert comp.deviations.size == 0
 
 
 class TestOlsHc1:
@@ -250,7 +252,10 @@ class TestJointF:
                   for y in range(2010, 2026)}
         fit = fit_seasonal_shift(components_from(yearly), 2021)
         rep = joint_F_test(fit)
-        n, k = 16 * 12, len(fit.names)
+        # const, 14 year effects (16 years less two baselines), post,
+        # 11 month effects, 11 interactions
+        n, k = 16 * 12, 1 + 14 + 1 + 11 + 11
+        assert fit.beta.size == k
         assert rep.df_denominator == n - k
 
 
@@ -267,7 +272,6 @@ class TestDirectionalContrast:
         rep = directional_contrast(fit)
         assert abs(rep.statistic) < 1e-9
         assert abs(rep.p_value - 0.5) < 1e-9
-        assert rep.one_sided
 
     def test_constructed_contrast_value(self):
         shift = np.zeros(12)
@@ -308,6 +312,16 @@ class TestChowScan:
         comp = components_from({y: SEASONAL for y in range(2010, 2026)})
         scan = chow_scan(comp, range(2013, 2024))
         assert all(e.F == 0.0 for e in scan.entries)
+
+    @pytest.mark.parametrize("amplitude", [-1.0, 0.5, 1.7, 2.0, 3.0, 5.0])
+    def test_noise_free_break_gives_infinite_F_only_at_the_break(
+            self, amplitude):
+        yearly = {y: SEASONAL * (amplitude if y >= 2021 else 1.0)
+                  for y in range(2013, 2026)}
+        scan = chow_scan(components_from(yearly), range(2016, 2024))
+        F = {e.year: e.F for e in scan.entries}
+        assert F.pop(2021) == np.inf
+        assert all(0.0 < f < np.inf for f in F.values())
 
     def test_argmax_at_constructed_break(self):
         rng = np.random.default_rng(28)

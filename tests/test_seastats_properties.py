@@ -1,0 +1,251 @@
+"""The vectorized seasonality battery against its looped formulas.
+
+``looped_annual_mean_deviation`` and ``looped_chow_scan`` are the
+per-year and per-candidate loops the vectorized code replaced, kept
+verbatim (bar the inlined year counts) as references. ``ols_hc1`` is
+checked against ``np.linalg.lstsq`` plus an explicit HC1 sandwich.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg as sla
+from scipy import stats as sps
+
+from thickmarket.errors import DataError, RankDeficientError
+from thickmarket.seastats import (
+    ChowScanEntry,
+    ChowScanResult,
+    MonthlyPanel,
+    SeasonalComponents,
+    annual_mean_deviation,
+    chow_scan,
+    fit_seasonal_shift,
+    ols_hc1,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def looped_annual_mean_deviation(panel: MonthlyPanel,
+                                 min_months_per_year: int = 6) -> SeasonalComponents:
+    counts: dict[int, int] = {}
+    for y in panel.years.tolist():
+        counts[y] = counts.get(y, 0) + 1
+    kept = {y for y, c in counts.items() if c >= min_months_per_year}
+    dropped = tuple(sorted(set(counts) - kept))
+
+    year_means: dict[int, float] = {}
+    for y in sorted(kept):
+        mask = panel.years == y
+        mean = float(panel.values[mask].mean())
+        if mean == 0.0:
+            raise DataError(f"year {y} has zero mean; deviations are undefined")
+        year_means[y] = mean
+
+    mask = np.isin(panel.years, sorted(kept))
+    years = panel.years[mask]
+    months = panel.months[mask]
+    means = np.array([year_means[y] for y in years.tolist()])
+    d = 100.0 * (panel.values[mask] - means) / means
+    return SeasonalComponents(years=years, months=months, deviations=d,
+                              dropped_years=dropped)
+
+
+def looped_chow_scan(components: SeasonalComponents, candidate_years,
+                     min_side_obs: int = 24) -> ChowScanResult:
+    d = components.deviations
+    months = components.months
+    years = components.years
+    n = d.size
+
+    month_mean = np.zeros(13)
+    for m in range(1, 13):
+        sel = months == m
+        if sel.any():
+            month_mean[m] = d[sel].mean()
+    rss_restricted = float(((d - month_mean[months]) ** 2).sum())
+
+    entries = []
+    skipped = []
+    for year in candidate_years:
+        year = int(year)
+        post = years >= year
+        n_pre, n_post = int((~post).sum()), int(post.sum())
+        if n_pre < min_side_obs or n_post < min_side_obs:
+            skipped.append((year, f"only {min(n_pre, n_post)} observations on "
+                                  f"one side (need {min_side_obs})"))
+            continue
+        rss_u = 0.0
+        for side in (post, ~post):
+            for m in range(1, 13):
+                sel = side & (months == m)
+                if sel.any():
+                    rss_u += float(((d[sel] - d[sel].mean()) ** 2).sum())
+        q = 12
+        df_denom = n - 24
+        numerator = max(0.0, rss_restricted - rss_u) / q
+        if numerator == 0.0:
+            F = 0.0
+        elif rss_u == 0.0:
+            F = np.inf
+        else:
+            F = numerator / (rss_u / df_denom)
+        p = float(sps.f.sf(F, q, df_denom))
+        entries.append(ChowScanEntry(year=year, F=float(F), p_value=p))
+    return ChowScanResult(entries=tuple(entries), skipped=tuple(skipped))
+
+
+@st.composite
+def layouts(draw, min_years=2, full_years=False):
+    """(years, months) of an unbalanced panel: years with gaps, some of
+    them with only a few months observed."""
+    first = draw(st.integers(1990, 2010))
+    offsets = draw(st.lists(st.integers(0, 24), min_size=min_years,
+                            max_size=16, unique=True))
+    rows = []
+    for offset in sorted(offsets):
+        if full_years or draw(st.booleans()):
+            months = range(1, 13)
+        else:
+            months = sorted(draw(st.sets(st.integers(1, 12), min_size=1)))
+        rows += [(first + offset, m) for m in months]
+    years, months = np.array(rows).T
+    return years, months
+
+
+@PROPERTY
+@given(layout=layouts(), seed=SEEDS, min_months=st.integers(1, 12))
+def test_annual_components_match_loop(layout, seed, min_months):
+    years, months = layout
+    values = np.random.default_rng(seed).uniform(50.0, 150.0, years.size)
+    panel = MonthlyPanel(years, months, values)
+    got = annual_mean_deviation(panel, min_months)
+    ref = looped_annual_mean_deviation(panel, min_months)
+    assert got.dropped_years == ref.dropped_years
+    assert np.array_equal(got.years, ref.years)
+    assert np.array_equal(got.months, ref.months)
+    # the year means are summed in another order: round-off differs
+    np.testing.assert_allclose(got.deviations, ref.deviations,
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_first_zero_mean_year_named_like_loop():
+    rows = [(2021, m, 0.0) for m in range(1, 13)]
+    rows += [(2019, m, 0.0) for m in range(1, 3)]      # dropped: too short
+    rows += [(2020, m, float(m % 2) * 2.0 - 1.0) for m in range(1, 13)]
+    rows += [(2018, m, 5.0) for m in range(1, 13)]
+    panel = MonthlyPanel(*map(np.array, zip(*rows)))
+    for deviation in (annual_mean_deviation, looped_annual_mean_deviation):
+        with pytest.raises(DataError, match="^year 2020 has zero mean"):
+            deviation(panel)
+
+
+@PROPERTY
+@given(layout=layouts(min_years=4), seed=SEEDS,
+       min_side_obs=st.integers(13, 30),
+       log_noise=st.floats(-1.3, 0.7), shift=st.floats(-5.0, 5.0))
+def test_grouped_chow_scan_matches_loop(layout, seed, min_side_obs, log_noise,
+                                        shift):
+    """Same entries and notes; F and p within rtol 1e-10.
+
+    min_side_obs > 12 keeps n - 24 positive. The noise floor of 0.05 bounds
+    RSS_r / RSS_u, which sets how many digits the grouped RSS_u loses.
+    """
+    years, months = layout
+    noise = 10.0 ** log_noise
+    rng = np.random.default_rng(seed)
+    break_year = int(rng.choice(years))
+    profile = rng.uniform(-10.0, 10.0, 13)
+    moved = shift * rng.uniform(-1.0, 1.0, 13)
+    d = (profile[months] + (years >= break_year) * moved[months]
+         + noise * rng.standard_normal(years.size))
+    components = SeasonalComponents(years=years, months=months, deviations=d)
+    candidates = range(int(years.min()) - 2, int(years.max()) + 3)
+    got = chow_scan(components, candidates, min_side_obs)
+    ref = looped_chow_scan(components, candidates, min_side_obs)
+    assert got.skipped == ref.skipped
+    assert [e.year for e in got.entries] == [e.year for e in ref.entries]
+    for field in ("F", "p_value"):
+        np.testing.assert_allclose([getattr(e, field) for e in got.entries],
+                                   [getattr(e, field) for e in ref.entries],
+                                   rtol=1e-10, atol=0.0)
+
+
+def lstsq_hc1(X, y):
+    """Coefficients from lstsq and the HC1 sandwich written out."""
+    n, k = X.shape
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    bread = np.linalg.inv(X.T @ X)
+    e = y - X @ beta
+    return beta, n / (n - k) * bread @ (X.T * e**2) @ X @ bread
+
+
+def assert_matches_lstsq(beta, cov, X, y):
+    beta_ref, cov_ref = lstsq_hc1(X, y)
+    np.testing.assert_allclose(beta, beta_ref, rtol=1e-9,
+                               atol=1e-9 * np.abs(beta_ref).max())
+    np.testing.assert_allclose(cov, cov_ref, rtol=1e-8,
+                               atol=1e-10 * np.abs(cov_ref).max())
+
+
+@PROPERTY
+@given(k=st.integers(1, 8), extra=st.integers(2, 40), seed=SEEDS)
+def test_ols_hc1_matches_lstsq_sandwich(k, extra, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((k + extra, k))
+    y = X @ rng.standard_normal(k) + rng.standard_normal(k + extra)
+    res = ols_hc1(X, y)
+    assert_matches_lstsq(res.coefficients, res.cov_hc1, X, y)
+    assert res.df_resid == extra
+
+
+@PROPERTY
+@given(layout=layouts(min_years=4, full_years=True), seed=SEEDS,
+       year_effects=st.booleans())
+def test_shift_fit_matches_lstsq_sandwich(layout, seed, year_effects):
+    """The design restated here: const, year dummies bar one baseline year
+    on each side, post, sum-coded months and their post interactions."""
+    years, months = layout
+    sample_years = np.unique(years)
+    break_year = int(sample_years[sample_years.size // 2])
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-5.0, 5.0, 13)[months] + rng.standard_normal(years.size)
+    fit = fit_seasonal_shift(
+        SeasonalComponents(years=years, months=months, deviations=d),
+        break_year, include_year_effects=year_effects)
+
+    post = (years >= break_year).astype(float)[:, None]
+    coded = np.column_stack([(months == m).astype(float) - (months == 12)
+                             for m in range(1, 12)])
+    dummies = [(years == y).astype(float) for y in sample_years
+               if y not in (sample_years[0], break_year)]
+    X = np.column_stack([np.ones(years.size)]
+                        + (dummies if year_effects else [])
+                        + [post, coded, coded * post])
+    assert_matches_lstsq(fit.beta, fit.cov, X, d)
+
+
+@PROPERTY
+@given(k=st.integers(2, 7), extra=st.integers(2, 40), seed=SEEDS,
+       n_dependent=st.integers(1, 3))
+def test_rank_deficiency_names_pivoted_qr_columns(k, extra, seed, n_dependent):
+    """Dependent columns are the ones a pivoted QR puts past the rank."""
+    rng = np.random.default_rng(seed)
+    n = k + n_dependent + extra
+    base = rng.standard_normal((n, k))
+    combos = base @ rng.integers(-2, 3, (k, n_dependent)).astype(float)
+    X = np.column_stack([base, combos])[:, rng.permutation(k + n_dependent)]
+    labels = tuple(f"c{j}" for j in range(X.shape[1]))
+
+    _, R, piv = sla.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int((diag > diag.max() * max(X.shape) * np.finfo(float).eps).sum())
+    expected = sorted(labels[j] for j in piv[rank:])
+
+    with pytest.raises(RankDeficientError) as err:
+        ols_hc1(X, rng.standard_normal(n), names=labels)
+    assert err.value.columns == expected
+    assert len(expected) == n_dependent

@@ -1,5 +1,6 @@
 """Solver: oracles, uniqueness, equivariance, endogenous u, benchmark."""
 
+import ast
 import itertools
 import os
 import subprocess
@@ -412,17 +413,33 @@ class TestNewtonEndogenousU:
                                     SolverConfig(max_iterations=needed - 1))
 
 
-def test_workflows_import_leaves_scipy_unloaded():
-    """scipy costs about half a second to import; the solve path needs none."""
+def scipy_modules_after_import(module):
+    """Top two levels of the scipy modules a fresh interpreter holds after
+    importing ``module``."""
     src = str(Path(solver.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, thickmarket.workflows; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = (f"import sys, {module}; "
+            "print(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.strip())
+
+
+def test_workflows_import_leaves_scipy_unloaded():
+    """scipy costs about half a second to import; the solve path needs none."""
+    assert scipy_modules_after_import("thickmarket.workflows") == []
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    """Of scipy's subpackages the CLI imports only special: scipy.stats
+    cost about 0.8 s and 46 MiB, and seastats loads scipy.linalg only to
+    name the columns of a rank-deficient design."""
+    loaded = scipy_modules_after_import("thickmarket.cli")
+    assert "scipy.special" in loaded
+    assert not {"scipy.stats", "scipy.linalg", "scipy.optimize"} & set(loaded)
 
 
 class TestBiannualBenchmark:
