@@ -16,7 +16,7 @@ from .core import (
     seasonal_deviation,
 )
 from .errors import ConvergenceError, DataError, DomainError, RankDeficientError
-from .mapping import EquilibriumState, compute_outputs, reservation_cutoffs
+from .mapping import EquilibriumState, compute_outputs
 from .solver import (
     EquilibriumSolution,
     SolverConfig,
@@ -45,7 +45,6 @@ __all__ = [
     "compute_outputs",
     "hazards_from_shares",
     "normalize_shares",
-    "reservation_cutoffs",
     "seasonal_deviation",
     "shares_from_trends",
     "solve_equilibrium",

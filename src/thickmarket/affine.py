@@ -6,7 +6,9 @@ gives a closed form for A_m, and unrolling the intercept recursion expresses
 D_m as a weighted sum of future mover values, D_m = sum_r w_{m,r} X_{m+r}.
 This module computes those objects together with the compact box on which
 the one-step equilibrium map is a self-map, and the damping threshold below
-which the damped map is theoretically guaranteed to contract.
+which the damped map is theoretically guaranteed to contract. All of them
+come from one n x n calendar table of the months ahead of each month, with
+no Python loop over months.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ class AffineCoefficients:
     box: Box
     _D_matrix: np.ndarray  # row m0: D = _D_matrix @ X with calendar indexing
 
-    @property
-    def period(self) -> int:
-        return self.A.period
-
     def continuation_weights(self, X: np.ndarray) -> np.ndarray:
         """D_m = sum_r w_{m,r} X_{m+r}, broadcasting over leading axes of X."""
         return X @ self._D_matrix.T
@@ -78,15 +76,16 @@ def compute_affine_coefficients(hazards: HazardProfile, beta: float,
 
     denom = 1.0 - beta ** n * float(np.prod(phi))
 
-    A = np.empty(n)
-    W = np.empty((n, n))
+    # cal[m0, r] is the calendar index of month m0 + 1 + r; row m0 of
+    # prods holds prod_{j=1..s} phi_{m+j}, s = 0..n-1 (empty product = 1).
+    cal = (np.arange(n)[:, None] + 1 + np.arange(n)) % n
+    ahead = phi[cal]
+    prods = np.ones((n, n))
+    prods[:, 1:] = np.cumprod(ahead[:, :-1], axis=1)
     beta_pows = beta ** np.arange(n + 1)
-    for m0 in range(n):
-        # prods[s] = prod_{j=1..s} phi_{m+j}, s = 0..n-1 (empty product = 1)
-        ahead = phi[(m0 + 1 + np.arange(n - 1)) % n]
-        prods = np.concatenate(([1.0], np.cumprod(ahead)))
-        A[m0] = np.dot(beta_pows[:n], prods) / denom
-        W[m0, :] = beta_pows[1:] * prods * (1.0 - phi[(m0 + 1 + np.arange(n)) % n]) / denom
+    # vecdot sums each row as np.dot does; matmul and einsum round differently
+    A = np.vecdot(prods, beta_pows[:n]) / denom
+    W = beta_pows[1:] * prods * (1.0 - ahead) / denom
 
     row_sums = W.sum(axis=1)
     Wstar = float(row_sums.max())
@@ -105,8 +104,7 @@ def compute_affine_coefficients(hazards: HazardProfile, beta: float,
     # Scatter the lag-indexed weights onto calendar positions so that
     # D = Dmat @ X in one matvec: column (m0 + r) mod n gets w_{m, r}.
     Dmat = np.zeros((n, n))
-    for m0 in range(n):
-        Dmat[m0, (m0 + 1 + np.arange(n)) % n] = W[m0, :]
+    Dmat[np.arange(n)[:, None], cal] = W
 
     return AffineCoefficients(
         A=PeriodicSeries(A), W=W, Wstar=Wstar,

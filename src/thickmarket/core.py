@@ -44,22 +44,8 @@ class PeriodicSeries:
     def period(self) -> int:
         return self.values.size
 
-    def at(self, m: int) -> float:
-        """Value at month m, 1-based, wrapping cyclically (any integer m)."""
-        return float(self.values[(m - 1) % self.period])
-
-    def rotated(self, k: int) -> "PeriodicSeries":
-        """Series shifted so that month m of the result is month m-k of self."""
-        return PeriodicSeries(np.roll(self.values, k))
-
     def mean(self) -> float:
         return float(self.values.mean())
-
-    def __len__(self) -> int:
-        return self.period
-
-    def __iter__(self):
-        return iter(self.values.tolist())
 
 
 def seasonal_deviation(series: PeriodicSeries) -> PeriodicSeries:
@@ -113,9 +99,6 @@ class HazardProfile:
     @property
     def phi_min(self) -> float:
         return float(self.survival.values.min())
-
-    def rotated(self, k: int) -> "HazardProfile":
-        return HazardProfile(self.survival.rotated(k))
 
 
 @dataclass(frozen=True)

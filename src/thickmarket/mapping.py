@@ -35,20 +35,6 @@ class EquilibriumState:
     def period(self) -> int:
         return self.X.period
 
-    @classmethod
-    def from_arrays(cls, X: np.ndarray, v: np.ndarray, params: ModelParams,
-                    coeffs: AffineCoefficients) -> "EquilibriumState":
-        """Build a state whose cutoffs are derived from its own (X, v)."""
-        eps = reservation_cutoffs(X, v, params, coeffs)
-        return cls(PeriodicSeries(X.copy()), PeriodicSeries(v.copy()),
-                   PeriodicSeries(eps))
-
-
-def reservation_cutoffs(X: np.ndarray, v: np.ndarray, params: ModelParams,
-                        coeffs: AffineCoefficients) -> np.ndarray:
-    """Clamped cutoffs min(max(0, (beta X_{m+1} + u - D_m)/A_m), v_m)."""
-    return _step(X, v, params, coeffs)[2]
-
 
 def _step(X: np.ndarray, v: np.ndarray, params: ModelParams,
           coeffs: AffineCoefficients) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .core import SEASONS
@@ -173,26 +174,20 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
     """
     t_index = panel.years * 12 + (panel.months - 1)
     t0, t1 = int(t_index.min()), int(t_index.max())
-    grid = np.full(t1 - t0 + 1, np.nan)
+    # at least one 13-month window; windows over the NaN padding are dropped
+    grid = np.full(max(t1 - t0 + 1, 13), np.nan)
     grid[t_index - t0] = panel.values
 
     weights = np.ones(13)
     weights[0] = weights[12] = 0.5
-    out_years, out_months, out_dev = [], [], []
-    for pos in range(6, grid.size - 6):
-        window_vals = grid[pos - 6: pos + 7]
-        if np.any(np.isnan(window_vals)) or np.isnan(grid[pos]):
-            continue
-        gbar = float(np.dot(weights, window_vals) / 12.0)
-        if gbar == 0.0:
-            raise DataError("centred rolling mean is zero; deviation undefined")
-        t = t0 + pos
-        out_years.append(t // 12)
-        out_months.append(t % 12 + 1)
-        out_dev.append(100.0 * (grid[pos] - gbar) / gbar)
-    return SeasonalComponents(years=np.asarray(out_years, int),
-                              months=np.asarray(out_months, int),
-                              deviations=np.asarray(out_dev, float))
+    windows = sliding_window_view(grid, 13)
+    pos = np.flatnonzero(~np.isnan(windows).any(axis=1))
+    gbar = np.vecdot(windows[pos], weights) / 12.0
+    if np.any(gbar == 0.0):
+        raise DataError("centred rolling mean is zero; deviation undefined")
+    t = t0 + pos + 6
+    return SeasonalComponents(years=t // 12, months=t % 12 + 1,
+                              deviations=100.0 * (grid[pos + 6] - gbar) / gbar)
 
 
 # ---------------------------------------------------------------------------

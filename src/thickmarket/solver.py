@@ -19,7 +19,7 @@ against ``max_iterations``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class EquilibriumSolution:
     iterations: int
     final_residual: float
     lambda_used: float
-    coeffs: AffineCoefficients = field(repr=False)
 
     @property
     def period(self) -> int:
@@ -83,20 +82,23 @@ def solve_equilibrium(params: ModelParams,
                       config: SolverConfig | None = None) -> EquilibriumSolution:
     """Solve T(X, v; u) = (X, v) at the u of ``params``.
 
-    Starts from ``config``'s point; the cutoffs and the outputs Q and P are
-    recomputed from the solved (X, v). Raises ``ConvergenceError`` when
-    ``max_iterations`` map evaluations do not reach the fixed point.
+    Starts from ``config``'s point. The cutoffs are those of the last map
+    evaluation, at the solved (X, v), and Q and P follow from them. Raises
+    ``ConvergenceError`` when ``max_iterations`` map evaluations do not
+    reach the fixed point.
     """
     config = config or SolverConfig()
     coeffs = compute_affine_coefficients(params.hazards, params.beta, params.u)
     n = params.period
-    z, evals, res = _newton(np.concatenate(_initial_point(params, coeffs, config)),
-                            params, coeffs, config, config.max_iterations)
-    state = EquilibriumState.from_arrays(z[:n], z[n:], params, coeffs)
+    z, evals, res, eps = _newton(
+        np.concatenate(_initial_point(params, coeffs, config)),
+        params, coeffs, config, config.max_iterations)
+    state = EquilibriumState(PeriodicSeries(z[:n]), PeriodicSeries(z[n:]),
+                             PeriodicSeries(eps))
     Q, P = compute_outputs(state, params, coeffs)
     return EquilibriumSolution(
         state=state, Q=Q, P=P, iterations=evals, final_residual=res,
-        lambda_used=config.lam, coeffs=coeffs)
+        lambda_used=config.lam)
 
 
 def solve_with_endogenous_u(params: ModelParams,
@@ -117,8 +119,8 @@ def solve_with_endogenous_u(params: ModelParams,
     n = params.period
     z = np.concatenate((*_initial_point(params, coeffs, config), [params.u]))
     # one evaluation is left for the final solve
-    z, evals, _ = _newton(z, params, coeffs, config, config.max_iterations - 1,
-                          ratio=config.rent_price_ratio)
+    z, evals, _, _ = _newton(z, params, coeffs, config, config.max_iterations - 1,
+                             ratio=config.rent_price_ratio)
     u = float(z[-1])
     final = replace(config, initial_X=z[:n], initial_v=z[n:-1],
                     max_iterations=config.max_iterations - evals)
@@ -128,12 +130,13 @@ def solve_with_endogenous_u(params: ModelParams,
 
 def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
             config: SolverConfig, budget: int, ratio: float | None = None
-            ) -> tuple[np.ndarray, int, float]:
+            ) -> tuple[np.ndarray, int, float, np.ndarray]:
     """Drive G(z) to zero from z in at most ``budget`` map evaluations.
 
     z is (X, v) at the fixed u of ``params``, or (X, v, u) with the u
     equation when ``ratio`` is given. Backtracks on the sup norm of G and
-    falls back to z += lam*G(z). Returns (z, evaluations, |G(z)|).
+    falls back to z += lam*G(z). Returns (z, evaluations, |G(z)|, eps),
+    where eps holds the clamped cutoffs of the evaluation at the returned z.
     """
     n = params.period
     endogenous = ratio is not None
@@ -178,7 +181,7 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
                 "service flow u collapsed toward zero; the rent-to-price "
                 "condition has no positive solution at these parameters "
                 "(degenerate, e.g. theta = 0)", iterations=evals)
-    return z, evals, res
+    return z, evals, res, eps
 
 
 def _jacobian_blocks(params: ModelParams, coeffs: AffineCoefficients,

@@ -15,6 +15,51 @@ def linear_solve_slopes(phi: np.ndarray, beta: float) -> np.ndarray:
     return np.linalg.solve(M, np.ones(n))
 
 
+def looped_coefficients(phi: np.ndarray, beta: float):
+    """The per-month loops the coefficient table replaced, kept verbatim as
+    a reference. Returns (A, W, Dmat) with D = Dmat @ X."""
+    n = phi.size
+
+    denom = 1.0 - beta ** n * float(np.prod(phi))
+
+    A = np.empty(n)
+    W = np.empty((n, n))
+    beta_pows = beta ** np.arange(n + 1)
+    for m0 in range(n):
+        # prods[s] = prod_{j=1..s} phi_{m+j}, s = 0..n-1 (empty product = 1)
+        ahead = phi[(m0 + 1 + np.arange(n - 1)) % n]
+        prods = np.concatenate(([1.0], np.cumprod(ahead)))
+        A[m0] = np.dot(beta_pows[:n], prods) / denom
+        W[m0, :] = beta_pows[1:] * prods * (1.0 - phi[(m0 + 1 + np.arange(n)) % n]) / denom
+
+    Dmat = np.zeros((n, n))
+    for m0 in range(n):
+        Dmat[m0, (m0 + 1 + np.arange(n)) % n] = W[m0, :]
+    return A, W, Dmat
+
+
+class TestCoefficientTableMatchesLoops:
+    """The one-table closed forms keep the looped formulas' bits."""
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 25])
+    def test_bit_identical_on_random_draws(self, n):
+        rng = np.random.default_rng([17, n])
+        for _ in range(200):
+            phi = rng.uniform(0.05, 0.9995, n)
+            beta = rng.uniform(0.05, 0.995)
+            c = compute_affine_coefficients(HazardProfile.from_survival(phi),
+                                            beta, 1.0)
+            A, W, Dmat = looped_coefficients(phi, beta)
+            X = rng.uniform(0.0, 50.0, (3, n))
+            Wstar = float(W.sum(axis=1).max())
+            lambda_bar = (1.0 - beta) / ((A.max() / A.min()) * (beta + Wstar))
+            assert np.array_equal(c.A.values, A)
+            assert np.array_equal(c.W, W)
+            assert np.array_equal(c.continuation_weights(X), X @ Dmat.T)
+            assert c.Wstar == Wstar
+            assert c.lambda_bar == lambda_bar
+
+
 class TestConstantHazardClosedForms:
     """With constant phi the cyclic sums telescope to scalar formulas."""
 

@@ -28,7 +28,7 @@ class TestNormalizeShares:
     def test_published_pre_column(self):
         shares = sipp_pre_shares()
         assert abs(shares.shares.values.sum() - 1.0) < 1e-12
-        assert abs(shares.shares.at(6) - 12.7 / 99.9) < 1e-12
+        assert abs(shares.shares.values[5] - 12.7 / 99.9) < 1e-12
         assert abs(np.sum(SIPP_PRE_RAW) - 99.9) < 1e-12
 
     def test_published_post_column_sum(self):

@@ -13,18 +13,6 @@ from thickmarket import (
 
 
 class TestPeriodicSeries:
-    def test_wraps_cyclically(self):
-        s = PeriodicSeries(np.arange(1.0, 13.0))
-        assert s.at(1) == 1.0
-        assert s.at(13) == 1.0
-        assert s.at(25) == 1.0
-        assert s.at(0) == 12.0
-
-    def test_rotation(self):
-        s = PeriodicSeries(np.arange(12.0))
-        r = s.rotated(2)
-        assert r.at(3) == s.at(1)
-
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             PeriodicSeries(np.array([1.0, np.nan]))

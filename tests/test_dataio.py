@@ -104,7 +104,7 @@ class TestReadSharesCsv:
         shares = read_shares_csv(write_csv(tmp_path / "m.csv", rows,
                                            header="month,share"))
         assert abs(shares.shares.values.sum() - 1.0) < 1e-12
-        assert shares.shares.at(12) == 12.0 / 78.0
+        assert shares.shares.values[11] == 12.0 / 78.0
 
     def test_numeric_months(self, tmp_path):
         rows = [f"{m},1" for m in range(1, 13)]

@@ -9,7 +9,6 @@ from thickmarket import (
     PeriodicSeries,
     compute_affine_coefficients,
     compute_outputs,
-    reservation_cutoffs,
 )
 from thickmarket.mapping import _step
 
@@ -18,6 +17,13 @@ def random_states(box, n, rng):
     X = rng.uniform(box.X_lo, box.X_hi, size=(n, 12))
     v = rng.uniform(box.v_lo, box.v_hi, size=(n, 12))
     return X, v
+
+
+def state_at(X, v, params, coeffs):
+    """The state at (X, v) with the map's clamped cutoffs there."""
+    eps = _step(X, v, params, coeffs)[2]
+    return EquilibriumState(PeriodicSeries(X.copy()), PeriodicSeries(v.copy()),
+                            PeriodicSeries(eps))
 
 
 def damped_map(X, v, lam, params, coeffs):
@@ -46,7 +52,7 @@ class TestMapStructure:
         Xn, vn, _ = _step(X, v, params, coeffs)
         assert np.ptp(Xn) == 0.0
         assert np.ptp(vn) == 0.0
-        assert np.ptp(reservation_cutoffs(Xn, vn, params, coeffs)) == 0.0
+        assert np.ptp(_step(Xn, vn, params, coeffs)[2]) == 0.0
 
     def test_clamp_invariant(self, pre_params, pre_coeffs):
         rng = np.random.default_rng(2)
@@ -63,11 +69,11 @@ class TestMapStructure:
         assert np.all(Xn >= box.X_lo) and np.all(Xn <= box.X_hi)
         assert np.all(vn >= box.v_lo) and np.all(vn <= box.v_hi)
 
-    def test_cutoffs_consistent_on_state(self, pre_params, pre_coeffs):
-        rng = np.random.default_rng(4)
-        X, v = random_states(pre_coeffs.box, 1, rng)
-        state = EquilibriumState.from_arrays(X[0], v[0], pre_params, pre_coeffs)
-        expected = reservation_cutoffs(X[0], v[0], pre_params, pre_coeffs)
+    def test_cutoffs_consistent_on_state(self, pre_params, pre_coeffs,
+                                         pre_solution):
+        """A solved state carries the map's cutoffs at its own (X, v)."""
+        state = pre_solution.state
+        expected = _step(state.X.values, state.v.values, pre_params, pre_coeffs)[2]
         assert np.array_equal(state.epsilon.values, expected)
 
 
@@ -79,9 +85,8 @@ class TestDamping:
         Xb, vb = damped_map(X[0], v[0], 1.0, pre_params, pre_coeffs)
         assert np.array_equal(Xa, Xb)
         assert np.array_equal(va, vb)
-        assert np.array_equal(
-            reservation_cutoffs(Xa, va, pre_params, pre_coeffs),
-            reservation_cutoffs(Xb, vb, pre_params, pre_coeffs))
+        assert np.array_equal(_step(Xa, va, pre_params, pre_coeffs)[2],
+                              _step(Xb, vb, pre_params, pre_coeffs)[2])
 
     def test_small_lambda_is_convex_combination(self, pre_params, pre_coeffs):
         rng = np.random.default_rng(6)
@@ -153,7 +158,7 @@ class TestOutputs:
         rng = np.random.default_rng(8)
         X = rng.uniform(coeffs.box.X_lo, coeffs.box.X_hi, 12)
         v = rng.uniform(coeffs.box.v_lo, coeffs.box.v_hi, 12)
-        state = EquilibriumState.from_arrays(X, v, params, coeffs)
+        state = state_at(X, v, params, coeffs)
         _, P = compute_outputs(state, params, coeffs)
         expected = 0.5 / (1.0 - beta)
         assert np.abs(P.values - expected).max() < 1e-12 * expected
@@ -162,8 +167,7 @@ class TestOutputs:
         rng = np.random.default_rng(9)
         X, v = random_states(pre_coeffs.box, 50, rng)
         for i in range(50):
-            state = EquilibriumState.from_arrays(X[i], v[i], pre_params,
-                                                 pre_coeffs)
+            state = state_at(X[i], v[i], pre_params, pre_coeffs)
             Q, _ = compute_outputs(state, pre_params, pre_coeffs)
             assert np.all(Q.values >= 0.0)
 
@@ -229,8 +233,7 @@ class TestKernelMatchesReference:
     def test_outputs(self, pre_params, pre_coeffs):
         X, v = random_states(pre_coeffs.box, 20, np.random.default_rng(11))
         for i in range(20):
-            state = EquilibriumState.from_arrays(X[i], v[i], pre_params,
-                                                 pre_coeffs)
+            state = state_at(X[i], v[i], pre_params, pre_coeffs)
             Q, P = compute_outputs(state, pre_params, pre_coeffs)
             Q_ref, P_ref = _outputs_reference(
                 X[i], v[i], state.epsilon.values, pre_params, pre_coeffs)

@@ -1,8 +1,9 @@
 """The vectorized seasonality battery against its looped formulas.
 
-``looped_annual_mean_deviation`` and ``looped_chow_scan`` are the
-per-year and per-candidate loops the vectorized code replaced, kept
-verbatim (bar the inlined year counts) as references. ``ols_hc1`` is
+``looped_annual_mean_deviation``, ``looped_centered_mean_deviation`` and
+``looped_chow_scan`` are the per-year, per-month and per-candidate loops
+the vectorized code replaced, kept verbatim (bar the inlined year counts)
+as references. ``ols_hc1`` is
 checked against ``np.linalg.lstsq`` plus an explicit HC1 sandwich.
 """
 
@@ -20,6 +21,7 @@ from thickmarket.seastats import (
     MonthlyPanel,
     SeasonalComponents,
     annual_mean_deviation,
+    centered_mean_deviation,
     chow_scan,
     fit_seasonal_shift,
     ols_hc1,
@@ -52,6 +54,31 @@ def looped_annual_mean_deviation(panel: MonthlyPanel,
     d = 100.0 * (panel.values[mask] - means) / means
     return SeasonalComponents(years=years, months=months, deviations=d,
                               dropped_years=dropped)
+
+
+def looped_centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
+    t_index = panel.years * 12 + (panel.months - 1)
+    t0, t1 = int(t_index.min()), int(t_index.max())
+    grid = np.full(t1 - t0 + 1, np.nan)
+    grid[t_index - t0] = panel.values
+
+    weights = np.ones(13)
+    weights[0] = weights[12] = 0.5
+    out_years, out_months, out_dev = [], [], []
+    for pos in range(6, grid.size - 6):
+        window_vals = grid[pos - 6: pos + 7]
+        if np.any(np.isnan(window_vals)) or np.isnan(grid[pos]):
+            continue
+        gbar = float(np.dot(weights, window_vals) / 12.0)
+        if gbar == 0.0:
+            raise DataError("centred rolling mean is zero; deviation undefined")
+        t = t0 + pos
+        out_years.append(t // 12)
+        out_months.append(t % 12 + 1)
+        out_dev.append(100.0 * (grid[pos] - gbar) / gbar)
+    return SeasonalComponents(years=np.asarray(out_years, int),
+                              months=np.asarray(out_months, int),
+                              deviations=np.asarray(out_dev, float))
 
 
 def looped_chow_scan(components: SeasonalComponents, candidate_years,
@@ -140,6 +167,28 @@ def test_first_zero_mean_year_named_like_loop():
     panel = MonthlyPanel(*map(np.array, zip(*rows)))
     for deviation in (annual_mean_deviation, looped_annual_mean_deviation):
         with pytest.raises(DataError, match="^year 2020 has zero mean"):
+            deviation(panel)
+
+
+@PROPERTY
+@given(layout=layouts(), seed=SEEDS)
+def test_centered_components_match_loop(layout, seed):
+    """Same kept months and the same bits on unbalanced panels with gaps."""
+    years, months = layout
+    values = np.random.default_rng(seed).uniform(50.0, 150.0, years.size)
+    panel = MonthlyPanel(years, months, values)
+    got = centered_mean_deviation(panel)
+    ref = looped_centered_mean_deviation(panel)
+    assert np.array_equal(got.years, ref.years)
+    assert np.array_equal(got.months, ref.months)
+    assert np.array_equal(got.deviations, ref.deviations)
+
+
+def test_zero_centred_mean_raises_like_loop():
+    rows = [(y, m, 0.0) for y in (2020, 2021) for m in range(1, 13)]
+    panel = MonthlyPanel(*map(np.array, zip(*rows)))
+    for deviation in (centered_mean_deviation, looped_centered_mean_deviation):
+        with pytest.raises(DataError, match="^centred rolling mean is zero"):
             deviation(panel)
 
 

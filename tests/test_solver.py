@@ -15,6 +15,7 @@ from thickmarket import (
     DomainError,
     HazardProfile,
     ModelParams,
+    PeriodicSeries,
     SolverConfig,
     compute_affine_coefficients,
     compute_outputs,
@@ -22,7 +23,7 @@ from thickmarket import (
     solve_equilibrium,
     solve_with_endogenous_u,
 )
-from thickmarket import solver
+from thickmarket import mapping, solver
 from thickmarket.calibrate import normalize_shares
 from thickmarket.fixtures import (
     DEFAULT_RENT_PRICE_RATIO,
@@ -123,6 +124,17 @@ class TestConvergenceContract:
         sol = solve_equilibrium(pre_params, SolverConfig())
         assert sol.iterations == len(calls) <= 50
 
+    def test_no_map_evaluation_outside_the_count(self, monkeypatch,
+                                                 pre_params, pre_seeded_at_u1):
+        """Every evaluation goes through the counted ``solver._step``."""
+        def uncounted(*args):
+            raise AssertionError("map evaluated outside the solver's count")
+
+        monkeypatch.setattr(mapping, "_step", uncounted)
+        assert solve_equilibrium(pre_params).final_residual >= 0.0
+        solution, u = solve_with_endogenous_u(pre_seeded_at_u1)
+        assert u > 0.0 and solution.iterations > 0
+
     def test_budget_covers_every_evaluation(self, pre_params, pre_solution):
         needed = pre_solution.iterations
         sol = solve_equilibrium(pre_params, SolverConfig(max_iterations=needed))
@@ -151,9 +163,10 @@ def _reference_loop(params, lam=0.9, tol=1e-12, max_iterations=100_000):
     X = np.full(params.period, coeffs.box.X_lo)
     v = params.hazards.hazard.values.copy()
     for _ in range(max_iterations):
-        X_new, v_new, _ = _step(X, v, params, coeffs)
+        X_new, v_new, eps = _step(X, v, params, coeffs)
         if max(np.abs(X_new - X).max(), np.abs(v_new - v).max()) < tol:
-            state = EquilibriumState.from_arrays(X, v, params, coeffs)
+            state = EquilibriumState(PeriodicSeries(X), PeriodicSeries(v),
+                                     PeriodicSeries(eps))
             return state, compute_outputs(state, params, coeffs)[1]
         X += lam * (X_new - X)
         v += lam * (v_new - v)
@@ -248,7 +261,8 @@ class TestUniquenessAndSymmetry:
         rotated = ModelParams(
             beta_hat=pre_params.beta_hat, delta=pre_params.delta,
             theta=pre_params.theta, u=pre_params.u,
-            hazards=pre_params.hazards.rotated(k))
+            hazards=HazardProfile.from_survival(
+                np.roll(pre_params.hazards.survival.values, k)))
         base = pre_solution
         rot = solve_equilibrium(rotated, SolverConfig())
         for attr in ("X", "v", "epsilon"):
@@ -315,8 +329,10 @@ def pre_seeded_at_u1(beta_pair, pre_hazards):
 class TestNewtonEndogenousU:
     def test_residual_of_the_full_system(self, newton_solves):
         for solution, u, params, _ in newton_solves:
+            coeffs = compute_affine_coefficients(params.hazards, params.beta,
+                                                 params.u)
             assert defect(solution.state.X.values, solution.state.v.values,
-                          params, solution.coeffs) <= 1e-12
+                          params, coeffs) <= 1e-12
             target = DEFAULT_RENT_PRICE_RATIO * solution.P.mean() / 12.0
             assert abs(target - u) <= 1e-12
 
