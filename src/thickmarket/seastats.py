@@ -9,9 +9,10 @@ season. A Chow scan over candidate break years checks that the break
 date is not an artifact of the chosen split.
 
 Every step is whole-array numpy with no Python loop over years or
-candidates. Year means come from ``np.bincount``. Least squares takes one
-R-only QR of [X y], so the explicit Q is never formed. The Chow scan
-works from per-(year, month) counts and sums of the month-centred
+candidates. Year means come from ``np.bincount``. Least squares fits each
+response against a design factored once into thin Q and R^-1; the shift
+regression keeps its last design's factor for the next panel. The Chow
+scan works from per-(year, month) counts and sums of the month-centred
 deviations, cumulated over years. p-values come from ``scipy.special``,
 which imports far faster than ``scipy.stats``; ``scipy.linalg`` is loaded
 only to name the dependent columns of a rank-deficient design.
@@ -20,6 +21,7 @@ only to name the dependent columns of a rank-deficient design.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -97,6 +99,13 @@ class ShiftRegressionFit:
         """True when residuals are at round-off level (noise-free input)."""
         scale = max(1.0, self.response_scale)
         return self.rss <= self.n_obs * (1e-10 * scale) ** 2
+
+
+@dataclass(frozen=True)
+class LeastSquaresDesign:
+    """A factored design X = QR: read-only thin Q (n-by-k) and R^-1."""
+    q: np.ndarray
+    r_inv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -194,25 +203,18 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
 # least squares core
 
 
-def ols_hc1(design: np.ndarray, response: np.ndarray,
-            names: tuple[str, ...] | None = None) -> OLSResult:
-    """OLS via the R factor of [X y] with the HC1 sandwich covariance.
-
-    The QR of [X y] gives R = R[:k, :k] and Q'y = R[:k, k] without forming
-    Q. HC1 = (n/(n-k)) (X'X)^{-1} X' diag(e^2) X (X'X)^{-1}. Raises
-    ``RankDeficientError`` naming the dependent columns when the design is
-    rank deficient.
-    """
+def factor_design(design: np.ndarray,
+                  names: tuple[str, ...] | None = None) -> LeastSquaresDesign:
+    """Read-only thin Q and R^-1 of an (n, k) design, n > k; raises
+    ``RankDeficientError`` naming the dependent columns of a singular one."""
     X = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
+    if X.ndim != 2:
         raise DomainError("design must be (n, k) and response length n")
     n, k = X.shape
     if n <= k:
         raise DomainError(f"need more observations ({n}) than columns ({k})")
 
-    Ry = np.linalg.qr(np.column_stack([X, y]), mode="r")
-    R, qty = Ry[:k, :k], Ry[:k, k]
+    Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
     tol = (diag.max() if diag.size else 0.0) * max(n, k) * np.finfo(float).eps
     if np.any(diag <= tol):
@@ -228,17 +230,28 @@ def ols_hc1(design: np.ndarray, response: np.ndarray,
             f"design matrix is rank deficient (rank {rank} of {k}); "
             f"dependent columns: {offending}", columns=list(offending))
 
-    beta = np.linalg.solve(R, qty)
-
-    resid = y - X @ beta
-    rss = float(resid @ resid)
-
     r_inv = np.linalg.inv(R)
-    xtx_inv = r_inv @ r_inv.T
+    Q.flags.writeable = r_inv.flags.writeable = False
+    return LeastSquaresDesign(q=Q, r_inv=r_inv)
 
-    scores = X * resid[:, None]
-    meat = scores.T @ scores
-    cov = (n / (n - k)) * xtx_inv @ meat @ xtx_inv
+
+def ols_hc1(design: np.ndarray | LeastSquaresDesign, response: np.ndarray,
+            names: tuple[str, ...] | None = None) -> OLSResult:
+    """OLS and HC1 covariance from X = QR (an array is factored first):
+    beta = R^-1 Q'y, e = y - Q Q'y, HC1 = (n/(n-k)) R^-1 Q' diag(e^2) Q R^-T."""
+    if not isinstance(design, LeastSquaresDesign):
+        design = factor_design(design, names)
+    Q, r_inv = design.q, design.r_inv
+    y = np.asarray(response, dtype=float)
+    n, k = Q.shape
+    if y.ndim != 1 or y.size != n:
+        raise DomainError("design must be (n, k) and response length n")
+    qty = Q.T @ y
+    beta = r_inv @ qty
+    resid = y - Q @ qty
+    rss = float(resid @ resid)
+    scores = Q * resid[:, None]
+    cov = (n / (n - k)) * r_inv @ (scores.T @ scores) @ r_inv.T
     return OLSResult(coefficients=beta, cov_hc1=cov, df_resid=n - k, rss=rss)
 
 
@@ -253,26 +266,17 @@ def _sum_coded_months(months: np.ndarray) -> np.ndarray:
 # shift regression and tests
 
 
-def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
-                       include_year_effects: bool = True) -> ShiftRegressionFit:
-    """Regress components on month effects, POST, and month-by-POST terms.
-
-    POST marks observations in years >= ``break_year``. Sum-to-zero
-    constraints on the month effects and on the interactions are imposed by
-    reparameterization: 11 free coefficients per block, the 12th recovered
-    as minus their sum. Year effects, when included, enter as dummies for
-    all years except one baseline year on each side of the break, which
-    keeps POST identified.
-    """
-    years = components.years
-    months = components.months
-    d = components.deviations
+@lru_cache(maxsize=1)
+def _shift_design(layout, break_year, include_year_effects):
+    """Read-only factored shift design and gamma and mu positions; ``layout``
+    is the (dtype, shape, bytes) of the years and of the months."""
+    years, months = (np.frombuffer(b, t).reshape(s) for t, s, b in layout)
     post = (years >= break_year).astype(float)
     if post.min() == post.max():
         raise DataError(
             f"observations must span both sides of the break year {break_year}")
 
-    blocks = [np.ones((d.size, 1))]
+    blocks = [np.ones((years.size, 1))]
     names: list[str] = ["const"]
     if include_year_effects:
         pre_baseline = int(years[post == 0.0].min())
@@ -293,8 +297,27 @@ def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
     blocks.append(mcols * post[:, None])
     names.extend(f"month_{j}:post" for j in range(1, 12))
 
-    X = np.hstack(blocks)
-    fit = ols_hc1(X, d, names=tuple(names))
+    design = factor_design(np.hstack(blocks), names=tuple(names))
+    gamma_idx.flags.writeable = mu_idx.flags.writeable = False
+    return design, gamma_idx, mu_idx
+
+
+def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
+                       include_year_effects: bool = True) -> ShiftRegressionFit:
+    """Regress components on month effects, POST, and month-by-POST terms.
+
+    POST marks observations in years >= ``break_year``. Sum-to-zero
+    constraints on the month effects and on the interactions are imposed by
+    reparameterization: 11 free coefficients per block, the 12th recovered
+    as minus their sum. Year effects, when included, enter as dummies for
+    all years except one baseline year on each side of the break, which
+    keeps POST identified.
+    """
+    d = components.deviations
+    layout = tuple((a.dtype.str, a.shape, a.tobytes())
+                   for a in (components.years, components.months))
+    design, gamma_idx, mu_idx = _shift_design(layout, break_year, include_year_effects)
+    fit = ols_hc1(design, d)
 
     gamma_free = fit.coefficients[gamma_idx]
     mu_free = fit.coefficients[mu_idx]
@@ -371,13 +394,19 @@ def directional_contrast(fit: ShiftRegressionFit) -> TestReport:
                       df_denominator=fit.df_resid)
 
 
+# Position in SEASONS of each month 1..12 (-1 at the unused entry 0).
+_SEASON_OF_MONTH = np.array([-1] + [k for m in range(1, 13) for k, months
+                                    in enumerate(SEASONS.values()) if m in months])
+
+
 def seasonal_delta(components: SeasonalComponents,
                    break_year: int) -> SeasonalDeltas:
     """Post-minus-pre change in the average deviation for each season."""
     post = components.years >= break_year
+    season_of = _SEASON_OF_MONTH[components.months]
     out = {}
-    for season, months in SEASONS.items():
-        in_season = np.isin(components.months, months)
+    for k, season in enumerate(SEASONS):
+        in_season = season_of == k
         pre_cell = components.deviations[in_season & ~post]
         post_cell = components.deviations[in_season & post]
         if pre_cell.size == 0 or post_cell.size == 0:

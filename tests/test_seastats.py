@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from thickmarket import seastats
 from thickmarket.errors import DataError, RankDeficientError
 from thickmarket.seastats import (
     MonthlyPanel,
@@ -11,6 +12,7 @@ from thickmarket.seastats import (
     centered_mean_deviation,
     chow_scan,
     directional_contrast,
+    factor_design,
     fit_seasonal_shift,
     joint_F_test,
     ols_hc1,
@@ -227,6 +229,143 @@ class TestFitSeasonalShift:
         fit_b = ols_hc1(np.hstack([np.ones((120, 1)),
                                    _sum_coded_months(months)]), demeaned)
         assert np.abs(fit_a.coefficients[-11:] - fit_b.coefficients[-11:]).max() < 1e-9
+
+
+def shift_design_matrix(years, months, break_year, year_effects):
+    """The shift design restated: const, year dummies bar the first year on
+    each side of the break, post, sum-coded months, their post terms."""
+    post = (years >= break_year).astype(float)[:, None]
+    coded = np.column_stack([(months == m).astype(float) - (months == 12)
+                             for m in range(1, 12)])
+    baselines = (years.min(), years[years >= break_year].min())
+    dummies = [(years == y).astype(float) for y in np.unique(years)
+               if y not in baselines]
+    return np.column_stack([np.ones(years.size)]
+                           + (dummies if year_effects else [])
+                           + [post, coded, coded * post])
+
+
+def assert_matches_lstsq_hc1(fit, X, y):
+    n, k = X.shape
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    bread = np.linalg.inv(X.T @ X)
+    scores = X * (y - X @ beta)[:, None]
+    cov = n / (n - k) * bread @ (scores.T @ scores) @ bread
+    np.testing.assert_allclose(fit.beta, beta, rtol=1e-10,
+                               atol=1e-10 * np.abs(beta).max())
+    np.testing.assert_allclose(fit.cov, cov, rtol=1e-10,
+                               atol=1e-10 * np.abs(cov).max())
+
+
+class TestFactorReuse:
+    """fit_seasonal_shift factors a design once and refactors on any change
+    to the layout (values or dtype), the break year or the year effects."""
+
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return factor_design(*args, **kwargs)
+
+        seastats._shift_design.cache_clear()
+        monkeypatch.setattr(seastats, "factor_design", counting)
+        yield calls
+        seastats._shift_design.cache_clear()
+
+    @staticmethod
+    def noisy(years, months, seed):
+        rng = np.random.default_rng(seed)
+        d = SEASONAL[months - 1] + rng.standard_normal(years.size)
+        return SeasonalComponents(years=years, months=months, deviations=d)
+
+    def fit_and_check(self, comp, break_year, year_effects=True):
+        fit = fit_seasonal_shift(comp, break_year,
+                                 include_year_effects=year_effects)
+        X = shift_design_matrix(comp.years, comp.months, break_year,
+                                year_effects)
+        assert_matches_lstsq_hc1(fit, X, comp.deviations)
+        return fit
+
+    def test_repeated_fits_factor_once(self, factor_calls):
+        years = np.repeat(np.arange(2012, 2024), 12)
+        months = np.tile(MONTHS, 12)
+        for seed in range(4):
+            self.fit_and_check(self.noisy(years, months, seed), 2019)
+        assert len(factor_calls) == 1
+
+    def test_each_design_change_factors_again(self, factor_calls):
+        years = np.repeat(np.arange(2012, 2024), 12)
+        months = np.tile(MONTHS, 12)
+        kept = years != 2015
+        variants = [
+            (self.noisy(years, months, 1), 2019, True),
+            (self.noisy(years, months, 2), 2020, True),
+            (self.noisy(years, months, 3), 2020, False),
+            (self.noisy(years.astype(np.int32), months, 4), 2020, False),
+            (self.noisy(years[kept], months[kept], 5), 2020, False),
+        ]
+        for count, (comp, break_year, year_effects) in enumerate(variants, 1):
+            self.fit_and_check(comp, break_year, year_effects)
+            assert len(factor_calls) == count
+        assert factor_calls[4] == (132, 24)
+
+    def test_cached_arrays_are_read_only(self, factor_calls):
+        years = np.repeat(np.arange(2012, 2024), 12)
+        comp = self.noisy(years, np.tile(MONTHS, 12), 6)
+        fit = fit_seasonal_shift(comp, 2019)
+        with pytest.raises(ValueError):
+            fit.mu_idx[0] = 0
+        again = fit_seasonal_shift(comp, 2019)
+        assert again.mu_idx is fit.mu_idx
+        assert len(factor_calls) == 1
+
+    def test_rank_deficient_design_is_never_cached(self, factor_calls):
+        years = np.repeat(np.arange(2012, 2024), 12)
+        months = np.tile(MONTHS, 12)
+        good = self.noisy(years, months, 7)
+        no_may = months != 5
+        bad = self.noisy(years[no_may], months[no_may], 8)
+        first = fit_seasonal_shift(good, 2019)
+        for _ in range(2):
+            with pytest.raises(RankDeficientError) as err:
+                fit_seasonal_shift(bad, 2019)
+            assert err.value.columns == ["month_5", "month_5:post"]
+        after = fit_seasonal_shift(good, 2019)
+        np.testing.assert_array_equal(after.cov, first.cov)
+        assert len(factor_calls) == 3
+
+
+class TestFactoredDesign:
+    def test_factored_and_array_paths_agree_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        X = np.column_stack([np.ones(120), rng.standard_normal((120, 6))])
+        y = X @ rng.standard_normal(7) + rng.standard_normal(120)
+        names = tuple(f"c{j}" for j in range(7))
+        a = ols_hc1(factor_design(X, names), y)
+        b = ols_hc1(X, y)
+        np.testing.assert_array_equal(a.coefficients, b.coefficients)
+        np.testing.assert_array_equal(a.cov_hc1, b.cov_hc1)
+        assert (a.rss, a.df_resid) == (b.rss, b.df_resid)
+
+    def test_rank_deficiency_named_alike_on_both_paths(self):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(40)
+        X = np.column_stack([np.ones(40), x, rng.standard_normal(40), 2.0 * x])
+        names = ("const", "a", "b", "c")
+        with pytest.raises(RankDeficientError) as direct:
+            factor_design(X, names)
+        with pytest.raises(RankDeficientError) as via_fit:
+            ols_hc1(X, rng.standard_normal(40), names=names)
+        assert direct.value.columns == via_fit.value.columns
+        assert str(direct.value) == str(via_fit.value)
+
+    def test_factor_is_read_only(self):
+        design = factor_design(np.random.default_rng(32).standard_normal((9, 3)))
+        for array in (design.q, design.r_inv):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
 
 
 class TestJointF:

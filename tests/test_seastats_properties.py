@@ -261,10 +261,12 @@ def test_shift_fit_matches_lstsq_sandwich(layout, seed, year_effects):
     sample_years = np.unique(years)
     break_year = int(sample_years[sample_years.size // 2])
     rng = np.random.default_rng(seed)
-    d = rng.uniform(-5.0, 5.0, 13)[months] + rng.standard_normal(years.size)
-    fit = fit_seasonal_shift(
+    profile = rng.uniform(-5.0, 5.0, 13)[months]
+    responses = [profile + rng.standard_normal(years.size) for _ in range(2)]
+    # The second fit reuses the factored design of the first.
+    fits = [fit_seasonal_shift(
         SeasonalComponents(years=years, months=months, deviations=d),
-        break_year, include_year_effects=year_effects)
+        break_year, include_year_effects=year_effects) for d in responses]
 
     post = (years >= break_year).astype(float)[:, None]
     coded = np.column_stack([(months == m).astype(float) - (months == 12)
@@ -274,7 +276,8 @@ def test_shift_fit_matches_lstsq_sandwich(layout, seed, year_effects):
     X = np.column_stack([np.ones(years.size)]
                         + (dummies if year_effects else [])
                         + [post, coded, coded * post])
-    assert_matches_lstsq(fit.beta, fit.cov, X, d)
+    for fit, d in zip(fits, responses):
+        assert_matches_lstsq(fit.beta, fit.cov, X, d)
 
 
 @PROPERTY
