@@ -1,9 +1,10 @@
 """Command-line interface: calibration, solving, and seasonality tests.
 
-Every run writes its outputs plus a ``manifest.json`` recording the
-resolved parameters, a replayable argument vector and the working
-directory; ``rerun`` replays a manifest, from any directory, into a fresh
-output directory and reproduces the outputs byte for byte.
+Every run that succeeds writes its outputs plus a ``manifest.json``
+recording the resolved parameters, a replayable argument vector and the
+working directory; a run that fails writes nothing. ``rerun`` replays a
+manifest, from any directory, into a fresh output directory and
+reproduces the outputs byte for byte.
 Exit codes: 0 success, 1 solver non-convergence, 2 input or domain error
 (including malformed JSON), 3 internal error (an unexpected exception; its
 traceback goes to stderr).
@@ -21,8 +22,6 @@ import sys
 import traceback
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .calibrate import hazards_from_shares, shares_from_trends, solve_kappa
@@ -45,6 +44,7 @@ from .fixtures import (
     DEFAULT_DELTA,
     DEFAULT_RENT_PRICE_RATIO,
     DEFAULT_THETA,
+    SHARE_FIXTURES,
     load_biannual_benchmark,
     shares_fixture,
 )
@@ -68,7 +68,9 @@ from .workflows import (
 
 ENV_OUTDIR = "THICKMARKET_OUTDIR"
 INPUT_FILE = "FILE"   # metavar of every option naming an input file
-FIXTURES = ["sipp-pre", "sipp-post"]
+# Machine-handoff files that a later command reads back (solve --hazards,
+# solve --warm-start): written at full precision so the reader sees exact floats.
+FULL_PRECISION = frozenset({"hazards.json", "solution.json"})
 
 
 def _write_manifest(out_dir: Path, args, parameters: dict,
@@ -110,15 +112,14 @@ def _write_manifest(out_dir: Path, args, parameters: dict,
 def _parse_years(spec: str) -> list[int]:
     """Year list from 'A-B' ranges and comma-separated entries."""
     years: list[int] = []
-    for token in spec.split(","):
-        token = token.strip()
-        if "-" in token:
-            a, b = token.split("-", 1)
-            years.extend(range(int(a), int(b) + 1))
-        elif token:
-            years.append(int(token))
+    try:
+        for token in filter(None, map(str.strip, spec.split(","))):
+            a, _, b = token.partition("-")
+            years.extend(range(int(a), int(b or a) + 1))
+    except ValueError:
+        years = []
     if not years:
-        raise DataError(f"cannot parse year list '{spec}'")
+        raise DataError(f"cannot parse --trend-years '{spec}' (e.g. 2010-2020)")
     return years
 
 
@@ -162,25 +163,22 @@ def _solver_config(args) -> SolverConfig:
 # commands
 
 
-# Each command writes its outputs into ``out_dir`` and returns them with
-# its manifest parameters; ``_dispatch`` writes the manifest.
+# Each command returns its documents, keyed by output file name, and its
+# manifest parameters; ``_dispatch`` writes both.
 
 
-def cmd_calibrate(args, out_dir: Path):
+def cmd_calibrate(args):
     shares, eta, label = _resolve_shares(args)
     kappa = solve_kappa(shares, eta)
     hazards = hazards_from_shares(shares, eta)
     doc = hazards_to_dict(hazards, kappa, eta)
     doc["shares"] = shares.shares.values.tolist()
     doc["source"] = label
-    # machine-handoff file: full precision so solve sees the exact hazards
-    outputs = [write_results(doc, out_dir / "hazards.json",
-                             full_precision=True)]
     print(f"calibrated hazards from {label}: kappa={kappa:.6g} eta={eta}")
-    return outputs, {"eta": eta, "kappa": kappa, "source": label}
+    return {"hazards.json": doc}, {"eta": eta, "kappa": kappa, "source": label}
 
 
-def cmd_solve(args, out_dir: Path):
+def cmd_solve(args):
     config = _solver_config(args)
     if args.warm_start:
         snapshot = read_equilibrium_json(args.warm_start)
@@ -188,31 +186,27 @@ def cmd_solve(args, out_dir: Path):
         config.initial_v = snapshot["v"]
     if args.hazards_file:
         hz_doc = read_hazards_json(args.hazards_file)
-        hazards = HazardProfile.from_survival(np.asarray(hz_doc["survival"]))
+        hazards = HazardProfile.from_survival(hz_doc["survival"])
         eta = args.eta if args.eta is not None else hz_doc.get("eta")
         label = str(args.hazards_file)
-        solution, u, params = solve_hazards(
-            hazards, annual_rate=args.annual_rate, delta=args.delta,
-            theta=args.theta, u_fixed=args.u_fixed, config=config)
     else:
         shares, eta, label = _resolve_shares(args)
-        solution, u, params = solve_calibration(
-            shares, eta, annual_rate=args.annual_rate, delta=args.delta,
-            theta=args.theta, u_fixed=args.u_fixed, config=config)
+        hazards = hazards_from_shares(shares, eta)
+    solution, u, _ = solve_hazards(
+        hazards, annual_rate=args.annual_rate, delta=args.delta,
+        theta=args.theta, u_fixed=args.u_fixed, config=config)
 
     doc = equilibrium_to_dict(solution, u=u)
     if eta is not None:
         doc["eta"] = eta
     doc["source"] = label
     summary = deviation_summary(solution)
-    outputs = [write_results(doc, out_dir / "solution.json",
-                             full_precision=True)]
     rows = [[m, summary["P"]["deviation"][m - 1], summary["Q"]["deviation"][m - 1]]
             for m in range(1, solution.period + 1)]
-    outputs.append(write_results(
-        {"columns": ["month", "P_dev", "Q_dev"], "rows": rows},
-        out_dir / "deviations.csv", format="csv"))
-    outputs.append(write_results(summary, out_dir / "summary.json"))
+    outputs = {"solution.json": doc,
+               "deviations.csv": {"columns": ["month", "P_dev", "Q_dev"],
+                                  "rows": rows},
+               "summary.json": summary}
 
     name = summary["P"].get("peak_month_name", summary["P"]["peak_month"])
     print(f"solved {label}: u={u:.6g}, {solution.iterations} iterations, "
@@ -223,7 +217,7 @@ def cmd_solve(args, out_dir: Path):
                      "delta": args.delta, "theta": args.theta, "source": label}
 
 
-def cmd_compare(args, out_dir: Path):
+def cmd_compare(args):
     config = _solver_config(args)
     pre_shares, pre_eta, pre_label = _resolve_shares(args, "pre")
     post_shares, post_eta, post_label = _resolve_shares(args, "post")
@@ -238,13 +232,11 @@ def cmd_compare(args, out_dir: Path):
         report["pre"][key]["deviation"], report["post"][key]["deviation"],
         report["delta"][key]["per_month"])]
     rows = [list(row) for row in zip(MONTH_NAMES, *columns)]
-    outputs = [
-        write_results({"columns": ["month", "P_dev_pre", "P_dev_post",
-                                   "P_dev_change", "Q_dev_pre", "Q_dev_post",
-                                   "Q_dev_change"], "rows": rows},
-                      out_dir / "compare.csv", format="csv"),
-        write_results(report, out_dir / "compare.json"),
-    ]
+    outputs = {"compare.csv": {"columns": ["month", "P_dev_pre", "P_dev_post",
+                                           "P_dev_change", "Q_dev_pre",
+                                           "Q_dev_post", "Q_dev_change"],
+                               "rows": rows},
+               "compare.json": report}
     for key in ("P", "Q"):
         ch = report["delta"][key]["season_mean_changes"]
         print(f"{key}: peak {report['pre'][key]['peak_month_name']} -> "
@@ -266,8 +258,11 @@ def _load_components(args):
     return annual_mean_deviation(panel, min_months_per_year=args.min_months)
 
 
-def cmd_shift_test(args, out_dir: Path):
+def cmd_shift_test(args):
     components = _load_components(args)
+    if components.deviations.size == 0:
+        raise DataError(f"{args.data}: no observations left to test "
+                        f"(--mode {args.mode}, --min-months {args.min_months})")
     fit = fit_seasonal_shift(components, args.break_year,
                              include_year_effects=not args.no_year_effects)
     joint = joint_F_test(fit)
@@ -293,10 +288,7 @@ def cmd_shift_test(args, out_dir: Path):
                   contrast.p_value, deltas.winter, deltas.spring,
                   deltas.summer, deltas.autumn]],
     }
-    outputs = [
-        write_results(report, out_dir / "shift_test.json"),
-        write_results(table, out_dir / "shift_test.txt", format="table"),
-    ]
+    outputs = {"shift_test.json": report, "shift_test.txt": table}
     print(f"joint F = {joint.statistic:.3g} (p = {joint.p_value:.3g}); "
           f"contrast t = {contrast.statistic:.3g} (p1 = {contrast.p_value:.3g})")
     print(f"seasonal deltas (pp): winter {deltas.winter:+.2f}, "
@@ -305,7 +297,7 @@ def cmd_shift_test(args, out_dir: Path):
     return outputs, {"break_year": args.break_year, "mode": args.mode}
 
 
-def cmd_break_scan(args, out_dir: Path):
+def cmd_break_scan(args):
     components = _load_components(args)
     scan = chow_scan(components, range(args.from_year, args.to_year + 1))
     rows = [[e.year, e.F, e.p_value] for e in scan.entries]
@@ -316,11 +308,8 @@ def cmd_break_scan(args, out_dir: Path):
     }
     if scan.entries:
         report["max_F_year"] = scan.best().year
-    outputs = [
-        write_results(report, out_dir / "break_scan.json"),
-        write_results({"columns": ["year", "F", "p"], "rows": rows},
-                      out_dir / "break_scan.txt", format="table"),
-    ]
+    outputs = {"break_scan.json": report,
+               "break_scan.txt": {"columns": ["year", "F", "p"], "rows": rows}}
     for e in scan.entries:
         print(f"  {e.year}: F = {e.F:.3g} (p = {e.p_value:.3g})")
     for year, reason in scan.skipped:
@@ -328,7 +317,7 @@ def cmd_break_scan(args, out_dir: Path):
     return outputs, {"from_year": args.from_year, "to_year": args.to_year}
 
 
-def cmd_replicate_nt(args, out_dir: Path):
+def cmd_replicate_nt(args):
     if args.params:
         path = Path(args.params)
         if not path.exists():
@@ -340,8 +329,9 @@ def cmd_replicate_nt(args, out_dir: Path):
     else:
         params = load_biannual_benchmark()
     config = SolverConfig(lam=args.lam, max_iterations=args.max_iter)
-    report = replicate_biannual(params, config)
-    outputs = [write_results(report, out_dir / "benchmark_report.json")]
+    report = replicate_biannual(params, config,
+                                args.params or "bundled benchmark file")
+    outputs = {"benchmark_report.json": report}
     labels = report["labels"]
     for i, label in enumerate(labels):
         print(f"  {label}: vacancies {report['vacancies'][i]:.4f}, "
@@ -387,7 +377,7 @@ def cmd_rerun(args, out_dir: Path) -> list[Path]:
 
 
 def _add_share_source(p):
-    p.add_argument("--fixture", choices=FIXTURES, default=None,
+    p.add_argument("--fixture", choices=SHARE_FIXTURES, default=None,
                    help="bundled share table")
     p.add_argument("--shares", default=None, metavar=INPUT_FILE,
                    help="CSV with header month,share (months 1-12 or Jan-Dec)")
@@ -396,27 +386,27 @@ def _add_share_source(p):
                         "within-year volumes averaged over --trend-years")
     p.add_argument("--trend-years", default=None,
                    help="years to average for --trends, e.g. 2010-2020")
+    etas = ", ".join(f"{name} {eta}" for name, (_, eta) in SHARE_FIXTURES.items())
     p.add_argument("--eta", type=float, default=None,
-                   help="annual move rate (defaults per fixture: 0.103 pre, "
-                        "0.083 post)")
+                   help=f"annual move rate (default per fixture: {etas})")
 
 
 def _add_solver_flags(p):
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01,
-                   help="damped fallback step of the solver (default 0.01)")
-    p.add_argument("--max-iter", type=int, default=2_000_000,
-                   help="budget of map evaluations (default 2000000)")
-    p.add_argument("--rent-ratio", type=float, default=DEFAULT_RENT_PRICE_RATIO,
-                   help="annual rent-to-price ratio for endogenous u")
+    p.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
+                   help="damped fallback step of the solver (default %(default)s)")
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations,
+                   help="budget of map evaluations (default %(default)s)")
 
 
 def _add_model_flags(p):
     p.add_argument("--annual-rate", type=float, default=DEFAULT_ANNUAL_RATE,
-                   help="annual interest rate (default 0.06)")
+                   help="annual interest rate (default %(default)s)")
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
-                   help="monthly disruption probability (default 0.025)")
+                   help="monthly disruption probability (default %(default)s)")
     p.add_argument("--theta", type=float, default=DEFAULT_THETA,
-                   help="seller bargaining weight (default 0.5)")
+                   help="seller bargaining weight (default %(default)s)")
+    p.add_argument("--rent-ratio", type=float, default=DEFAULT_RENT_PRICE_RATIO,
+                   help="annual rent-to-price ratio for endogenous u")
 
 
 def _add_panel_flags(p):
@@ -460,8 +450,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("compare", help="pre vs post calibration side by side")
-    p.add_argument("--pre-fixture", choices=FIXTURES, default="sipp-pre")
-    p.add_argument("--post-fixture", choices=FIXTURES, default="sipp-post")
+    pre, post = SHARE_FIXTURES
+    p.add_argument("--pre-fixture", choices=SHARE_FIXTURES, default=pre)
+    p.add_argument("--post-fixture", choices=SHARE_FIXTURES, default=post)
     p.add_argument("--pre-shares", default=None, metavar=INPUT_FILE,
                    help="month,share CSV for the pre side (needs --pre-eta)")
     p.add_argument("--post-shares", default=None, metavar=INPUT_FILE,
@@ -488,8 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="two-season benchmark validation (n = 2)")
     p.add_argument("--params", default=None, metavar=INPUT_FILE,
                    help="JSON parameter file (default: bundled fixture)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--max-iter", type=int, default=2_000_000)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_replicate_nt)
 
     p = sub.add_parser("rerun", help="replay a manifest")
@@ -503,12 +493,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> list[Path]:
-    """Run a command: outputs, then the manifest, then a line per output."""
+    """Run a command, then write its outputs, the manifest and a line each."""
     out_dir = Path(args.out or os.environ.get(ENV_OUTDIR) or ".")
     if args.func is cmd_rerun:
         return cmd_rerun(args, out_dir)
+    documents, parameters = args.func(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs, parameters = args.func(args, out_dir)
+    outputs = [write_results(doc, out_dir / name,
+                             full_precision=name in FULL_PRECISION)
+               for name, doc in documents.items()]
     _write_manifest(out_dir, args, parameters, outputs)
     for p in outputs:
         print(f"wrote {p}")

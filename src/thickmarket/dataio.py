@@ -1,8 +1,9 @@
 """CSV ingestion, CPI deflation, and deterministic result writers.
 
 Input series are plain ``date,value`` CSVs (ISO year-month dates; full
-dates are truncated to the month). Outputs are written with stable key
-ordering and 6-significant-digit formatting so identical inputs produce
+dates are truncated to the month). ``write_results`` writes every output
+file, in the format its suffix names, with stable key ordering and 6
+significant digits (or exact floats), so identical inputs produce
 byte-identical files.
 """
 
@@ -190,25 +191,24 @@ def round6(obj):
     return obj
 
 
-def write_results(results, path, format: str = "json",
-                  full_precision: bool = False) -> Path:
+def write_results(results, path, full_precision: bool = False) -> Path:
     """Write a result object deterministically; returns the path written.
 
-    ``json`` expects any JSON-serializable object, ``csv`` a dict with
-    'columns' (list of names) and 'rows' (list of row sequences), and
-    ``table`` the same shape rendered as aligned text.
+    The suffix picks the format: ``.json`` takes any JSON-serializable
+    object, ``.csv`` a dict with 'columns' (list of names) and 'rows'
+    (list of row sequences), and ``.txt`` the same shape rendered as an
+    aligned table. The parent directory must exist.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if format == "json":
+    if path.suffix == ".json":
         payload = results if full_precision else round6(results)
         text = json.dumps(payload, sort_keys=True, indent=2,
                           ensure_ascii=False) + "\n"
-    elif format in ("csv", "table"):
+    elif path.suffix in (".csv", ".txt"):
         columns = list(results["columns"])
         rows = [[_fmt_cell(c, full_precision) for c in row]
                 for row in results["rows"]]
-        if format == "csv":
+        if path.suffix == ".csv":
             lines = [",".join(columns)]
             lines += [",".join(row) for row in rows]
         else:
@@ -219,7 +219,8 @@ def write_results(results, path, format: str = "json",
                       for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        raise DataError(f"unknown output format '{format}'")
+        raise DataError(f"{path}: unknown output format "
+                        "(suffix must be .json, .csv or .txt)")
     try:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -270,26 +271,29 @@ def load_json_object(path: Path) -> dict:
     return doc
 
 
-def read_hazards_json(path):
-    """Load a calibrated hazard document (as written by hazards_to_dict)."""
+def _read_arrays_json(path, keys: tuple[str, ...], kind: str) -> dict:
+    """Load a JSON object whose ``keys`` hold arrays of numbers; they come
+    back as numpy vectors."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     doc = load_json_object(path)
-    if "survival" not in doc:
-        raise DataError(f"{path}: hazard document lacks a 'survival' array")
+    missing = set(keys) - set(doc)
+    if missing:
+        raise DataError(f"{path}: {kind} lacks arrays {sorted(missing)}")
+    for key in keys:
+        try:
+            doc[key] = np.asarray(doc[key], dtype=float)
+        except (TypeError, ValueError):
+            raise DataError(f"{path}: '{key}' must be an array of numbers") from None
     return doc
+
+
+def read_hazards_json(path) -> dict:
+    """Load a calibrated hazard document (as written by hazards_to_dict)."""
+    return _read_arrays_json(path, ("survival",), "hazard document")
 
 
 def read_equilibrium_json(path) -> dict:
-    """Load an equilibrium snapshot; arrays come back as numpy vectors."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    doc = load_json_object(path)
-    missing = {"X", "v", "epsilon", "Q", "P"} - set(doc)
-    if missing:
-        raise DataError(f"{path}: snapshot lacks arrays {sorted(missing)}")
-    for key in ("X", "v", "epsilon", "Q", "P"):
-        doc[key] = np.asarray(doc[key], dtype=float)
-    return doc
+    """Load an equilibrium snapshot (as written by equilibrium_to_dict)."""
+    return _read_arrays_json(path, ("X", "v", "epsilon", "Q", "P"), "snapshot")

@@ -28,22 +28,21 @@ DEFAULT_DELTA = 0.025
 DEFAULT_THETA = 0.5
 DEFAULT_RENT_PRICE_RATIO = 0.03
 
-
-def sipp_pre_shares() -> MoveShares:
-    return normalize_shares(SIPP_PRE_RAW)
-
-
-def sipp_post_shares() -> MoveShares:
-    return normalize_shares(SIPP_POST_RAW)
+# name -> (share column, default annual move rate); compare's pre and post
+# sides default to the first and the second.
+SHARE_FIXTURES = {
+    "sipp-pre": (SIPP_PRE_RAW, ETA_PRE),
+    "sipp-post": (SIPP_POST_RAW, ETA_POST),
+}
 
 
 def shares_fixture(name: str) -> tuple[MoveShares, float]:
     """Resolve a named share fixture to (shares, default eta)."""
-    if name == "sipp-pre":
-        return sipp_pre_shares(), ETA_PRE
-    if name == "sipp-post":
-        return sipp_post_shares(), ETA_POST
-    raise DataError(f"unknown share fixture '{name}' (use sipp-pre or sipp-post)")
+    if name not in SHARE_FIXTURES:
+        raise DataError(f"unknown share fixture '{name}' "
+                        f"(use {' or '.join(SHARE_FIXTURES)})")
+    raw, eta = SHARE_FIXTURES[name]
+    return normalize_shares(raw), eta
 
 
 def load_biannual_benchmark() -> dict:

@@ -235,12 +235,9 @@ def factor_design(design: np.ndarray,
     return LeastSquaresDesign(q=Q, r_inv=r_inv)
 
 
-def ols_hc1(design: np.ndarray | LeastSquaresDesign, response: np.ndarray,
-            names: tuple[str, ...] | None = None) -> OLSResult:
-    """OLS and HC1 covariance from X = QR (an array is factored first):
+def ols_hc1(design: LeastSquaresDesign, response: np.ndarray) -> OLSResult:
+    """OLS and HC1 covariance from a factored X = QR:
     beta = R^-1 Q'y, e = y - Q Q'y, HC1 = (n/(n-k)) R^-1 Q' diag(e^2) Q R^-T."""
-    if not isinstance(design, LeastSquaresDesign):
-        design = factor_design(design, names)
     Q, r_inv = design.q, design.r_inv
     y = np.asarray(response, dtype=float)
     n, k = Q.shape
@@ -272,7 +269,7 @@ def _shift_design(layout, break_year, include_year_effects):
     is the (dtype, shape, bytes) of the years and of the months."""
     years, months = (np.frombuffer(b, t).reshape(s) for t, s, b in layout)
     post = (years >= break_year).astype(float)
-    if post.min() == post.max():
+    if not post.any() or post.all():
         raise DataError(
             f"observations must span both sides of the break year {break_year}")
 

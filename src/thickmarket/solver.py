@@ -26,6 +26,7 @@ import numpy as np
 from .affine import AffineCoefficients, compute_affine_coefficients
 from .core import ModelParams, PeriodicSeries
 from .errors import ConvergenceError, DomainError
+from .fixtures import DEFAULT_RENT_PRICE_RATIO
 from .mapping import EquilibriumState, _prices, _step, compute_outputs
 
 _TOL = 1e-12              # stop at |G| <= _TOL * max(1, |z|), sup norms
@@ -36,7 +37,7 @@ _LINE_SEARCH_CUTS = 8     # step halvings tried before a damped fallback step
 class SolverConfig:
     lam: float = 0.01                   # damped fallback step z += lam*G(z)
     max_iterations: int = 2_000_000     # budget of map evaluations
-    rent_price_ratio: float = 0.03
+    rent_price_ratio: float = DEFAULT_RENT_PRICE_RATIO
     initial_X: np.ndarray | None = None    # None: flat at u/(1-beta)
     initial_v: np.ndarray | None = None    # None: v_m = 1 - phi_m
 

@@ -10,7 +10,6 @@ from .errors import DataError
 from .fixtures import (
     DEFAULT_ANNUAL_RATE,
     DEFAULT_DELTA,
-    DEFAULT_RENT_PRICE_RATIO,
     DEFAULT_THETA,
 )
 from .solver import EquilibriumSolution, SolverConfig, solve_equilibrium, solve_with_endogenous_u
@@ -29,7 +28,7 @@ def solve_hazards(hazards: HazardProfile,
     configured rent-to-price ratio; otherwise the equilibrium is solved
     once at the given u. Returns (solution, u, params).
     """
-    config = config or SolverConfig(rent_price_ratio=DEFAULT_RENT_PRICE_RATIO)
+    config = config or SolverConfig()
     beta_hat, _ = compose_beta(annual_rate, delta)
     if u_fixed is not None:
         params = ModelParams(beta_hat=beta_hat, delta=delta, theta=theta,
@@ -80,26 +79,29 @@ def deviation_summary(solution: EquilibriumSolution) -> dict:
     return {"P": describe(dev_P), "Q": describe(dev_Q)}
 
 
-def replicate_biannual(params: dict,
-                       config: SolverConfig | None = None) -> dict:
+def replicate_biannual(params: dict, config: SolverConfig | None = None,
+                       source: str = "benchmark parameter file") -> dict:
     """Solve the two-season benchmark and compare against its targets.
 
     ``params`` must carry beta_hat, delta, theta, u, and survival (a list
     of per-season survival probabilities); an optional ``targets`` block
     with sale_probability, vacancies, and tolerance turns the report into
-    a pass/fail validation.
+    a pass/fail validation. ``source`` names the parameters in errors.
     """
     required = ("beta_hat", "delta", "theta", "u", "survival")
     missing = [k for k in required if k not in params]
     if missing:
         raise DataError(
-            f"benchmark parameter file lacks required fields {missing}; "
+            f"{source} lacks required fields {missing}; "
             f"expected at least {list(required)}")
-    hazards = HazardProfile.from_survival(np.asarray(params["survival"], float))
-    model = ModelParams(beta_hat=float(params["beta_hat"]),
-                        delta=float(params["delta"]),
-                        theta=float(params["theta"]),
-                        u=float(params["u"]), hazards=hazards)
+    try:
+        beta_hat, delta, theta, u = (float(params[k]) for k in required[:4])
+        survival = np.asarray(params["survival"], float)
+    except (TypeError, ValueError):
+        raise DataError(f"{source}: {list(required[:4])} must be numbers and "
+                        "survival a list of numbers") from None
+    model = ModelParams(beta_hat=beta_hat, delta=delta, theta=theta, u=u,
+                        hazards=HazardProfile.from_survival(survival))
     solution = solve_equilibrium(model, config or SolverConfig())
     v = solution.state.v.values
     eps = solution.state.epsilon.values

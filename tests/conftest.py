@@ -28,10 +28,7 @@ from thickmarket import (  # noqa: E402
 from thickmarket.fixtures import (  # noqa: E402
     DEFAULT_DELTA,
     DEFAULT_THETA,
-    ETA_POST,
-    ETA_PRE,
-    sipp_post_shares,
-    sipp_pre_shares,
+    shares_fixture,
 )
 
 
@@ -87,12 +84,12 @@ def beta_pair():
 
 @pytest.fixture(scope="session")
 def pre_hazards():
-    return hazards_from_shares(sipp_pre_shares(), ETA_PRE)
+    return hazards_from_shares(*shares_fixture("sipp-pre"))
 
 
 @pytest.fixture(scope="session")
 def post_hazards():
-    return hazards_from_shares(sipp_post_shares(), ETA_POST)
+    return hazards_from_shares(*shares_fixture("sipp-post"))
 
 
 @pytest.fixture(scope="session")

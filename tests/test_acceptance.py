@@ -28,11 +28,8 @@ from thickmarket.dataio import deflate_and_index, read_monthly_csv, to_panel
 from thickmarket.fixtures import (
     DEFAULT_DELTA,
     DEFAULT_THETA,
-    ETA_POST,
-    ETA_PRE,
     load_biannual_benchmark,
-    sipp_post_shares,
-    sipp_pre_shares,
+    shares_fixture,
 )
 from thickmarket.mapping import _step
 from thickmarket.seastats import (
@@ -275,8 +272,8 @@ class TestCriterion7:
             expected = 12.0 * (1.0 - (1.0 - eta) ** (1.0 / 12.0))
             worst_closed = max(worst_closed, abs(got - expected))
         worst_resid = 0.0
-        for shares, eta in ((sipp_pre_shares(), ETA_PRE),
-                            (sipp_post_shares(), ETA_POST)):
+        for shares, eta in (shares_fixture("sipp-pre"),
+                            shares_fixture("sipp-post")):
             kappa = solve_kappa(shares, eta)
             worst_resid = max(worst_resid,
                               abs(survival_product(shares, kappa) - (1 - eta)))

@@ -18,21 +18,19 @@ from thickmarket.fixtures import (
     ETA_PRE,
     SIPP_POST_RAW,
     SIPP_PRE_RAW,
-    sipp_post_shares,
-    sipp_pre_shares,
 )
 from thickmarket.seastats import MonthlyPanel
 
 
 class TestNormalizeShares:
     def test_published_pre_column(self):
-        shares = sipp_pre_shares()
+        shares = normalize_shares(SIPP_PRE_RAW)
         assert abs(shares.shares.values.sum() - 1.0) < 1e-12
         assert abs(shares.shares.values[5] - 12.7 / 99.9) < 1e-12
         assert abs(np.sum(SIPP_PRE_RAW) - 99.9) < 1e-12
 
     def test_published_post_column_sum(self):
-        shares = sipp_post_shares()
+        shares = normalize_shares(SIPP_POST_RAW)
         assert abs(np.sum(SIPP_POST_RAW) - 100.1) < 1e-12
         assert np.abs(shares.shares.values * 100.1 - SIPP_POST_RAW).max() < 1e-12
 
@@ -60,18 +58,18 @@ class TestSolveKappa:
             assert abs(kappa - expected) < 1e-10
 
     def test_vanishing_move_rate(self):
-        shares = sipp_pre_shares()
+        shares = normalize_shares(SIPP_PRE_RAW)
         assert solve_kappa(shares, 1e-9) < 1e-7
 
     def test_product_residual(self):
-        for shares, eta in ((sipp_pre_shares(), ETA_PRE),
-                            (sipp_post_shares(), ETA_POST)):
+        for shares, eta in ((normalize_shares(SIPP_PRE_RAW), ETA_PRE),
+                            (normalize_shares(SIPP_POST_RAW), ETA_POST)):
             kappa = solve_kappa(shares, eta)
             assert abs(survival_product(shares, kappa) - (1 - eta)) < 1e-12
 
     def test_against_fine_grid_scan(self):
         """Independent oracle: argmin over a 10^7-point grid of the product."""
-        shares = sipp_pre_shares()
+        shares = normalize_shares(SIPP_PRE_RAW)
         kappa = solve_kappa(shares, ETA_PRE)
         s = shares.shares.values
         hi = (1.0 - 1e-12) / s.max()
@@ -99,13 +97,13 @@ class TestSolveKappa:
             assert f_lo > 0.0 > f_hi
 
     def test_kappa_increases_with_eta(self):
-        shares = sipp_pre_shares()
+        shares = normalize_shares(SIPP_PRE_RAW)
         kappas = [solve_kappa(shares, eta)
                   for eta in np.linspace(0.02, 0.9, 15)]
         assert np.all(np.diff(kappas) > 0.0)
 
     def test_eta_out_of_range(self):
-        shares = sipp_pre_shares()
+        shares = normalize_shares(SIPP_PRE_RAW)
         for eta in (0.0, 1.0, -0.2):
             with pytest.raises(DomainError):
                 solve_kappa(shares, eta)
@@ -119,19 +117,19 @@ class TestHazardsFromShares:
         assert np.abs(hz.hazard.values - expected).max() < 1e-10
 
     def test_annual_survival_identity(self):
-        for shares, eta in ((sipp_pre_shares(), ETA_PRE),
-                            (sipp_post_shares(), ETA_POST)):
+        for shares, eta in ((normalize_shares(SIPP_PRE_RAW), ETA_PRE),
+                            (normalize_shares(SIPP_POST_RAW), ETA_POST)):
             hz = hazards_from_shares(shares, eta)
             assert abs(np.prod(hz.survival.values) - (1.0 - eta)) < 1e-10
 
     def test_modal_months(self):
-        pre = hazards_from_shares(sipp_pre_shares(), ETA_PRE)
-        post = hazards_from_shares(sipp_post_shares(), ETA_POST)
+        pre = hazards_from_shares(normalize_shares(SIPP_PRE_RAW), ETA_PRE)
+        post = hazards_from_shares(normalize_shares(SIPP_POST_RAW), ETA_POST)
         assert int(np.argmax(pre.hazard.values)) + 1 == 6    # June
         assert int(np.argmax(post.hazard.values)) + 1 == 8   # August
 
     def test_share_round_trip(self):
-        shares = sipp_pre_shares()
+        shares = normalize_shares(SIPP_PRE_RAW)
         hz = hazards_from_shares(shares, ETA_PRE)
         implied = hz.hazard.values / hz.hazard.values.sum()
         assert np.abs(implied - shares.shares.values).max() < 1e-10

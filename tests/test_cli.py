@@ -10,7 +10,7 @@ from thickmarket import cli
 from thickmarket.cli import main
 from thickmarket.calibrate import hazards_from_shares, solve_kappa
 from thickmarket.errors import DataError
-from thickmarket.fixtures import ETA_POST, shares_fixture, sipp_post_shares
+from thickmarket.fixtures import load_biannual_benchmark, shares_fixture
 
 PARSER = cli._build_parser()
 SUBPARSERS = next(a for a in PARSER._actions
@@ -73,9 +73,9 @@ class TestCalibrateCommand:
         out = tmp_path / "cal"
         assert run(["calibrate", "--fixture", "sipp-post", "--out", out]) == 0
         doc = json.loads((out / "hazards.json").read_text())
-        shares = sipp_post_shares()
-        hz = hazards_from_shares(shares, ETA_POST)
-        kappa = solve_kappa(shares, ETA_POST)
+        shares, eta = shares_fixture("sipp-post")
+        hz = hazards_from_shares(shares, eta)
+        kappa = solve_kappa(shares, eta)
         assert doc["hazard"] == hz.hazard.values.tolist()
         assert doc["kappa"] == kappa
         assert int(np.argmax(doc["hazard"])) + 1 == 8   # August modal post-2021
@@ -457,3 +457,46 @@ class TestExitCodes:
         assert run([command, *source, "--max-iter", 0,
                     "--out", tmp_path / "x"]) == 2
         assert "at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["calibrate", "--trends", "{trends}", "--trend-years", "abc",
+          "--eta", 0.1], "--trend-years"),
+        (["calibrate", "--trends", "{trends}", "--trend-years", "2010-x",
+          "--eta", 0.1], "--trend-years"),
+        (["shift-test", "--data", "{panel}", "--min-months", 13],
+         "--min-months"),
+        (["solve", "--hazards", "{hazards}", "--u-fixed", 0.0014], "{hazards}"),
+        (["replicate-nt", "--params", "{params}"], "{params}"),
+    ], ids=["trend-years", "trend-range", "min-months", "hazards", "params"])
+    def test_ill_typed_input_is_input_error(self, tmp_path, capsys, argv,
+                                            named):
+        """Values that parse as the wrong type exit 2 and name their source."""
+        files = {"{trends}": tmp_path / "trends.csv",
+                 "{panel}": tmp_path / "panel.csv",
+                 "{hazards}": tmp_path / "hazards.json",
+                 "{params}": tmp_path / "params.json"}
+        files["{trends}"].write_text("date,value\n2015-01,1\n")
+        make_shift_panel(files["{panel}"], np.random.default_rng(51))
+        files["{hazards}"].write_text(json.dumps(
+            {"survival": [0.99] * 11 + ["abc"]}))
+        files["{params}"].write_text(json.dumps(
+            {**load_biannual_benchmark(), "beta_hat": "abc"}))
+        argv = [files.get(a, a) for a in argv]
+        assert run(argv + ["--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(files.get(named, named)) in err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["calibrate"], 2),
+        (["solve", "--fixture", "sipp-pre", "--u-fixed", 0.0014,
+          "--max-iter", 3], 1),
+        (["shift-test", "--data", "{missing}"], 2),
+        (["rerun", "{missing}"], 2),
+    ], ids=["calibrate", "solve", "shift-test", "rerun"])
+    def test_failed_command_creates_no_output_directory(self, tmp_path, argv,
+                                                        code):
+        argv = [tmp_path / "missing" if a == "{missing}" else a for a in argv]
+        out = tmp_path / "out"
+        assert run(argv + ["--out", out]) == code
+        assert not out.exists()

@@ -236,18 +236,22 @@ class TestWriters:
         values = rng.standard_normal(len(dates)) * 100
         rows = [[f"{y}-{m:02d}", v] for (y, m), v in zip(dates, values.tolist())]
         path = write_results({"columns": ["date", "value"], "rows": rows},
-                             tmp_path / "panel.csv", format="csv",
-                             full_precision=True)
+                             tmp_path / "panel.csv", full_precision=True)
         back = read_monthly_csv(path)
         assert back.dates == tuple(dates)
         assert np.array_equal(back.values, values)
 
     def test_table_format_aligns(self, tmp_path):
         path = write_results({"columns": ["a", "bb"], "rows": [[1, 2.5]]},
-                             tmp_path / "t.txt", format="table")
+                             tmp_path / "t.txt")
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].split() == ["a", "bb"]
+
+    def test_unknown_suffix_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="suffix must be .json, .csv or .txt"):
+            write_results({"x": 1.0}, tmp_path / "r.yaml")
+        assert not (tmp_path / "r.yaml").exists()
 
 
 class TestFixtureIntegrity:

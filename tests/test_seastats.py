@@ -151,21 +151,21 @@ class TestOlsHc1:
         rng = np.random.default_rng(21)
         X = np.column_stack([np.ones(30), rng.standard_normal((30, 3))])
         b = np.array([1.0, -2.0, 0.5, 3.0])
-        res = ols_hc1(X, X @ b)
+        res = ols_hc1(factor_design(X), X @ b)
         assert np.abs(res.coefficients - b).max() < 1e-10
         assert res.rss < 1e-20
 
     def test_two_point_line(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([2.0, 5.0])
-        res = ols_hc1(np.vstack([X, X]), np.concatenate([y, y]))
+        res = ols_hc1(factor_design(np.vstack([X, X])), np.concatenate([y, y]))
         assert np.allclose(res.coefficients, [2.0, 3.0])
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(22)
         X = np.column_stack([np.ones(200), rng.standard_normal((200, 5))])
         y = X @ rng.standard_normal(6) + rng.standard_normal(200)
-        res = ols_hc1(X, y)
+        res = ols_hc1(factor_design(X), y)
         beta_ne = np.linalg.solve(X.T @ X, X.T @ y)
         assert np.abs(res.coefficients - beta_ne).max() < 1e-8
         e = y - X @ beta_ne
@@ -180,7 +180,7 @@ class TestOlsHc1:
         x = rng.standard_normal(40)
         X = np.column_stack([np.ones(40), x, 2.0 * x])
         with pytest.raises(RankDeficientError) as err:
-            ols_hc1(X, rng.standard_normal(40), names=("const", "a", "b"))
+            factor_design(X, ("const", "a", "b"))
         assert err.value.columns
 
 
@@ -212,6 +212,11 @@ class TestFitSeasonalShift:
         with pytest.raises(DataError, match="both sides"):
             fit_seasonal_shift(comp, 2021)
 
+    def test_empty_sample_rejected(self):
+        empty = components_from({})
+        with pytest.raises(DataError, match="both sides"):
+            fit_seasonal_shift(empty, 2021)
+
     def test_fwl_year_effects_equal_demeaning(self):
         """Month effects agree between year-dummy and within-year-demeaned fits."""
         rng = np.random.default_rng(25)
@@ -223,11 +228,13 @@ class TestFitSeasonalShift:
         from thickmarket.seastats import _sum_coded_months
         year_dummies = np.column_stack(
             [(years == yy).astype(float) for yy in range(2010, 2020)])
-        fit_a = ols_hc1(np.hstack([year_dummies, _sum_coded_months(months)]), y)
+        fit_a = ols_hc1(factor_design(
+            np.hstack([year_dummies, _sum_coded_months(months)])), y)
         demeaned = y - np.repeat(
             [y[years == yy].mean() for yy in range(2010, 2020)], 12)
-        fit_b = ols_hc1(np.hstack([np.ones((120, 1)),
-                                   _sum_coded_months(months)]), demeaned)
+        fit_b = ols_hc1(factor_design(np.hstack([np.ones((120, 1)),
+                                                 _sum_coded_months(months)])),
+                        demeaned)
         assert np.abs(fit_a.coefficients[-11:] - fit_b.coefficients[-11:]).max() < 1e-9
 
 
@@ -338,29 +345,6 @@ class TestFactorReuse:
 
 
 class TestFactoredDesign:
-    def test_factored_and_array_paths_agree_bit_for_bit(self):
-        rng = np.random.default_rng(30)
-        X = np.column_stack([np.ones(120), rng.standard_normal((120, 6))])
-        y = X @ rng.standard_normal(7) + rng.standard_normal(120)
-        names = tuple(f"c{j}" for j in range(7))
-        a = ols_hc1(factor_design(X, names), y)
-        b = ols_hc1(X, y)
-        np.testing.assert_array_equal(a.coefficients, b.coefficients)
-        np.testing.assert_array_equal(a.cov_hc1, b.cov_hc1)
-        assert (a.rss, a.df_resid) == (b.rss, b.df_resid)
-
-    def test_rank_deficiency_named_alike_on_both_paths(self):
-        rng = np.random.default_rng(31)
-        x = rng.standard_normal(40)
-        X = np.column_stack([np.ones(40), x, rng.standard_normal(40), 2.0 * x])
-        names = ("const", "a", "b", "c")
-        with pytest.raises(RankDeficientError) as direct:
-            factor_design(X, names)
-        with pytest.raises(RankDeficientError) as via_fit:
-            ols_hc1(X, rng.standard_normal(40), names=names)
-        assert direct.value.columns == via_fit.value.columns
-        assert str(direct.value) == str(via_fit.value)
-
     def test_factor_is_read_only(self):
         design = factor_design(np.random.default_rng(32).standard_normal((9, 3)))
         for array in (design.q, design.r_inv):

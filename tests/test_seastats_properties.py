@@ -3,7 +3,7 @@
 ``looped_annual_mean_deviation``, ``looped_centered_mean_deviation`` and
 ``looped_chow_scan`` are the per-year, per-month and per-candidate loops
 the vectorized code replaced, kept verbatim (bar the inlined year counts)
-as references. ``ols_hc1`` is
+as references. ``ols_hc1`` on a factored design is
 checked against ``np.linalg.lstsq`` plus an explicit HC1 sandwich.
 """
 
@@ -23,6 +23,7 @@ from thickmarket.seastats import (
     annual_mean_deviation,
     centered_mean_deviation,
     chow_scan,
+    factor_design,
     fit_seasonal_shift,
     ols_hc1,
 )
@@ -246,7 +247,7 @@ def test_ols_hc1_matches_lstsq_sandwich(k, extra, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((k + extra, k))
     y = X @ rng.standard_normal(k) + rng.standard_normal(k + extra)
-    res = ols_hc1(X, y)
+    res = ols_hc1(factor_design(X), y)
     assert_matches_lstsq(res.coefficients, res.cov_hc1, X, y)
     assert res.df_resid == extra
 
@@ -298,6 +299,6 @@ def test_rank_deficiency_names_pivoted_qr_columns(k, extra, seed, n_dependent):
     expected = sorted(labels[j] for j in piv[rank:])
 
     with pytest.raises(RankDeficientError) as err:
-        ols_hc1(X, rng.standard_normal(n), names=labels)
+        factor_design(X, labels)
     assert err.value.columns == expected
     assert len(expected) == n_dependent
