@@ -3,9 +3,10 @@
 Monthly moving hazards are taken proportional to the observed share of
 annual moves in each month, 1 - phi_m = kappa * s_m, with the scalar kappa
 pinned by the annual move rate eta through the survival identity
-prod_m (1 - kappa * s_m) = 1 - eta. The product is strictly decreasing in
-kappa and equals one at kappa = 0, so the root is unique and bisection is
-exact enough at tolerance 1e-12.
+prod_m (1 - kappa * s_m) = 1 - eta. The product is convex and falls from
+one to zero on [0, 1/max_m s_m], so Newton from kappa = 0 climbs to the
+unique root without passing it (Fourier's condition). It stops at the
+first step that does not raise kappa.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HazardProfile, PeriodicSeries
-from .errors import DataError, DomainError
+from .errors import ConvergenceError, DataError, DomainError
 
-_BISECTION_MAX_STEPS = 200
-_PRODUCT_TOL = 1e-12
+# Newton steps allowed; shares with empty months and eta near 1 take about 20
+_NEWTON_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -52,34 +53,25 @@ def survival_product(shares: MoveShares, kappa: float) -> float:
 
 
 def solve_kappa(shares: MoveShares, eta: float) -> float:
-    """Find the unique kappa with prod(1 - kappa*s_m) = 1 - eta by bisection.
+    """Find the unique kappa with prod(1 - kappa*s_m) = 1 - eta by Newton.
 
-    The root lies in (0, 1/max_m s_m): the product decreases strictly from
-    1 to 0 on that interval, so the endpoints always bracket the target for
-    any eta in (0, 1).
+    The product's slope is -prod * sum_m s_m / (1 - kappa*s_m). The root lies
+    in (0, 1/max_m s_m) for eta in (0, 1). Raises ``ConvergenceError`` if
+    the steps run out.
     """
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    s_max = float(shares.shares.values.max())
     target = 1.0 - eta
-
-    lo, hi = 0.0, (1.0 - 1e-12) / s_max
-    f_lo = survival_product(shares, lo) - target
-    f_hi = survival_product(shares, hi) - target
-    if not (f_lo > 0.0 and f_hi < 0.0):
-        raise DomainError("bisection endpoints fail to bracket the root")
-
-    kappa = 0.5 * (lo + hi)
-    for _ in range(_BISECTION_MAX_STEPS):
-        kappa = 0.5 * (lo + hi)
-        f_mid = survival_product(shares, kappa) - target
-        if abs(f_mid) < _PRODUCT_TOL:
-            break
-        if f_mid > 0.0:
-            lo = kappa
-        else:
-            hi = kappa
-    return kappa
+    if not 0.0 < target < 1.0:   # also rejects an eta that 1 - eta rounds away
+        raise DomainError(f"eta must lie in (0, 1) with 1 - eta < 1, got {eta}")
+    s = shares.shares.values
+    kappa = 0.0
+    for _ in range(_NEWTON_MAX_STEPS):
+        prod = survival_product(shares, kappa)
+        step = (prod - target) / (prod * float(np.sum(s / (1.0 - kappa * s))))
+        if not kappa + step > kappa:
+            return kappa
+        kappa += step
+    raise ConvergenceError(f"kappa did not converge in {_NEWTON_MAX_STEPS} "
+                           f"Newton steps (eta = {eta})")
 
 
 def hazards_from_shares(shares: MoveShares, eta: float) -> HazardProfile:
@@ -94,7 +86,7 @@ def compose_beta(annual_interest_rate: float, delta: float) -> tuple[float, floa
     beta = beta_hat * (1 - delta) also prices in the monthly probability
     delta that a transaction in progress is disrupted.
     """
-    if annual_interest_rate <= -1.0:
+    if not annual_interest_rate > -1.0:
         raise DomainError(
             f"annual interest rate must exceed -1, got {annual_interest_rate}")
     if not 0.0 <= delta < 1.0:
@@ -136,5 +128,4 @@ def shares_from_trends(panel, years) -> MoveShares:
         if not total > 0.0:
             raise DataError(f"year {year} has a non-positive annual total")
         share_rows.append(row / total)
-    mean_shares = np.mean(share_rows, axis=0)
-    return MoveShares(shares=PeriodicSeries(mean_shares / mean_shares.sum()))
+    return normalize_shares(np.mean(share_rows, axis=0))

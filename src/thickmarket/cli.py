@@ -170,7 +170,7 @@ def _solver_config(args) -> SolverConfig:
 def cmd_calibrate(args):
     shares, eta, label = _resolve_shares(args)
     kappa = solve_kappa(shares, eta)
-    hazards = hazards_from_shares(shares, eta)
+    hazards = HazardProfile.from_hazard(kappa * shares.shares.values)
     doc = hazards_to_dict(hazards, kappa, eta)
     doc["shares"] = shares.shares.values.tolist()
     doc["source"] = label
@@ -253,16 +253,16 @@ def _load_components(args):
         cpi = read_monthly_csv(args.deflate_by)
         series = deflate_and_index(series, cpi, base_year=args.base_year)
     panel = to_panel(series)
-    if args.mode == "centered12":
-        return centered_mean_deviation(panel)
-    return annual_mean_deviation(panel, min_months_per_year=args.min_months)
+    components = (centered_mean_deviation(panel) if args.mode == "centered12"
+                  else annual_mean_deviation(panel, args.min_months))
+    if components.deviations.size == 0:
+        raise DataError(f"{args.data}: no observations left to test "
+                        f"(--mode {args.mode}, --min-months {args.min_months})")
+    return components
 
 
 def cmd_shift_test(args):
     components = _load_components(args)
-    if components.deviations.size == 0:
-        raise DataError(f"{args.data}: no observations left to test "
-                        f"(--mode {args.mode}, --min-months {args.min_months})")
     fit = fit_seasonal_shift(components, args.break_year,
                              include_year_effects=not args.no_year_effects)
     joint = joint_F_test(fit)
@@ -420,8 +420,9 @@ def _add_panel_flags(p):
                    help="minimum months for a year to enter (annual mode)")
     p.add_argument("--deflate-by", default=None, metavar=INPUT_FILE,
                    help="price-index CSV used to deflate the series first")
-    p.add_argument("--base-year", type=int, default=2019,
-                   help="index base year when deflating (mean = 100)")
+    p.add_argument("--base-year", type=int, default=None,
+                   help="year whose deflated mean is rescaled to 100 "
+                        "(default: none; no deviation depends on it)")
 
 
 @functools.cache   # one parser per process: main, rerun and manifests share it

@@ -125,8 +125,8 @@ class ModelParams:
             raise DomainError(f"delta must lie in [0, 1), got {self.delta}")
         if not 0.0 <= self.theta <= 1.0:
             raise DomainError(f"theta must lie in [0, 1], got {self.theta}")
-        if not self.u > 0.0:
-            raise DomainError(f"u must be positive, got {self.u}")
+        if not 0.0 < self.u < np.inf:
+            raise DomainError(f"u must be positive and finite, got {self.u}")
         if not 0.0 < self.beta < 1.0:
             raise DomainError(f"effective discount beta must lie in (0, 1), got {self.beta}")
 

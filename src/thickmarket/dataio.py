@@ -134,12 +134,12 @@ def read_shares_csv(path) -> MoveShares:
 
 
 def deflate_and_index(nominal: RawSeries, cpi: RawSeries,
-                      base_year: int) -> RawSeries:
-    """Deflate by a price index and rescale the base-year mean to 100.
+                      base_year: int | None = None) -> RawSeries:
+    """Deflate by a price index, then rescale the base-year mean to 100.
 
-    The deflator must cover every month of the nominal series, and the
-    base year must be fully present (all 12 months) in the deflated
-    series.
+    The deflator must cover every month of the nominal series. With a
+    ``base_year`` that year must be fully present (all 12 months) in the
+    deflated series; with none the deflated values are returned unscaled.
     """
     cpi_map = dict(zip(cpi.dates, cpi.values.tolist()))
     real = []
@@ -151,6 +151,8 @@ def deflate_and_index(nominal: RawSeries, cpi: RawSeries,
             raise DataError(f"deflator is zero at {date[0]}-{date[1]:02d}")
         real.append(value / deflator)
     real = np.array(real)
+    if base_year is None:
+        return RawSeries(dates=nominal.dates, values=real)
     base_mask = np.array([d[0] == base_year for d in nominal.dates])
     if base_mask.sum() != 12:
         raise DataError(f"base year {base_year} is not fully present "

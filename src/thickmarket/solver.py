@@ -111,10 +111,14 @@ def solve_with_endogenous_u(params: ModelParams,
     warm-started ``solve_equilibrium`` at the solved u then takes one
     evaluation and builds the solution, whose ``iterations`` counts every
     map evaluation, capped by ``max_iterations``. The ratio is annual,
-    hence the 12. Raises ``ConvergenceError`` when the budget runs out or
-    when u collapses toward zero (prices without a surplus component, e.g.
-    theta = 0).
+    hence the 12. Raises ``DomainError`` at theta = 0, where every price is
+    u/(1 - beta) and the u equation has no isolated positive root, and
+    ``ConvergenceError`` when the budget runs out or u collapses toward zero.
     """
+    if params.theta == 0.0:
+        raise DomainError(
+            "theta = 0 prices every month at u/(1 - beta), so the rent-to-price "
+            "condition cannot pin u; fix u instead (--u-fixed)")
     config = config or SolverConfig()
     coeffs = compute_affine_coefficients(params.hazards, params.beta, params.u)
     n = params.period
@@ -180,8 +184,8 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
         if u_of(z) <= u_floor:
             raise ConvergenceError(
                 "service flow u collapsed toward zero; the rent-to-price "
-                "condition has no positive solution at these parameters "
-                "(degenerate, e.g. theta = 0)", iterations=evals)
+                "condition has no positive solution at these parameters",
+                iterations=evals)
     return z, evals, res, eps
 
 

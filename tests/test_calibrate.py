@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thickmarket import (
     DataError,
@@ -65,7 +67,7 @@ class TestSolveKappa:
         for shares, eta in ((normalize_shares(SIPP_PRE_RAW), ETA_PRE),
                             (normalize_shares(SIPP_POST_RAW), ETA_POST)):
             kappa = solve_kappa(shares, eta)
-            assert abs(survival_product(shares, kappa) - (1 - eta)) < 1e-12
+            assert abs(survival_product(shares, kappa) - (1 - eta)) <= 1e-15
 
     def test_against_fine_grid_scan(self):
         """Independent oracle: argmin over a 10^7-point grid of the product."""
@@ -104,9 +106,27 @@ class TestSolveKappa:
 
     def test_eta_out_of_range(self):
         shares = normalize_shares(SIPP_PRE_RAW)
-        for eta in (0.0, 1.0, -0.2):
-            with pytest.raises(DomainError):
+        for eta in (0.0, 1.0, -0.2, np.nan, 1e-17):   # 1 - 1e-17 rounds to 1
+            with pytest.raises(DomainError, match="eta"):
                 solve_kappa(shares, eta)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), one_hot=st.booleans(),
+           eta=st.floats(1e-9, 1.0 - 1e-12))
+    def test_newton_root_property(self, seed, one_hot, eta):
+        """Dirichlet shares with zero months, or all moves in one month."""
+        rng = np.random.default_rng(seed)
+        raw = np.zeros(12)
+        if one_hot:
+            raw[rng.integers(12)] = 1.0
+        else:
+            raw = rng.dirichlet(np.full(12, 0.5)) * (rng.uniform(size=12) < 0.7)
+            raw[rng.integers(12)] += 0.1
+        shares = normalize_shares(raw)
+        kappa = solve_kappa(shares, eta)
+        assert 0.0 < kappa < 1.0 / shares.shares.values.max()
+        assert abs(survival_product(shares, kappa) - (1.0 - eta)) <= 1e-14
+        assert solve_kappa(shares, 0.5 * eta) < kappa
 
 
 class TestHazardsFromShares:

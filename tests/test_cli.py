@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from thickmarket import cli
+from thickmarket import calibrate, cli
 from thickmarket.cli import main
 from thickmarket.calibrate import hazards_from_shares, solve_kappa
 from thickmarket.errors import DataError
@@ -27,6 +27,22 @@ COMMAND_ARGS = {
     "break-scan": ["--data", "{panel}", "--from-year", 2014, "--to-year", 2023],
     "replicate-nt": [],
 }
+
+
+MODEL_EDGES = ([("--theta", v, "theta") for v in (-0.1, 1.5, "nan", 0)]
+               + [("--delta", v, "delta") for v in (-0.1, 1, "nan")]
+               + [("--annual-rate", v, "interest rate") for v in (0, -1, "nan")]
+               + [("--rent-ratio", v, "rent_price_ratio") for v in (0, 1, "nan")])
+SOURCES = {"calibrate": ["--fixture", "sipp-pre"],
+           "solve": ["--fixture", "sipp-pre"], "compare": []}
+# (command, flag, bad value, what the error must name); SOURCES gives each
+# command the share source it runs with
+DOMAIN_EDGES = (
+    [(c, flag, v, named) for c in ("solve", "compare")
+     for flag, v, named in MODEL_EDGES]
+    + [(c, "--pre-eta" if c == "compare" else "--eta", v, "eta")
+       for c in SOURCES for v in (0, 1, "nan", 1e-17)]
+    + [("solve", "--u-fixed", v, "u must") for v in (0, "nan", "inf")])
 
 
 def run(argv):
@@ -69,6 +85,19 @@ def make_shift_panel(path, rng, shift_months=(3, 4, 5), shift=2.0,
 
 
 class TestCalibrateCommand:
+    def test_solves_kappa_once(self, tmp_path, monkeypatch):
+        """Counts kappa solves through both the cli and calibrate names."""
+        calls = []
+
+        def counting(shares, eta):
+            calls.append(eta)
+            return solve_kappa(shares, eta)
+        monkeypatch.setattr(cli, "solve_kappa", counting)
+        monkeypatch.setattr(calibrate, "solve_kappa", counting)
+        assert run(["calibrate", "--fixture", "sipp-pre",
+                    "--out", tmp_path / "cal"]) == 0
+        assert len(calls) == 1
+
     def test_fixture_matches_library_exactly(self, tmp_path):
         out = tmp_path / "cal"
         assert run(["calibrate", "--fixture", "sipp-post", "--out", out]) == 0
@@ -324,6 +353,23 @@ class TestCompareCommand:
 
 
 class TestShiftTestCommand:
+    def test_deflation_needs_no_base_year(self, tmp_path):
+        """Deviations are ratios to year means, so no base year moves them."""
+        years = range(2000, 2016)
+        panel = make_shift_panel(tmp_path / "panel.csv",
+                                 np.random.default_rng(53), years=years)
+        cpi = tmp_path / "cpi.csv"
+        cpi.write_text("date,value\n" + "".join(
+            f"{y}-{m:02d},{100.0 * 1.002 ** (12 * (y - 2000) + m):.6f}\n"
+            for y in years for m in range(1, 13)))
+        argv = ["shift-test", "--data", panel, "--deflate-by", cpi,
+                "--break-year", 2010]
+        assert run(argv + ["--out", tmp_path / "unscaled"]) == 0
+        assert run(argv + ["--base-year", 2005, "--out", tmp_path / "2005"]) == 0
+        for name in ("shift_test.json", "shift_test.txt"):
+            assert ((tmp_path / "unscaled" / name).read_bytes()
+                    == (tmp_path / "2005" / name).read_bytes())
+
     def test_constructed_shift_detected(self, tmp_path):
         rng = np.random.default_rng(44)
         panel = make_shift_panel(tmp_path / "panel.csv", rng)
@@ -411,6 +457,34 @@ class TestReplicateBenchmark:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command, flag, value, named", DOMAIN_EDGES,
+        ids=[f"{c}{flag}={v}" for c, flag, v, _ in DOMAIN_EDGES])
+    def test_model_parameter_edges_are_domain_errors(
+            self, tmp_path, capsys, command, flag, value, named):
+        """Exit 2 naming the parameter, with no traceback and no outputs."""
+        out = tmp_path / "out"
+        assert run([command, *SOURCES[command], flag, value,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert named in err
+        assert not out.exists()
+
+    def test_theta_zero_solves_at_fixed_u(self, tmp_path):
+        assert run(["solve", "--fixture", "sipp-pre", "--theta", 0,
+                    "--u-fixed", 0.0014, "--out", tmp_path / "x"]) == 0
+
+    @pytest.mark.parametrize("command", ["shift-test", "break-scan"])
+    def test_emptied_panel_is_input_error(self, tmp_path, capsys, command):
+        panel = make_shift_panel(tmp_path / "panel.csv",
+                                 np.random.default_rng(52))
+        argv = [panel if a == "{panel}" else a for a in COMMAND_ARGS[command]]
+        out = tmp_path / "out"
+        assert run([command, *argv, "--min-months", 13, "--out", out]) == 2
+        assert "no observations left to test" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--hazards", "{file}", "--u-fixed", 0.0014],
         ["solve", "--fixture", "sipp-pre", "--u-fixed", 0.0014,
@@ -442,7 +516,7 @@ class TestExitCodes:
                                           monkeypatch):
         def broken(shares, eta):
             raise ZeroDivisionError("boom")
-        monkeypatch.setattr(cli, "hazards_from_shares", broken)
+        monkeypatch.setattr(cli, "solve_kappa", broken)
         assert run(["calibrate", "--fixture", "sipp-pre",
                     "--out", tmp_path / "x"]) == 3
         err = capsys.readouterr().err

@@ -157,6 +157,12 @@ class TestDeflation:
         base = real[12:24].mean()
         assert np.abs(out.values - 100.0 * real / base).max() < 1e-9
 
+    def test_no_base_year_leaves_deflated_values(self):
+        dates = month_range((2018, 1), (2018, 6))
+        out = deflate_and_index(self._series(dates, [4.0, 6.0] * 3),
+                                self._series(dates, [2.0] * 6))
+        assert out.values.tolist() == [2.0, 3.0] * 3
+
     def test_coverage_error(self):
         n_dates = month_range((2019, 1), (2019, 12))
         c_dates = month_range((2019, 1), (2019, 11))

@@ -297,8 +297,17 @@ class TestEndogenousU:
         assert u > 0.0
 
     def test_theta_zero_is_detected_as_degenerate(self, beta_pair, pre_hazards):
+        """At theta = 0 every price is u/(1 - beta): no u is pinned."""
         beta_hat, _ = beta_pair
         params = ModelParams(beta_hat=beta_hat, delta=0.025, theta=0.0,
+                             u=1.0, hazards=pre_hazards)
+        with pytest.raises(DomainError, match="theta = 0.*--u-fixed"):
+            solve_with_endogenous_u(params, SolverConfig())
+
+    def test_vanishing_theta_collapses_u(self, beta_pair, pre_hazards):
+        """Just above theta = 0 the solve runs, and u collapses to zero."""
+        beta_hat, _ = beta_pair
+        params = ModelParams(beta_hat=beta_hat, delta=0.025, theta=1e-300,
                              u=1.0, hazards=pre_hazards)
         with pytest.raises(ConvergenceError, match="collapsed"):
             solve_with_endogenous_u(params, SolverConfig())
