@@ -93,10 +93,8 @@ def compute_affine_coefficients(hazards: HazardProfile, beta: float,
     A_max = float(A.max())
     lambda_bar = (1.0 - beta) / ((A_max / A_min) * (beta + Wstar))
 
-    phi_max = hazards.phi_max
-    phi_min = hazards.phi_min
-    v_lo = 1.0 - phi_max
-    v_hi = (1.0 - phi_min) / (1.0 - phi_max)
+    v_lo = 1.0 - float(phi.max())
+    v_hi = (1.0 - float(phi.min())) / v_lo
     X_lo = u / (1.0 - beta)
     X_hi = X_lo + A_max * v_hi / (2.0 * (1.0 - beta))
     box = Box(v_lo=v_lo, v_hi=v_hi, X_lo=X_lo, X_hi=X_hi)

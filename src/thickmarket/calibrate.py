@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HazardProfile, PeriodicSeries
+from .core import MONTH_NAMES, HazardProfile, PeriodicSeries
 from .errors import ConvergenceError, DataError, DomainError
 
 # Newton steps allowed; shares with empty months and eta near 1 take about 20
@@ -111,7 +111,8 @@ def shares_from_trends(panel, years) -> MoveShares:
     indices from different query windows can be pooled safely.
 
     Every year used must have all 12 months present and a positive annual
-    total; otherwise a ``DataError`` is raised.
+    total, and every month a positive value in some year; otherwise a
+    ``DataError`` is raised.
     """
     years = sorted(int(y) for y in years)
     if not years:
@@ -128,4 +129,9 @@ def shares_from_trends(panel, years) -> MoveShares:
         if not total > 0.0:
             raise DataError(f"year {year} has a non-positive annual total")
         share_rows.append(row / total)
-    return normalize_shares(np.mean(share_rows, axis=0))
+    shares = np.mean(share_rows, axis=0)
+    if np.any(shares == 0.0):
+        month = MONTH_NAMES[int(np.argmin(shares))]
+        raise DataError(f"search interest in {month} is zero in every year "
+                        f"of {years}; each month needs a positive share")
+    return normalize_shares(shares)

@@ -143,7 +143,11 @@ def _resolve_shares(args, side: str = ""):
             raise DataError("--trend-years is required with --trends "
                             "(e.g. 2010-2020)")
         panel = to_panel(read_monthly_csv(args.trends))
-        shares = shares_from_trends(panel, _parse_years(args.trend_years))
+        years = _parse_years(args.trend_years)
+        try:
+            shares = shares_from_trends(panel, years)
+        except DataError as exc:
+            raise DataError(f"{args.trends}: {exc}") from None
         label = f"{args.trends} [{args.trend_years}]"
     else:
         raise DataError("provide a share source: --fixture, --shares, "
@@ -154,8 +158,26 @@ def _resolve_shares(args, side: str = ""):
     return shares, float(eta), label
 
 
+def _check_one_source(args) -> None:
+    """Refuse calibrate or solve options that the chosen source would
+    silently ignore: a second source, --trend-years without --trends, and
+    --eta with --hazards, whose file holds the eta it was calibrated at."""
+    sources = {"--fixture": args.fixture, "--shares": args.shares,
+               "--trends": args.trends,
+               "--hazards": getattr(args, "hazards_file", None)}
+    given = [flag for flag, value in sources.items() if value]
+    if len(given) > 1:
+        raise DataError(f"{' and '.join(given)} are alternative share "
+                        "sources; give one")
+    if args.trend_years and not args.trends:
+        raise DataError("--trend-years applies only with --trends")
+    if sources["--hazards"] and args.eta is not None:
+        raise DataError(f"--eta does not apply with --hazards: "
+                        f"{args.hazards_file} holds the eta it was calibrated at")
+
+
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(lam=args.lam, max_iterations=args.max_iter,
+    return SolverConfig(max_iterations=args.max_iter,
                         rent_price_ratio=args.rent_ratio)
 
 
@@ -168,6 +190,7 @@ def _solver_config(args) -> SolverConfig:
 
 
 def cmd_calibrate(args):
+    _check_one_source(args)
     shares, eta, label = _resolve_shares(args)
     kappa = solve_kappa(shares, eta)
     hazards = HazardProfile.from_hazard(kappa * shares.shares.values)
@@ -179,6 +202,7 @@ def cmd_calibrate(args):
 
 
 def cmd_solve(args):
+    _check_one_source(args)
     config = _solver_config(args)
     if args.warm_start:
         snapshot = read_equilibrium_json(args.warm_start)
@@ -187,7 +211,7 @@ def cmd_solve(args):
     if args.hazards_file:
         hz_doc = read_hazards_json(args.hazards_file)
         hazards = HazardProfile.from_survival(hz_doc["survival"])
-        eta = args.eta if args.eta is not None else hz_doc.get("eta")
+        eta = hz_doc.get("eta")
         label = str(args.hazards_file)
     else:
         shares, eta, label = _resolve_shares(args)
@@ -213,8 +237,8 @@ def cmd_solve(args):
           f"residual {solution.final_residual:.3g}")
     print(f"price deviation peak: {name}; "
           f"range [{summary['P']['min']:.2f}%, {summary['P']['max']:.2f}%]")
-    return outputs, {"eta": eta, "u": u, "lambda": args.lam,
-                     "delta": args.delta, "theta": args.theta, "source": label}
+    return outputs, {"eta": eta, "u": u, "delta": args.delta,
+                     "theta": args.theta, "source": label}
 
 
 def cmd_compare(args):
@@ -328,7 +352,7 @@ def cmd_replicate_nt(args):
         params = load_json_object(path)
     else:
         params = load_biannual_benchmark()
-    config = SolverConfig(lam=args.lam, max_iterations=args.max_iter)
+    config = SolverConfig(max_iterations=args.max_iter)
     report = replicate_biannual(params, config,
                                 args.params or "bundled benchmark file")
     outputs = {"benchmark_report.json": report}
@@ -392,8 +416,6 @@ def _add_share_source(p):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
-                   help="damped fallback step of the solver (default %(default)s)")
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations,
                    help="budget of map evaluations (default %(default)s)")
 

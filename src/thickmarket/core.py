@@ -92,14 +92,6 @@ class HazardProfile:
     def period(self) -> int:
         return self.survival.period
 
-    @property
-    def phi_max(self) -> float:
-        return float(self.survival.values.max())
-
-    @property
-    def phi_min(self) -> float:
-        return float(self.survival.values.min())
-
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -180,12 +180,6 @@ def round6(obj):
         if np.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return float(f"{obj:.6g}")
-    if isinstance(obj, (np.floating,)):
-        return round6(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [round6(x) for x in obj.tolist()]
     if isinstance(obj, dict):
         return {k: round6(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -231,8 +225,8 @@ def write_results(results, path, full_precision: bool = False) -> Path:
 
 
 def _fmt_cell(value, full_precision: bool) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value)) if full_precision else f"{float(value):.6g}"
+    if isinstance(value, float):
+        return repr(value) if full_precision else f"{value:.6g}"
     return str(value)
 
 
@@ -246,7 +240,6 @@ def equilibrium_to_dict(solution, u: float | None = None) -> dict:
         "P": solution.P.values.tolist(),
         "iterations": int(solution.iterations),
         "residual": float(solution.final_residual),
-        "lambda": float(solution.lambda_used),
     }
     if u is not None:
         doc["u"] = float(u)

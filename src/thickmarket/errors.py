@@ -12,11 +12,9 @@ class DataError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative routine failed to converge within its budget."""
 
-    def __init__(self, message: str, residual: float | None = None,
-                 iterations: int | None = None):
+    def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 class RankDeficientError(ValueError):

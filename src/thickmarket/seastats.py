@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
-from .core import SEASONS
+from .core import MONTH_NAMES, SEASONS
 from .errors import DataError, DomainError, RankDeficientError
 
 
@@ -272,6 +272,16 @@ def _shift_design(layout, break_year, include_year_effects):
     if not post.any() or post.all():
         raise DataError(
             f"observations must span both sides of the break year {break_year}")
+    # A month-by-side cell with one observation is fitted exactly, so HC1
+    # gives it no variance; an empty cell is left to the rank check.
+    cell_counts = np.bincount(post.astype(int) * 12 + months - 1,
+                              minlength=24).reshape(2, 12)
+    if np.any(cell_counts == 1):
+        side, month = np.argwhere(cell_counts == 1)[0]
+        where = f"from {break_year} on" if side else f"before {break_year}"
+        raise DataError(
+            f"{MONTH_NAMES[month]} has a single observation {where}; its "
+            "month-by-post term fits it exactly and HC1 gives it no variance")
 
     blocks = [np.ones((years.size, 1))]
     names: list[str] = ["const"]
@@ -308,7 +318,9 @@ def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
     reparameterization: 11 free coefficients per block, the 12th recovered
     as minus their sum. Year effects, when included, enter as dummies for
     all years except one baseline year on each side of the break, which
-    keeps POST identified.
+    keeps POST identified. A month observed only once on one side of the
+    break is a ``DataError``: its interaction would fit that observation
+    exactly.
     """
     d = components.deviations
     layout = tuple((a.dtype.str, a.shape, a.tobytes())

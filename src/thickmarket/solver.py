@@ -58,7 +58,6 @@ class EquilibriumSolution:
     P: PeriodicSeries
     iterations: int
     final_residual: float
-    lambda_used: float
 
     @property
     def period(self) -> int:
@@ -98,8 +97,7 @@ def solve_equilibrium(params: ModelParams,
                              PeriodicSeries(eps))
     Q, P = compute_outputs(state, params, coeffs)
     return EquilibriumSolution(
-        state=state, Q=Q, P=P, iterations=evals, final_residual=res,
-        lambda_used=config.lam)
+        state=state, Q=Q, P=P, iterations=evals, final_residual=res)
 
 
 def solve_with_endogenous_u(params: ModelParams,
@@ -153,7 +151,7 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
         if evals == budget:
             raise ConvergenceError(
                 f"equilibrium solve did not converge within {config.max_iterations} "
-                f"map evaluations (last residual {res:.3g})", residual=res, iterations=evals)
+                f"map evaluations (last residual {res:.3g})", residual=res)
         evals += 1
         X, v = z[:n], z[n:2 * n]
         p = params.with_u(z[-1]) if endogenous else params
@@ -184,8 +182,7 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
         if u_of(z) <= u_floor:
             raise ConvergenceError(
                 "service flow u collapsed toward zero; the rent-to-price "
-                "condition has no positive solution at these parameters",
-                iterations=evals)
+                "condition has no positive solution at these parameters")
     return z, evals, res, eps
 
 

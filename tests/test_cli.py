@@ -153,6 +153,18 @@ class TestCalibrateCommand:
         assert int(np.argmax(doc["shares"])) + 1 == 7
         assert abs(doc["shares"][6] - 2.0 / 13.0) < 1e-12
 
+    def test_trends_month_without_interest_names_month_file_and_years(
+            self, tmp_path, capsys):
+        trends = tmp_path / "trends.csv"
+        trends.write_text("date,value\n" + "".join(
+            f"{y}-{m:02d},{0 if m == 2 else 1}\n"
+            for y in (2015, 2016, 2017) for m in range(1, 13)))
+        assert run(["calibrate", "--trends", trends, "--trend-years",
+                    "2015-2017", "--eta", 0.1, "--out", tmp_path / "cal"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trends}: search interest in Feb ")
+        assert "[2015, 2016, 2017]" in err
+
     def test_trends_without_years_is_input_error(self, tmp_path):
         trends = tmp_path / "trends.csv"
         trends.write_text("date,value\n2015-01,1\n")
@@ -277,9 +289,13 @@ class TestManifests:
 
     @pytest.mark.parametrize("edit", [
         lambda replay: replay + ["--tol", "1e-4"],
+        lambda replay: ["solve", "--fixture", "sipp-pre", "--lambda", "0.01",
+                        "--u-fixed", "0.0014"],
         lambda replay: " ".join(replay),
         lambda replay: replay + [0.1],
-    ], ids=["retired-option", "string", "non-string-item"])
+        lambda replay: [],
+    ], ids=["retired-option", "retired-lambda", "string", "non-string-item",
+            "empty"])
     def test_replay_that_does_not_parse_is_input_error(self, tmp_path, capsys,
                                                        edit):
         out = tmp_path / "cal"
@@ -409,8 +425,36 @@ class TestShiftTestCommand:
         assert run(["shift-test", "--data", panel, "--break-year", 2021,
                     "--mode", "centered12", "--out", tmp_path / "st"]) == 0
 
+    @pytest.mark.parametrize("years, where", [
+        (range(2013, 2022), "from 2021 on"), (range(2020, 2026), "before 2021"),
+    ], ids=["one-post-year", "one-pre-year"])
+    def test_single_observation_side_is_input_error(self, tmp_path, capsys,
+                                                    years, where):
+        panel = make_shift_panel(tmp_path / "panel.csv",
+                                 np.random.default_rng(54), years=years)
+        out = tmp_path / "st"
+        assert run(["shift-test", "--data", panel, "--break-year", 2021,
+                    "--out", out]) == 2
+        assert f"Jan has a single observation {where}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBreakScanCommand:
+    def test_noise_free_break_and_thin_candidate_reported(self, tmp_path,
+                                                          capsys):
+        panel = make_shift_panel(tmp_path / "panel.csv",
+                                 np.random.default_rng(55), noise=0.0)
+        out = tmp_path / "bs"
+        assert run(["break-scan", "--data", panel, "--from-year", 2010,
+                    "--to-year", 2021, "--out", out]) == 0
+        reason = "only 12 observations on one side (need 24)"
+        assert f"  2010: skipped ({reason})" in capsys.readouterr().out
+        doc = json.loads((out / "break_scan.json").read_text())
+        assert doc["skipped"] == [{"year": 2010, "reason": reason}]
+        F = {c["year"]: c["F"] for c in doc["candidates"]}
+        assert F.pop(2021) == "inf" and doc["max_F_year"] == 2021
+        assert all(isinstance(f, float) for f in F.values())
+
     def test_argmax_at_constructed_break(self, tmp_path):
         rng = np.random.default_rng(47)
         panel = make_shift_panel(tmp_path / "panel.csv", rng, shift=3.0)
@@ -512,6 +556,17 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert "usage:" in (out.err if code else out.out)
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--fixture", "sipp-pre", "--u-fixed", "0.0014"],
+        ["compare"],
+        ["replicate-nt"],
+    ], ids=["solve", "compare", "replicate-nt"])
+    def test_retired_lambda_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--lambda", "0.01", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --lambda 0.01" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unexpected_exception_exits_3(self, tmp_path, capsys,
                                           monkeypatch):
         def broken(shares, eta):
@@ -560,6 +615,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert str(files.get(named, named)) in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["calibrate", "--fixture", "sipp-pre", "--shares", "{shares}"],
+         "--fixture and --shares are alternative"),
+        (["calibrate", "--shares", "{shares}", "--eta", 0.1,
+          "--trends", "{trends}", "--trend-years", "2015"],
+         "--shares and --trends are alternative"),
+        (["calibrate", "--fixture", "sipp-pre", "--trend-years", "2015"],
+         "--trend-years applies only with --trends"),
+        (["solve", "--fixture", "sipp-pre", "--hazards", "{hazards}",
+          "--u-fixed", 0.0014], "--fixture and --hazards are alternative"),
+        (["solve", "--hazards", "{hazards}", "--eta", 0.5,
+          "--u-fixed", 0.0014], "--eta does not apply with --hazards"),
+    ], ids=["fixture-shares", "shares-trends", "trend-years-alone",
+            "fixture-hazards", "eta-hazards"])
+    def test_option_the_source_ignores_is_input_error(self, tmp_path, capsys,
+                                                      argv, named):
+        """One share source per run: an option it would ignore exits 2."""
+        files = {"{shares}": tmp_path / "shares.csv",
+                 "{trends}": tmp_path / "trends.csv",
+                 "{hazards}": tmp_path / "cal" / "hazards.json"}
+        files["{shares}"].write_text("month,share\n" + "".join(
+            f"{m},1\n" for m in range(1, 13)))
+        files["{trends}"].write_text("date,value\n" + "".join(
+            f"2015-{m:02d},1\n" for m in range(1, 13)))
+        assert run(["calibrate", "--fixture", "sipp-pre",
+                    "--out", tmp_path / "cal"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run([files.get(a, a) for a in argv] + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, code", [
         (["calibrate"], 2),

@@ -37,7 +37,7 @@ class TestHazardProfile:
 
     def test_phi_max_leaves_positive_floor(self):
         hp = HazardProfile.from_survival(np.linspace(0.9, 0.99, 12))
-        assert 1.0 - hp.phi_max > 0.0
+        assert 1.0 - hp.survival.values.max() > 0.0
 
     def test_from_hazard_round_trip(self):
         h = np.linspace(0.01, 0.05, 12)

@@ -89,6 +89,14 @@ class TestReadMonthlyCsv:
         series = read_monthly_csv(p, value_column="price", date_column="period")
         assert series.values.tolist() == [9.5]
 
+    def test_blank_or_absent_value_skips_the_month(self, tmp_path):
+        p = write_csv(tmp_path / "s.csv",
+                      ["2019-01,100", "2019-02,", "2019-03, ", "2019-04",
+                       "2019-05,104"])
+        series = read_monthly_csv(p)
+        assert series.dates == ((2019, 1), (2019, 5))
+        assert series.values.tolist() == [100.0, 104.0]
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
     def test_non_finite_value_reports_line(self, tmp_path, bad):
         p = write_csv(tmp_path / "s.csv", ["2019-01,100", f"2019-02,{bad}"])
@@ -230,6 +238,13 @@ class TestWriters:
     def test_json_six_significant_digits(self, tmp_path):
         path = write_results({"x": 0.12345678901234}, tmp_path / "r.json")
         assert json.loads(path.read_text())["x"] == 0.123457
+
+    def test_non_finite_floats_become_null_and_inf_strings(self, tmp_path):
+        doc = {"nan": float("nan"), "inf": [float("inf"), -float("inf")],
+               "n": 3}
+        path = write_results(doc, tmp_path / "r.json")
+        assert json.loads(path.read_text()) == {"nan": None,
+                                                "inf": ["inf", "-inf"], "n": 3}
 
     def test_full_precision_round_trip(self, tmp_path):
         values = {"x": 0.1 + 0.2, "y": [1.0 / 3.0, 2.0 / 7.0]}

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from thickmarket import seastats
-from thickmarket.errors import DataError, RankDeficientError
+from thickmarket.errors import DataError, DomainError, RankDeficientError
 from thickmarket.seastats import (
     MonthlyPanel,
     SeasonalComponents,
+    ShiftRegressionFit,
     annual_mean_deviation,
     centered_mean_deviation,
     chow_scan,
@@ -44,6 +45,19 @@ def components_from(yearly: dict[int, np.ndarray]) -> SeasonalComponents:
 
 SEASONAL = 4.0 * np.sin(2.0 * np.pi * MONTHS / 12.0)
 SEASONAL = SEASONAL - SEASONAL.mean()
+
+
+def crafted_fit(mu_free, V, rss=1.0) -> ShiftRegressionFit:
+    """A fit whose free interactions and their covariance are given, with
+    the other 13 coefficients zero; ``rss=0`` makes it an exact fit."""
+    mu_free = np.asarray(mu_free, dtype=float)
+    cov = np.zeros((24, 24))
+    cov[13:, 13:] = V
+    return ShiftRegressionFit(
+        gamma=np.zeros(12), mu=np.append(mu_free, -mu_free.sum()),
+        beta=np.concatenate([np.zeros(13), mu_free]), cov=cov,
+        mu_idx=np.arange(13, 24), df_resid=100, n_obs=124, rss=rss,
+        response_scale=1.0)
 
 
 class TestMonthlyPanel:
@@ -217,6 +231,36 @@ class TestFitSeasonalShift:
         with pytest.raises(DataError, match="both sides"):
             fit_seasonal_shift(empty, 2021)
 
+    @pytest.mark.parametrize("years, break_year, where", [
+        (range(2013, 2022), 2021, "Jan has a single observation from 2021 on"),
+        (range(2020, 2026), 2021, "Jan has a single observation before 2021"),
+    ], ids=["one-post-year", "one-pre-year"])
+    def test_single_observation_side_rejected(self, years, break_year, where):
+        rng = np.random.default_rng(33)
+        comp = components_from({y: SEASONAL + rng.standard_normal(12)
+                                for y in years})
+        for year_effects in (True, False):
+            with pytest.raises(DataError, match=where):
+                fit_seasonal_shift(comp, break_year, year_effects)
+
+    def test_one_month_with_one_observation_on_a_side_rejected(self):
+        rng = np.random.default_rng(34)
+        comp = components_from({y: SEASONAL + rng.standard_normal(12)
+                                for y in range(2014, 2026)})
+        lone_may = (comp.months != 5) | (comp.years < 2021) | (comp.years == 2025)
+        thin = SeasonalComponents(years=comp.years[lone_may],
+                                  months=comp.months[lone_may],
+                                  deviations=comp.deviations[lone_may])
+        with pytest.raises(DataError, match="May has a single observation "
+                                            "from 2021 on"):
+            fit_seasonal_shift(thin, 2021)
+        no_may = (comp.months != 5) | (comp.years < 2021)
+        empty = SeasonalComponents(years=comp.years[no_may],
+                                   months=comp.months[no_may],
+                                   deviations=comp.deviations[no_may])
+        with pytest.raises(RankDeficientError):
+            fit_seasonal_shift(empty, 2021)
+
     def test_fwl_year_effects_equal_demeaning(self):
         """Month effects agree between year-dummy and within-year-demeaned fits."""
         rng = np.random.default_rng(25)
@@ -382,7 +426,36 @@ class TestJointF:
         assert rep.df_denominator == n - k
 
 
+    def test_singular_covariance_uses_pseudo_inverse(self):
+        V = np.diag([1.0] * 10 + [0.0])
+        mu = np.r_[np.full(10, 0.5), 0.0]
+        rep = joint_F_test(crafted_fit(mu, V))
+        assert rep.statistic == pytest.approx(10 * 0.25 / 11, rel=1e-12)
+
+    def test_interactions_outside_a_singular_covariance_rejected(self):
+        V = np.diag([1.0] * 10 + [0.0])
+        with pytest.raises(DomainError, match="not lie in its range"):
+            joint_F_test(crafted_fit(np.full(11, 0.5), V))
+
+
 class TestDirectionalContrast:
+    @pytest.mark.parametrize("mu_first, rss, variance, t, p", [
+        (0.0, 0.0, 1.0, 0.0, 0.5),
+        (0.0, 1.0, 0.0, 0.0, 0.5),
+        (0.3, 0.0, 1.0, np.inf, 0.0),
+        (-0.3, 0.0, 1.0, -np.inf, 1.0),
+    ], ids=["exact-zero", "no-variance-zero", "exact-positive",
+            "exact-negative"])
+    def test_degenerate_outcomes(self, mu_first, rss, variance, t, p):
+        mu = np.r_[mu_first, np.zeros(10)]
+        rep = directional_contrast(crafted_fit(mu, variance * np.eye(11), rss))
+        assert (rep.statistic, rep.p_value) == (t, p)
+
+    def test_zero_variance_with_nonzero_contrast_rejected(self):
+        mu = np.r_[0.3, np.zeros(10)]
+        with pytest.raises(DomainError, match="variance is zero"):
+            directional_contrast(crafted_fit(mu, np.zeros((11, 11))))
+
     def test_symmetric_wobble_gives_exact_half(self):
         # Identical wobble in pre and post years: contrast 0, residuals not 0.
         wobble = np.zeros(12)

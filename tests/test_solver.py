@@ -241,7 +241,8 @@ class TestUniquenessAndSymmetry:
             assert diff <= 1e-12
 
     def test_damping_does_not_move_the_limit(self, pre_params, pre_solution):
-        a = pre_solution   # lam = 0.01
+        assert SolverConfig().lam == 0.01
+        a = pre_solution
         b = solve_equilibrium(pre_params, SolverConfig(lam=0.005))
         diff = max(np.abs(a.state.X.values - b.state.X.values).max(),
                    np.abs(a.state.v.values - b.state.v.values).max())
