@@ -275,7 +275,7 @@ def _load_components(args):
                               date_column=args.date_column)
     if args.deflate_by:
         cpi = read_monthly_csv(args.deflate_by)
-        series = deflate_and_index(series, cpi, base_year=args.base_year)
+        series = deflate_and_index(series, cpi)
     panel = to_panel(series)
     components = (centered_mean_deviation(panel) if args.mode == "centered12"
                   else annual_mean_deviation(panel, args.min_months))
@@ -442,9 +442,6 @@ def _add_panel_flags(p):
                    help="minimum months for a year to enter (annual mode)")
     p.add_argument("--deflate-by", default=None, metavar=INPUT_FILE,
                    help="price-index CSV used to deflate the series first")
-    p.add_argument("--base-year", type=int, default=None,
-                   help="year whose deflated mean is rescaled to 100 "
-                        "(default: none; no deviation depends on it)")
 
 
 @functools.cache   # one parser per process: main, rerun and manifests share it

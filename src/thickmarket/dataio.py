@@ -35,7 +35,9 @@ class RawSeries:
         if len(self.dates) != values.size:
             raise DataError("dates and values must have equal length")
         for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
+            if cur == prev:
+                raise DataError(f"duplicate observation for {cur[0]}-{cur[1]:02d}")
+            if cur < prev:
                 raise DataError(f"dates must be strictly increasing; "
                                 f"{cur} follows {prev}")
         object.__setattr__(self, "values", values)
@@ -53,6 +55,8 @@ def _parse_month(text: str, line_no: int) -> tuple[int, int]:
         raise DataError(f"line {line_no}: cannot parse date '{text}'") from None
     if not 1 <= month <= 12:
         raise DataError(f"line {line_no}: month {month} out of range in '{text}'")
+    if not 1 <= year <= 9999:   # a calendar grid spans every year in between
+        raise DataError(f"line {line_no}: year {year} out of range in '{text}'")
     return year, month
 
 
@@ -63,35 +67,33 @@ def read_monthly_csv(path, value_column: str = "value",
     if not path.exists():
         raise DataError(f"no such file: {path}")
     rows: list[tuple[tuple[int, int], float]] = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file, expected a CSV header")
-        missing = {date_column, value_column} - set(reader.fieldnames)
-        if missing:
-            raise DataError(f"{path}: header lacks column(s) {sorted(missing)}; "
-                            f"found {reader.fieldnames}")
-        for line_no, row in enumerate(reader, start=2):
-            date = _parse_month(row[date_column], line_no)
-            raw = (row[value_column] or "").strip()
-            if raw == "":
-                continue
-            try:
-                value = float(raw)
-            except ValueError:
-                raise DataError(
-                    f"line {line_no}: cannot parse value '{row[value_column]}'"
-                ) from None
-            if not math.isfinite(value):
-                raise DataError(f"line {line_no}: non-finite value '{raw}' "
-                                f"in {path}")
-            rows.append((date, value))
-    rows.sort(key=lambda r: r[0])
-    for (d1, _), (d2, _) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise DataError(f"duplicate observation for {d1[0]}-{d1[1]:02d}")
-    return RawSeries(dates=tuple(d for d, _ in rows),
-                     values=np.array([v for _, v in rows]))
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise DataError("empty file, expected a CSV header")
+            missing = {date_column, value_column} - set(reader.fieldnames)
+            if missing:
+                raise DataError(f"header lacks column(s) {sorted(missing)}; "
+                                f"found {reader.fieldnames}")
+            for line_no, row in enumerate(reader, start=2):
+                date = _parse_month(row[date_column], line_no)
+                raw = (row[value_column] or "").strip()
+                if raw == "":
+                    continue
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise DataError(f"line {line_no}: cannot parse value "
+                                    f"'{row[value_column]}'") from None
+                if not math.isfinite(value):
+                    raise DataError(f"line {line_no}: non-finite value '{raw}'")
+                rows.append((date, value))
+        rows.sort(key=lambda r: r[0])
+        return RawSeries(dates=tuple(d for d, _ in rows),
+                         values=np.array([v for _, v in rows]))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def read_shares_csv(path) -> MoveShares:
@@ -133,14 +135,9 @@ def read_shares_csv(path) -> MoveShares:
     return normalize_shares(raw)
 
 
-def deflate_and_index(nominal: RawSeries, cpi: RawSeries,
-                      base_year: int | None = None) -> RawSeries:
-    """Deflate by a price index, then rescale the base-year mean to 100.
-
-    The deflator must cover every month of the nominal series. With a
-    ``base_year`` that year must be fully present (all 12 months) in the
-    deflated series; with none the deflated values are returned unscaled.
-    """
+def deflate_and_index(nominal: RawSeries, cpi: RawSeries) -> RawSeries:
+    """Deflate by a price index, which must cover every month of the
+    nominal series; the deflated values are returned unscaled."""
     cpi_map = dict(zip(cpi.dates, cpi.values.tolist()))
     real = []
     for date, value in zip(nominal.dates, nominal.values.tolist()):
@@ -150,15 +147,7 @@ def deflate_and_index(nominal: RawSeries, cpi: RawSeries,
         if deflator == 0.0:
             raise DataError(f"deflator is zero at {date[0]}-{date[1]:02d}")
         real.append(value / deflator)
-    real = np.array(real)
-    if base_year is None:
-        return RawSeries(dates=nominal.dates, values=real)
-    base_mask = np.array([d[0] == base_year for d in nominal.dates])
-    if base_mask.sum() != 12:
-        raise DataError(f"base year {base_year} is not fully present "
-                        f"({int(base_mask.sum())} of 12 months)")
-    scale = 100.0 / real[base_mask].mean()
-    return RawSeries(dates=nominal.dates, values=real * scale)
+    return RawSeries(dates=nominal.dates, values=np.array(real))
 
 
 def to_panel(series: RawSeries) -> MonthlyPanel:

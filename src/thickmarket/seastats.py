@@ -9,11 +9,11 @@ season. A Chow scan over candidate break years checks that the break
 date is not an artifact of the chosen split.
 
 Every step is whole-array numpy with no Python loop over years or
-candidates. Year means come from ``np.bincount``. Least squares fits each
-response against a design factored once into thin Q and R^-1; the shift
-regression keeps its last design's factor for the next panel. The Chow
-scan works from per-(year, month) counts and sums of the month-centred
-deviations, cumulated over years. p-values come from ``scipy.special``,
+candidates. Year means, seasonal cells and the Chow scan's per-(year,
+month) sums are ``np.bincount``s on one calendar index, so no step
+depends on row order. Least squares fits each response against a design
+factored once into thin Q and R^-1; the shift regression keeps its last
+design's factor for the next panel. p-values come from ``scipy.special``,
 which imports far faster than ``scipy.stats``; ``scipy.linalg`` is loaded
 only to name the dependent columns of a rank-deficient design.
 """
@@ -47,9 +47,9 @@ class MonthlyPanel:
             raise DataError("years, months, and values must be equal-length vectors")
         if np.any((months < 1) | (months > 12)):
             raise DataError("months must lie in 1..12")
-        order = np.lexsort((months, years))
-        keys = (years * 12 + months)[order]
-        if np.any(keys[1:] == keys[:-1]):
+        t = _calendar_index(years, months)[1]
+        order = np.argsort(t, kind="stable")
+        if np.any(np.diff(t[order]) == 0):
             raise DataError("duplicate (year, month) observations in panel")
         object.__setattr__(self, "years", years[order])
         object.__setattr__(self, "months", months[order])
@@ -148,30 +148,37 @@ class SeasonalDeltas:
 # seasonal components
 
 
+def _calendar_index(years: np.ndarray, months: np.ndarray) -> tuple[int, np.ndarray]:
+    """(first, t): t = 12 (year - first) + month - 1, where ``first`` is the
+    earliest year (0 without rows), so t // 12 is a row per calendar year."""
+    first = int(years.min()) if years.size else 0
+    return first, 12 * (years - first) + months - 1
+
+
 def annual_mean_deviation(panel: MonthlyPanel,
                           min_months_per_year: int = 6) -> SeasonalComponents:
     """Percentage deviation of each month from its own year's mean.
 
-    Years with fewer than ``min_months_per_year`` observations are dropped
-    and reported in ``dropped_years``. A retained year with zero mean is an
-    error (the deviation would divide by zero).
+    Years with at least one but fewer than ``min_months_per_year``
+    observations are dropped and reported in ``dropped_years``. A retained
+    year with zero mean is an error (the deviation would divide by zero).
     """
-    years, year_idx, counts = np.unique(panel.years, return_inverse=True,
-                                        return_counts=True)
-    means = np.bincount(year_idx, weights=panel.values,
-                        minlength=years.size) / counts
-    kept = counts >= min_months_per_year
+    first, t = _calendar_index(panel.years, panel.months)
+    row = t // 12
+    counts = np.bincount(row)
+    means = np.bincount(row, weights=panel.values) / np.maximum(counts, 1)
+    kept = counts >= max(min_months_per_year, 1)
     zero = kept & (means == 0.0)
     if zero.any():
-        raise DataError(f"year {int(years[zero][0])} has zero mean; "
+        raise DataError(f"year {first + int(np.argmax(zero))} has zero mean; "
                         "deviations are undefined")
 
-    mask = kept[year_idx]
-    mean = means[year_idx[mask]]
+    mask = kept[row]
+    mean = means[row[mask]]
     d = 100.0 * (panel.values[mask] - mean) / mean
+    dropped = first + np.flatnonzero((counts > 0) & ~kept)
     return SeasonalComponents(years=panel.years[mask], months=panel.months[mask],
-                              deviations=d,
-                              dropped_years=tuple(years[~kept].tolist()))
+                              deviations=d, dropped_years=tuple(dropped.tolist()))
 
 
 def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
@@ -181,11 +188,10 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
     weights on both endpoints), which annihilates any 12-periodic cycle;
     months without a complete window (boundaries, gaps) are omitted.
     """
-    t_index = panel.years * 12 + (panel.months - 1)
-    t0, t1 = int(t_index.min()), int(t_index.max())
+    first, t = _calendar_index(panel.years, panel.months)
     # at least one 13-month window; windows over the NaN padding are dropped
-    grid = np.full(max(t1 - t0 + 1, 13), np.nan)
-    grid[t_index - t0] = panel.values
+    grid = np.full(max(int(t.max(initial=0)) + 1, 13), np.nan)
+    grid[t] = panel.values
 
     weights = np.ones(13)
     weights[0] = weights[12] = 0.5
@@ -194,8 +200,8 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
     gbar = np.vecdot(windows[pos], weights) / 12.0
     if np.any(gbar == 0.0):
         raise DataError("centred rolling mean is zero; deviation undefined")
-    t = t0 + pos + 6
-    return SeasonalComponents(years=t // 12, months=t % 12 + 1,
+    t = pos + 6
+    return SeasonalComponents(years=first + t // 12, months=t % 12 + 1,
                               deviations=100.0 * (grid[pos + 6] - gbar) / gbar)
 
 
@@ -411,18 +417,15 @@ _SEASON_OF_MONTH = np.array([-1] + [k for m in range(1, 13) for k, months
 def seasonal_delta(components: SeasonalComponents,
                    break_year: int) -> SeasonalDeltas:
     """Post-minus-pre change in the average deviation for each season."""
-    post = components.years >= break_year
-    season_of = _SEASON_OF_MONTH[components.months]
-    out = {}
-    for k, season in enumerate(SEASONS):
-        in_season = season_of == k
-        pre_cell = components.deviations[in_season & ~post]
-        post_cell = components.deviations[in_season & post]
-        if pre_cell.size == 0 or post_cell.size == 0:
-            raise DataError(f"no observations for season '{season}' on one "
-                            f"side of {break_year}")
-        out[season] = float(post_cell.mean() - pre_cell.mean())
-    return SeasonalDeltas(**out)
+    cell = 4 * (components.years >= break_year) + _SEASON_OF_MONTH[components.months]
+    n = np.bincount(cell, minlength=8).reshape(2, 4)
+    total = np.bincount(cell, weights=components.deviations, minlength=8).reshape(2, 4)
+    empty = (n == 0).any(axis=0)
+    if empty.any():
+        raise DataError(f"no observations for season '{list(SEASONS)[empty.argmax()]}'"
+                        f" on one side of {break_year}")
+    mean_pre, mean_post = total / n
+    return SeasonalDeltas(**dict(zip(SEASONS, (mean_post - mean_pre).tolist())))
 
 
 def chow_scan(components: SeasonalComponents, candidate_years,
@@ -444,17 +447,17 @@ def chow_scan(components: SeasonalComponents, candidate_years,
     e = d - month_mean[months]
     rss_restricted = float(e @ e)
 
-    # Row j of the prefix tables covers the first j sample years.
-    years, year_idx = np.unique(components.years, return_inverse=True)
-    cell = year_idx * 12 + (months - 1)
-    count = np.zeros((years.size + 1, 12), dtype=int)
-    total = np.zeros((years.size + 1, 12))
-    count[1:] = np.bincount(cell, minlength=years.size * 12).reshape(-1, 12)
-    total[1:] = np.bincount(cell, weights=e, minlength=years.size * 12).reshape(-1, 12)
+    # Row j of the prefix tables covers the first j calendar years.
+    first, t = _calendar_index(components.years, months)
+    n_years = int(t.max(initial=-1)) // 12 + 1
+    count = np.zeros((n_years + 1, 12), dtype=int)
+    total = np.zeros((n_years + 1, 12))
+    count[1:] = np.bincount(t, minlength=n_years * 12).reshape(-1, 12)
+    total[1:] = np.bincount(t, weights=e, minlength=n_years * 12).reshape(-1, 12)
     count, total = count.cumsum(axis=0), total.cumsum(axis=0)
 
     candidates = np.array([int(y) for y in candidate_years], dtype=int)
-    before = np.searchsorted(years, candidates)
+    before = np.clip(candidates - first, 0, n_years)
     n_pre_m, s_pre = count[before], total[before]
     n_post_m, s_post = count[-1] - n_pre_m, total[-1] - s_pre
     n_pre = n_pre_m.sum(axis=1)

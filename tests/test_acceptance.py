@@ -372,8 +372,7 @@ class TestCriterion9:
 
         cpi = read_monthly_csv(cpi_path)
         series = {
-            "prices": deflate_and_index(read_monthly_csv(prices_path), cpi,
-                                        base_year=2019),
+            "prices": deflate_and_index(read_monthly_csv(prices_path), cpi),
             "sales": read_monthly_csv(sales_path),
         }
         ok = True

@@ -291,11 +291,13 @@ class TestManifests:
         lambda replay: replay + ["--tol", "1e-4"],
         lambda replay: ["solve", "--fixture", "sipp-pre", "--lambda", "0.01",
                         "--u-fixed", "0.0014"],
+        lambda replay: ["shift-test", "--data", "prices.csv",
+                        "--base-year", "2005"],
         lambda replay: " ".join(replay),
         lambda replay: replay + [0.1],
         lambda replay: [],
-    ], ids=["retired-option", "retired-lambda", "string", "non-string-item",
-            "empty"])
+    ], ids=["retired-option", "retired-lambda", "retired-base-year", "string",
+            "non-string-item", "empty"])
     def test_replay_that_does_not_parse_is_input_error(self, tmp_path, capsys,
                                                        edit):
         out = tmp_path / "cal"
@@ -370,21 +372,38 @@ class TestCompareCommand:
 
 class TestShiftTestCommand:
     def test_deflation_needs_no_base_year(self, tmp_path):
-        """Deviations are ratios to year means, so no base year moves them."""
+        """Deviations are ratios to year means, so the level of the deflator
+        moves none of them."""
         years = range(2000, 2016)
         panel = make_shift_panel(tmp_path / "panel.csv",
                                  np.random.default_rng(53), years=years)
-        cpi = tmp_path / "cpi.csv"
-        cpi.write_text("date,value\n" + "".join(
-            f"{y}-{m:02d},{100.0 * 1.002 ** (12 * (y - 2000) + m):.6f}\n"
-            for y in years for m in range(1, 13)))
-        argv = ["shift-test", "--data", panel, "--deflate-by", cpi,
-                "--break-year", 2010]
-        assert run(argv + ["--out", tmp_path / "unscaled"]) == 0
-        assert run(argv + ["--base-year", 2005, "--out", tmp_path / "2005"]) == 0
+        cpi = {(y, m): float(f"{100.0 * 1.002 ** (12 * (y - 2000) + m):.6f}")
+               for y in years for m in range(1, 13)}
+        for name, scale in (("cpi", 1.0), ("cpi_x4", 4.0)):
+            (tmp_path / f"{name}.csv").write_text("date,value\n" + "".join(
+                f"{y}-{m:02d},{scale * c!r}\n" for (y, m), c in cpi.items()))
+            assert run(["shift-test", "--data", panel, "--deflate-by",
+                        tmp_path / f"{name}.csv", "--break-year", 2010,
+                        "--out", tmp_path / name]) == 0
         for name in ("shift_test.json", "shift_test.txt"):
-            assert ((tmp_path / "unscaled" / name).read_bytes()
-                    == (tmp_path / "2005" / name).read_bytes())
+            assert ((tmp_path / "cpi" / name).read_bytes()
+                    == (tmp_path / "cpi_x4" / name).read_bytes())
+
+    @pytest.mark.parametrize("bad", ["data", "deflator"])
+    def test_parse_error_names_the_file(self, tmp_path, capsys, bad):
+        """With --data and --deflate-by, the error says which file is bad."""
+        files = {"data": make_shift_panel(tmp_path / "panel.csv",
+                                          np.random.default_rng(54)),
+                 "deflator": tmp_path / "cpi.csv"}
+        files["deflator"].write_text("date,value\n" + "".join(
+            f"{y}-{m:02d},100\n" for y in range(2009, 2025) for m in range(1, 13)))
+        lines = files[bad].read_text().splitlines()
+        lines[2] = "2009-0x,100"
+        files[bad].write_text("\n".join(lines) + "\n")
+        assert run(["shift-test", "--data", files["data"], "--deflate-by",
+                    files["deflator"], "--out", tmp_path / "st"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[bad]}: line 3: cannot parse date")
 
     def test_constructed_shift_detected(self, tmp_path):
         rng = np.random.default_rng(44)
@@ -529,6 +548,18 @@ class TestExitCodes:
         assert "no observations left to test" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["annual", "centered12"])
+    @pytest.mark.parametrize("command", ["shift-test", "break-scan"])
+    def test_csv_without_values_is_input_error(self, tmp_path, capsys,
+                                               command, mode):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("date,value\n2019-01,\n2019-02,\n")
+        argv = [panel if a == "{panel}" else a for a in COMMAND_ARGS[command]]
+        out = tmp_path / "out"
+        assert run([command, *argv, "--mode", mode, "--out", out]) == 2
+        assert "no observations left to test" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--hazards", "{file}", "--u-fixed", 0.0014],
         ["solve", "--fixture", "sipp-pre", "--u-fixed", 0.0014,
@@ -565,6 +596,15 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(argv + ["--lambda", "0.01", "--out", str(out)]) == 2
         assert "unrecognized arguments: --lambda 0.01" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["shift-test", "break-scan"])
+    def test_retired_base_year_is_usage_error(self, tmp_path, capsys, command):
+        argv = ["prices.csv" if a == "{panel}" else a
+                for a in COMMAND_ARGS[command]]
+        out = tmp_path / "out"
+        assert run([command, *argv, "--base-year", 2005, "--out", out]) == 2
+        assert "unrecognized arguments: --base-year 2005" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unexpected_exception_exits_3(self, tmp_path, capsys,

@@ -60,6 +60,12 @@ class TestReadMonthlyCsv:
         p = write_csv(tmp_path / "s.csv", ["2019-01-31,100", "2019-02-28,101"])
         assert read_monthly_csv(p).dates == ((2019, 1), (2019, 2))
 
+    @pytest.mark.parametrize("date", ["0-01", "10000-01"])
+    def test_year_out_of_range_reports_line(self, tmp_path, date):
+        p = write_csv(tmp_path / "s.csv", ["2019-01,100", f"{date},101"])
+        with pytest.raises(DataError, match="line 3: year .* out of range"):
+            read_monthly_csv(p)
+
     def test_parse_error_reports_line(self, tmp_path):
         p = write_csv(tmp_path / "s.csv", ["2019-01,100", "201901,101"])
         with pytest.raises(DataError, match="line 3"):
@@ -141,18 +147,18 @@ class TestDeflation:
     def _series(self, dates, values):
         return RawSeries(dates=tuple(dates), values=np.asarray(values, float))
 
-    def test_self_deflation_is_flat_100(self):
+    def test_self_deflation_is_flat_one(self):
         dates = month_range((2019, 1), (2019, 12))
         vals = np.linspace(90, 130, 12)
         out = deflate_and_index(self._series(dates, vals),
-                                self._series(dates, vals), 2019)
-        assert np.abs(out.values - 100.0).max() < 1e-12
+                                self._series(dates, vals))
+        assert out.values.tolist() == [1.0] * 12
 
     def test_constant_ratio(self):
         dates = month_range((2019, 1), (2019, 12))
         out = deflate_and_index(self._series(dates, [4.0] * 12),
-                                self._series(dates, [2.0] * 12), 2019)
-        assert np.abs(out.values - 100.0).max() < 1e-12
+                                self._series(dates, [2.0] * 12))
+        assert out.values.tolist() == [2.0] * 12
 
     def test_known_inflation_path(self):
         dates = month_range((2018, 1), (2020, 12))
@@ -160,10 +166,8 @@ class TestDeflation:
         nominal = 100.0 * 1.002 ** t
         cpi = 1.0 * 1.001 ** t
         out = deflate_and_index(self._series(dates, nominal),
-                                self._series(dates, cpi), 2019)
-        real = nominal / cpi
-        base = real[12:24].mean()
-        assert np.abs(out.values - 100.0 * real / base).max() < 1e-9
+                                self._series(dates, cpi))
+        assert np.array_equal(out.values, nominal / cpi)
 
     def test_no_base_year_leaves_deflated_values(self):
         dates = month_range((2018, 1), (2018, 6))
@@ -176,7 +180,7 @@ class TestDeflation:
         c_dates = month_range((2019, 1), (2019, 11))
         with pytest.raises(DataError, match="cover"):
             deflate_and_index(self._series(n_dates, np.ones(12)),
-                              self._series(c_dates, np.ones(11)), 2019)
+                              self._series(c_dates, np.ones(11)))
 
     def test_zero_deflator_error(self):
         dates = month_range((2019, 1), (2019, 12))
@@ -184,13 +188,7 @@ class TestDeflation:
         cpi[5] = 0.0
         with pytest.raises(DataError, match="zero"):
             deflate_and_index(self._series(dates, np.ones(12)),
-                              self._series(dates, cpi), 2019)
-
-    def test_incomplete_base_year_error(self):
-        dates = month_range((2019, 2), (2019, 12))
-        with pytest.raises(DataError, match="base year"):
-            deflate_and_index(self._series(dates, np.ones(11)),
-                              self._series(dates, np.ones(11)), 2019)
+                              self._series(dates, cpi))
 
 
 class TestToPanel:

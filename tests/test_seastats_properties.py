@@ -1,9 +1,11 @@
 """The vectorized seasonality battery against its looped formulas.
 
-``looped_annual_mean_deviation``, ``looped_centered_mean_deviation`` and
-``looped_chow_scan`` are the per-year, per-month and per-candidate loops
-the vectorized code replaced, kept verbatim (bar the inlined year counts)
-as references. ``ols_hc1`` on a factored design is
+``looped_annual_mean_deviation``, ``looped_centered_mean_deviation``,
+``looped_seasonal_delta`` and ``looped_chow_scan`` are the per-year,
+per-month, per-season and per-candidate loops the vectorized code
+replaced, kept verbatim (bar the inlined year counts) as references. The
+vectorized functions group by a calendar index, so row order must not
+change what they return. ``ols_hc1`` on a factored design is
 checked against ``np.linalg.lstsq`` plus an explicit HC1 sandwich.
 """
 
@@ -14,18 +16,21 @@ from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy import stats as sps
 
+from thickmarket.core import SEASONS
 from thickmarket.errors import DataError, RankDeficientError
 from thickmarket.seastats import (
     ChowScanEntry,
     ChowScanResult,
     MonthlyPanel,
     SeasonalComponents,
+    SeasonalDeltas,
     annual_mean_deviation,
     centered_mean_deviation,
     chow_scan,
     factor_design,
     fit_seasonal_shift,
     ols_hc1,
+    seasonal_delta,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
@@ -80,6 +85,27 @@ def looped_centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
     return SeasonalComponents(years=np.asarray(out_years, int),
                               months=np.asarray(out_months, int),
                               deviations=np.asarray(out_dev, float))
+
+
+# Position in SEASONS of each month 1..12 (-1 at the unused entry 0).
+_SEASON_OF_MONTH = np.array([-1] + [k for m in range(1, 13) for k, months
+                                    in enumerate(SEASONS.values()) if m in months])
+
+
+def looped_seasonal_delta(components: SeasonalComponents,
+                          break_year: int) -> SeasonalDeltas:
+    post = components.years >= break_year
+    season_of = _SEASON_OF_MONTH[components.months]
+    out = {}
+    for k, season in enumerate(SEASONS):
+        in_season = season_of == k
+        pre_cell = components.deviations[in_season & ~post]
+        post_cell = components.deviations[in_season & post]
+        if pre_cell.size == 0 or post_cell.size == 0:
+            raise DataError(f"no observations for season '{season}' on one "
+                            f"side of {break_year}")
+        out[season] = float(post_cell.mean() - pre_cell.mean())
+    return SeasonalDeltas(**out)
 
 
 def looped_chow_scan(components: SeasonalComponents, candidate_years,
@@ -222,6 +248,103 @@ def test_grouped_chow_scan_matches_loop(layout, seed, min_side_obs, log_noise,
         np.testing.assert_allclose([getattr(e, field) for e in got.entries],
                                    [getattr(e, field) for e in ref.entries],
                                    rtol=1e-10, atol=0.0)
+
+
+def shuffled(rng, *arrays):
+    order = rng.permutation(arrays[0].size)
+    return [a[order] for a in arrays]
+
+
+@PROPERTY
+@given(layout=layouts(), seed=SEEDS, min_months=st.integers(0, 12))
+def test_panel_components_ignore_row_order(layout, seed, min_months):
+    """A panel built from shuffled rows gives the same components, bit
+    for bit, in both modes."""
+    years, months = layout
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(50.0, 150.0, years.size)
+    panel = MonthlyPanel(years, months, values)
+    moved = MonthlyPanel(*shuffled(rng, years, months, values))
+    for deviation in (lambda p: annual_mean_deviation(p, min_months),
+                      centered_mean_deviation):
+        got, ref = deviation(moved), deviation(panel)
+        assert got.dropped_years == ref.dropped_years
+        for field in ("years", "months", "deviations"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field))
+
+
+@pytest.mark.parametrize("min_months", [0, 1, 2])
+def test_absent_year_is_neither_kept_nor_dropped(min_months):
+    """2012 has no rows; 2011 has one, so it is kept at a threshold of 0
+    or 1 and dropped at 2, as in the loop."""
+    rows = [(2010, m, 100.0 + m) for m in range(1, 13)]
+    rows += [(2011, 5, 90.0)]
+    rows += [(2013, m, 80.0 + m) for m in (1, 2, 3)]
+    panel = MonthlyPanel(*map(np.array, zip(*rows)))
+    got = annual_mean_deviation(panel, min_months)
+    ref = looped_annual_mean_deviation(panel, min_months)
+    assert got.dropped_years == ref.dropped_years == ((2011,) if min_months == 2
+                                                       else ())
+    assert np.array_equal(got.years, ref.years)
+    assert 2012 not in got.years.tolist()
+    np.testing.assert_allclose(got.deviations, ref.deviations,
+                               rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(layout=layouts(), seed=SEEDS)
+def test_seasonal_delta_matches_loop(layout, seed):
+    """The same deltas within 1e-12 (cell sums are added in another order),
+    or the same error naming the first empty season."""
+    years, months = layout
+    rng = np.random.default_rng(seed)
+    components = SeasonalComponents(years=years, months=months,
+                                    deviations=rng.uniform(-10.0, 10.0, years.size))
+    sample_years = np.unique(years)
+    break_year = int(sample_years[sample_years.size // 2])
+    try:
+        ref = looped_seasonal_delta(components, break_year)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            seasonal_delta(components, break_year)
+        assert str(err.value) == str(exc)
+        return
+    got = seasonal_delta(components, break_year)
+    np.testing.assert_allclose(list(got.as_dict().values()),
+                               list(ref.as_dict().values()), rtol=0.0, atol=1e-12)
+
+
+@PROPERTY
+@given(layout=layouts(min_years=4), seed=SEEDS)
+def test_chow_scan_and_deltas_ignore_row_order(layout, seed):
+    """Shuffled components give the same scan entries and skips, and the
+    same deltas or the same error; sums change order, so F, p and the
+    deltas agree to round-off."""
+    years, months = layout
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-10.0, 10.0, 13)[months] + rng.standard_normal(years.size)
+    components = SeasonalComponents(years=years, months=months, deviations=d)
+    moved = SeasonalComponents(*shuffled(rng, years, months, d))
+    candidates = range(int(years.min()) - 2, int(years.max()) + 3)
+    got, ref = chow_scan(moved, candidates, 13), chow_scan(components, candidates, 13)
+    assert got.skipped == ref.skipped
+    assert [e.year for e in got.entries] == [e.year for e in ref.entries]
+    for field in ("F", "p_value"):
+        np.testing.assert_allclose([getattr(e, field) for e in got.entries],
+                                   [getattr(e, field) for e in ref.entries],
+                                   rtol=1e-10, atol=0.0)
+
+    break_year = int(rng.choice(years))
+    try:
+        ref_delta = seasonal_delta(components, break_year).as_dict()
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            seasonal_delta(moved, break_year)
+        assert str(err.value) == str(exc)
+        return
+    got_delta = seasonal_delta(moved, break_year).as_dict()
+    np.testing.assert_allclose(list(got_delta.values()), list(ref_delta.values()),
+                               rtol=0.0, atol=1e-12)
 
 
 def lstsq_hc1(X, y):
