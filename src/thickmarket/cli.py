@@ -275,7 +275,10 @@ def _load_components(args):
                               date_column=args.date_column)
     if args.deflate_by:
         cpi = read_monthly_csv(args.deflate_by)
-        series = deflate_and_index(series, cpi)
+        try:
+            series = deflate_and_index(series, cpi)
+        except DataError as exc:
+            raise DataError(f"{args.data} deflated by {args.deflate_by}: {exc}") from None
     panel = to_panel(series)
     components = (centered_mean_deviation(panel) if args.mode == "centered12"
                   else annual_mean_deviation(panel, args.min_months))

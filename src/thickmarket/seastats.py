@@ -8,24 +8,26 @@ Wald F), directionally (first half-year versus second), and season by
 season. A Chow scan over candidate break years checks that the break
 date is not an artifact of the chosen split.
 
-Every step is whole-array numpy with no Python loop over years or
+Every statistic is whole-array numpy with no Python loop over years or
 candidates. Year means, seasonal cells and the Chow scan's per-(year,
 month) sums are ``np.bincount``s on one calendar index, so no step
 depends on row order. Least squares fits each response against a design
 factored once into thin Q and R^-1; the shift regression keeps its last
-design's factor for the next panel. p-values come from ``scipy.special``,
-which imports far faster than ``scipy.stats``; ``scipy.linalg`` is loaded
-only to name the dependent columns of a rank-deficient design.
+design's factor for the next panel. The p-values are F and t tails,
+regularized incomplete beta functions computed here with ``math``, one
+scalar at a time, so importing the battery loads no scipy;
+``scipy.linalg`` is loaded only to name the dependent columns of a
+rank-deficient design.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special
 
 from .core import MONTH_NAMES, SEASONS
 from .errors import DataError, DomainError, RankDeficientError
@@ -266,6 +268,76 @@ def _sum_coded_months(months: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# tail probabilities (every call is scalar)
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for a, b > 0, with y = 1 - x
+    passed in: formed as 1.0 - x, it would lose the digits of a small y."""
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    if b % 1.0 == 0.0:
+        # I_x(a, b) = x^a sum_{j<b} C(a+j-1, j) y^j (A&S 26.6.4), summed in
+        # nested form; every term is positive.
+        total = 1.0
+        for j in range(int(b) - 1, 0, -1):
+            total = 1.0 + total * (a + j - 1.0) * y / j
+        return math.exp(a * math.log(x) + math.log(total))
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc_cf(b, a, y, x)
+    return _betainc_cf(a, b, x, y)
+
+
+def _betainc_cf(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) from its continued fraction by the modified Lentz method
+    (Numerical Recipes, 3rd ed., 6.4; Lentz 1976), which converges fast
+    for x < (a + 1)/(a + b + 2). The prefactor x^a y^b / (a B(a, b)) is
+    formed in log space, so a p-value near 1e-300 keeps its digits."""
+    tiny = 1e-300  # replaces a denominator that is exactly zero
+    apb = a + b
+    c, d = 1.0, 1.0 / (1.0 - apb * x / (a + 1.0) or tiny)
+    h = d
+    for m in range(1, 10_000):
+        am = a + 2 * m
+        num = m * (b - m) * x / ((am - 1.0) * am)
+        d = 1.0 / (1.0 + num * d or tiny)
+        c = 1.0 + num / c or tiny
+        h *= d * c
+        num = -(a + m) * (apb + m) * x / (am * (am + 1.0))
+        d = 1.0 / (1.0 + num * d or tiny)
+        c = 1.0 + num / c or tiny
+        step = d * c
+        h *= step
+        if abs(step - 1.0) <= 2.2e-16:
+            break
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return h / a * math.exp(a * math.log(x) + b * math.log(y) - log_beta)
+
+
+def _f_tail(d1: int, d2: int, F: float) -> float:
+    """P(F(d1, d2) > F) = I_x(d2/2, d1/2) with x = d2/(d2 + d1 F); nan for a
+    negative or nan F or for d2 <= 0, as ``scipy.special.fdtrc`` gives."""
+    if not (F >= 0.0 and d2 > 0):
+        return math.nan
+    if F == math.inf:
+        return 0.0
+    s = d2 + d1 * F
+    return _betainc(0.5 * d2, 0.5 * d1, d2 / s, d1 * F / s)
+
+
+def _t_tail(df: int, t: float) -> float:
+    """P(T(df) > t): half of I_x(df/2, 1/2) with x = df/(df + t^2) for t > 0,
+    one minus that half for t <= 0."""
+    if math.isnan(t):
+        return math.nan
+    s = df + t * t
+    half = 0.5 * _betainc(0.5 * df, 0.5, df / s, t * t / s)
+    return half if t > 0 else 1.0 - half
+
+
+# ---------------------------------------------------------------------------
 # shift regression and tests
 
 
@@ -375,7 +447,7 @@ def joint_F_test(fit: ShiftRegressionFit) -> TestReport:
                     "do not lie in its range; the Wald statistic is undefined")
             wald = float(mu_free @ sol)
         F = wald / q
-    p = float(special.fdtrc(q, fit.df_resid, F))
+    p = _f_tail(q, fit.df_resid, F)
     return TestReport(statistic=F, p_value=p, df_numerator=q,
                       df_denominator=fit.df_resid)
 
@@ -404,7 +476,7 @@ def directional_contrast(fit: ShiftRegressionFit) -> TestReport:
             p = 0.0 if estimate > 0 else 1.0
     else:
         t_stat = estimate / np.sqrt(variance)
-        p = float(special.stdtr(fit.df_resid, -t_stat))
+        p = _t_tail(fit.df_resid, float(t_stat))
     return TestReport(statistic=float(t_stat), p_value=p, df_numerator=None,
                       df_denominator=fit.df_resid)
 
@@ -480,15 +552,15 @@ def chow_scan(components: SeasonalComponents, candidate_years,
     fits = rss_u > max(roundoff, 1e-12 * rss_restricted)
     F[fits] = (drop[fits] / q) / (rss_u[fits] / df_denom)
     F[drop <= roundoff] = 0.0
-    p = special.fdtrc(q, df_denom, F)
 
     entries = []
     skipped = []
-    for k, year in enumerate(candidates.tolist()):
-        if n_pre[k] < min_side_obs or n_post[k] < min_side_obs:
-            skipped.append((year, f"only {int(min(n_pre[k], n_post[k]))} "
+    for year, side_obs, f in zip(candidates.tolist(),
+                                 np.minimum(n_pre, n_post).tolist(), F.tolist()):
+        if side_obs < min_side_obs:
+            skipped.append((year, f"only {side_obs} "
                                   f"observations on one side (need {min_side_obs})"))
         else:
-            entries.append(ChowScanEntry(year=year, F=float(F[k]),
-                                         p_value=float(p[k])))
+            entries.append(ChowScanEntry(year=year, F=f,
+                                         p_value=_f_tail(q, df_denom, f)))
     return ChowScanResult(entries=tuple(entries), skipped=tuple(skipped))

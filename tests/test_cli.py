@@ -405,6 +405,30 @@ class TestShiftTestCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {files[bad]}: line 3: cannot parse date")
 
+    @pytest.mark.parametrize("defect, message", [
+        ("truncated", "deflator does not cover 2017-04"),
+        ("zero", "deflator is zero at 2017-04"),
+    ])
+    def test_deflator_gap_names_both_files(self, tmp_path, capsys, defect,
+                                           message):
+        """A deflator that fails to cover or is zero at a month of the data
+        is a fault of the pair, so the error names both files."""
+        panel = make_shift_panel(tmp_path / "panel.csv",
+                                 np.random.default_rng(55))
+        cpi = tmp_path / "cpi.csv"
+        rows = [(y, m) for y in range(2009, 2025) for m in range(1, 13)]
+        if defect == "truncated":
+            rows = rows[:rows.index((2017, 4))]
+        cpi.write_text("date,value\n" + "".join(
+            f"{y}-{m:02d},{0 if (y, m) == (2017, 4) else 100}\n" for y, m in rows))
+        for command in ("shift-test", "break-scan"):
+            years = ["--from-year", 2014, "--to-year", 2023] * (command == "break-scan")
+            assert run([command, "--data", panel, "--deflate-by", cpi, *years,
+                        "--out", tmp_path / command]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {panel} deflated by {cpi}: {message}\n")
+            assert not (tmp_path / command).exists()
+
     def test_constructed_shift_detected(self, tmp_path):
         rng = np.random.default_rng(44)
         panel = make_shift_panel(tmp_path / "panel.csv", rng)

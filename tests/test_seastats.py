@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from thickmarket import seastats
 from thickmarket.errors import DataError, DomainError, RankDeficientError
@@ -396,6 +397,62 @@ class TestFactoredDesign:
                 array[0, 0] = 1.0
 
 
+def assert_tails_match(got, ref):
+    """rtol 1e-11 where the reference p is at least 1e-280, atol 1e-280
+    below (subnormal and underflowing tails)."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    deep = ref < 1e-280
+    np.testing.assert_allclose(got[~deep], ref[~deep], rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(got[deep], ref[deep], rtol=0.0, atol=1e-280)
+
+
+class TestTailProbabilities:
+    """The in-repo F and t tails against ``scipy.special`` on every df the
+    battery produces (Chow q = 12, joint F q = 11) and odd and even
+    neighbours, from one residual degree of freedom to a 200-year panel."""
+
+    DENOMINATOR_DF = (1, 2, 5, 10, 121, 132, 2376, 2388)
+    F_GRID = np.r_[0.0, np.geomspace(1e-6, 1e3, 600), np.inf]
+
+    @pytest.mark.parametrize("d1", [1, 2, 3, 11, 12, 24, 35])
+    def test_f_tail_matches_fdtrc(self, d1):
+        for d2 in self.DENOMINATOR_DF:
+            got = [seastats._f_tail(d1, d2, F) for F in self.F_GRID.tolist()]
+            assert_tails_match(got, special.fdtrc(d1, d2, self.F_GRID))
+
+    @pytest.mark.parametrize("df", [1, 2, 5, 10, 121, 132, 2376])
+    def test_t_tail_matches_stdtr(self, df):
+        t = np.linspace(-40.0, 40.0, 1601)
+        got = [seastats._t_tail(df, v) for v in t.tolist()]
+        assert_tails_match(got, special.stdtr(df, -t))
+
+    def test_edges_map_as_in_scipy(self):
+        for d1, d2 in ((1, 1), (11, 132), (12, 2376)):
+            assert seastats._f_tail(d1, d2, 0.0) == 1.0
+            assert seastats._f_tail(d1, d2, np.inf) == 0.0
+        for d2, F in ((0, 1.0), (-12, 1.0), (10, -1.0), (10, np.nan)):
+            assert np.isnan(seastats._f_tail(12, d2, F))
+        assert seastats._t_tail(132, 0.0) == 0.5
+        assert np.isnan(seastats._t_tail(132, np.nan))
+
+    def test_reports_match_scipy_on_a_fit(self):
+        rng = np.random.default_rng(30)
+        yearly = {y: SEASONAL + rng.standard_normal(12)
+                  for y in range(2010, 2026)}
+        comp = components_from(yearly)
+        fit = fit_seasonal_shift(comp, 2021)
+        joint, contrast = joint_F_test(fit), directional_contrast(fit)
+        scan = chow_scan(comp, range(2013, 2024))
+        assert joint.p_value == pytest.approx(
+            special.fdtrc(11, fit.df_resid, joint.statistic), rel=1e-11)
+        assert contrast.p_value == pytest.approx(
+            special.stdtr(fit.df_resid, -contrast.statistic), rel=1e-11)
+        np.testing.assert_allclose(
+            [e.p_value for e in scan.entries],
+            special.fdtrc(12, comp.deviations.size - 24,
+                          [e.F for e in scan.entries]), rtol=1e-11)
+
+
 class TestJointF:
     def test_noise_free_null_is_zero(self):
         comp = components_from({y: SEASONAL for y in range(2014, 2026)})
@@ -533,6 +590,18 @@ class TestChowScan:
         scan = chow_scan(components_from(yearly), range(2013, 2024))
         assert all(e.F >= 0.0 for e in scan.entries)
         assert all(0.0 <= e.p_value <= 1.0 for e in scan.entries)
+
+    def test_panel_shorter_than_two_profiles_is_all_skipped(self):
+        """With n < 24 the Chow denominator has no degrees of freedom; no
+        candidate is kept, and no p-value is computed for one."""
+        rng = np.random.default_rng(31)
+        comp = SeasonalComponents(
+            years=np.repeat([2019, 2020], [8, 12]),
+            months=np.r_[np.arange(5, 13), MONTHS],
+            deviations=rng.standard_normal(20))
+        scan = chow_scan(comp, range(2018, 2023))
+        assert scan.entries == ()
+        assert [y for y, _ in scan.skipped] == list(range(2018, 2023))
 
     def test_thin_sides_skipped_with_note(self):
         comp = components_from({y: SEASONAL for y in range(2010, 2016)})

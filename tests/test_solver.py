@@ -460,12 +460,14 @@ def test_workflows_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_slow_scipy_modules_unloaded():
-    """Of scipy's subpackages the CLI imports only special: scipy.stats
-    cost about 0.8 s and 46 MiB, and seastats loads scipy.linalg only to
-    name the columns of a rank-deficient design."""
-    loaded = scipy_modules_after_import("thickmarket.cli")
-    assert "scipy.special" in loaded
-    assert not {"scipy.stats", "scipy.linalg", "scipy.optimize"} & set(loaded)
+    """The CLI loads no scipy module: seastats computes its F and t tails
+    with ``math`` (``scipy.special`` alone takes about 0.22 s to import) and
+    loads scipy.linalg only to name the columns of a rank-deficient design."""
+    assert scipy_modules_after_import("thickmarket.cli") == []
+
+
+def test_seastats_import_leaves_scipy_unloaded():
+    assert scipy_modules_after_import("thickmarket.seastats") == []
 
 
 class TestBiannualBenchmark:
