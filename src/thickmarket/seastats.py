@@ -12,8 +12,10 @@ Every statistic is whole-array numpy with no Python loop over years or
 candidates. Year means, seasonal cells and the Chow scan's per-(year,
 month) sums are ``np.bincount``s on one calendar index, so no step
 depends on row order. Least squares fits each response against a design
-factored once into thin Q and R^-1; the shift regression keeps its last
-design's factor for the next panel. The p-values are F and t tails,
+factored once into thin Q, R^-1 and L = R^-1[tested] Q', the rows of the
+pseudo-inverse for the coefficients a test reads; the covariance is the
+HC1 block of those coefficients only, and the shift regression keeps its
+last design's factor for the next panel. The p-values are F and t tails,
 regularized incomplete beta functions computed here with ``math``, one
 scalar at a time, so importing the battery loads no scipy;
 ``scipy.linalg`` is loaded only to name the dependent columns of a
@@ -82,16 +84,15 @@ class ShiftRegressionFit:
 
     ``gamma`` and ``mu`` are full 12-vectors satisfying the sum-to-zero
     identification exactly (the 12th element is minus the sum of the 11
-    free coefficients). ``cov`` is the HC1 covariance of the full free
-    coefficient vector ``beta``, with ``mu_idx`` locating the free
-    interaction block inside it.
+    free coefficients). ``beta`` is the full free coefficient vector;
+    ``cov`` is the 11-by-11 HC1 covariance of the free interactions
+    ``mu[:11]``, the only block the shift tests read.
     """
 
     gamma: np.ndarray
     mu: np.ndarray
     beta: np.ndarray
     cov: np.ndarray
-    mu_idx: np.ndarray
     df_resid: int
     n_obs: int
     rss: float
@@ -105,13 +106,18 @@ class ShiftRegressionFit:
 
 @dataclass(frozen=True)
 class LeastSquaresDesign:
-    """A factored design X = QR: read-only thin Q (n-by-k) and R^-1."""
+    """A factored design X = QR: read-only thin Q (n-by-k), R^-1 and
+    L = R^-1[tested] Q', the rows of the pseudo-inverse that give the
+    tested coefficients (t-by-n)."""
     q: np.ndarray
     r_inv: np.ndarray
+    L: np.ndarray
 
 
 @dataclass(frozen=True)
 class OLSResult:
+    """All k coefficients; ``cov_hc1`` is the t-by-t HC1 covariance of the
+    design's tested coefficients, in the order of ``tested``."""
     coefficients: np.ndarray
     cov_hc1: np.ndarray
     df_resid: int
@@ -211,9 +217,10 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
 # least squares core
 
 
-def factor_design(design: np.ndarray,
-                  names: tuple[str, ...] | None = None) -> LeastSquaresDesign:
-    """Read-only thin Q and R^-1 of an (n, k) design, n > k; raises
+def factor_design(design: np.ndarray, names: tuple[str, ...] | None = None, *,
+                  tested: np.ndarray) -> LeastSquaresDesign:
+    """Read-only thin Q, R^-1 and L = R^-1[tested] Q' of an (n, k) design,
+    n > k, for the coefficient positions ``tested``; raises
     ``RankDeficientError`` naming the dependent columns of a singular one."""
     X = np.asarray(design, dtype=float)
     if X.ndim != 2:
@@ -239,13 +246,18 @@ def factor_design(design: np.ndarray,
             f"dependent columns: {offending}", columns=list(offending))
 
     r_inv = np.linalg.inv(R)
-    Q.flags.writeable = r_inv.flags.writeable = False
-    return LeastSquaresDesign(q=Q, r_inv=r_inv)
+    L = r_inv[tested] @ Q.T
+    Q.flags.writeable = r_inv.flags.writeable = L.flags.writeable = False
+    return LeastSquaresDesign(q=Q, r_inv=r_inv, L=L)
 
 
 def ols_hc1(design: LeastSquaresDesign, response: np.ndarray) -> OLSResult:
-    """OLS and HC1 covariance from a factored X = QR:
-    beta = R^-1 Q'y, e = y - Q Q'y, HC1 = (n/(n-k)) R^-1 Q' diag(e^2) Q R^-T."""
+    """OLS and the HC1 covariance of the tested coefficients from a factored
+    X = QR: beta = R^-1 Q'y, e = y - Q Q'y and
+    HC1 = (n/(n-k)) (L diag(e^2)) L', the tested block of
+    (n/(n-k)) R^-1 Q' diag(e^2) Q R^-T. One general matrix product forms
+    it faster at these shapes than the symmetric rank update
+    (L diag(e))(L diag(e))'."""
     Q, r_inv = design.q, design.r_inv
     y = np.asarray(response, dtype=float)
     n, k = Q.shape
@@ -255,8 +267,7 @@ def ols_hc1(design: LeastSquaresDesign, response: np.ndarray) -> OLSResult:
     beta = r_inv @ qty
     resid = y - Q @ qty
     rss = float(resid @ resid)
-    scores = Q * resid[:, None]
-    cov = (n / (n - k)) * r_inv @ (scores.T @ scores) @ r_inv.T
+    cov = (n / (n - k)) * ((design.L * resid ** 2) @ design.L.T)
     return OLSResult(coefficients=beta, cov_hc1=cov, df_resid=n - k, rss=rss)
 
 
@@ -343,8 +354,9 @@ def _t_tail(df: int, t: float) -> float:
 
 @lru_cache(maxsize=1)
 def _shift_design(layout, break_year, include_year_effects):
-    """Read-only factored shift design and gamma and mu positions; ``layout``
-    is the (dtype, shape, bytes) of the years and of the months."""
+    """Read-only factored shift design whose last 22 columns are the 11 free
+    month effects and then the 11 free interactions, the tested ones;
+    ``layout`` is the (dtype, shape, bytes) of the years and of the months."""
     years, months = (np.frombuffer(b, t).reshape(s) for t, s, b in layout)
     post = (years >= break_year).astype(float)
     if not post.any() or post.all():
@@ -374,17 +386,13 @@ def _shift_design(layout, break_year, include_year_effects):
     names.append("post")
 
     mcols = _sum_coded_months(months)
-    gamma_idx = np.arange(len(names), len(names) + 11)
-    blocks.append(mcols)
+    blocks += [mcols, mcols * post[:, None]]
     names.extend(f"month_{j}" for j in range(1, 12))
-
-    mu_idx = np.arange(len(names), len(names) + 11)
-    blocks.append(mcols * post[:, None])
     names.extend(f"month_{j}:post" for j in range(1, 12))
 
-    design = factor_design(np.hstack(blocks), names=tuple(names))
-    gamma_idx.flags.writeable = mu_idx.flags.writeable = False
-    return design, gamma_idx, mu_idx
+    k = len(names)
+    return factor_design(np.hstack(blocks), tuple(names),
+                         tested=np.arange(k - 11, k))
 
 
 def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
@@ -403,17 +411,16 @@ def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
     d = components.deviations
     layout = tuple((a.dtype.str, a.shape, a.tobytes())
                    for a in (components.years, components.months))
-    design, gamma_idx, mu_idx = _shift_design(layout, break_year, include_year_effects)
-    fit = ols_hc1(design, d)
+    fit = ols_hc1(_shift_design(layout, break_year, include_year_effects), d)
 
-    gamma_free = fit.coefficients[gamma_idx]
-    mu_free = fit.coefficients[mu_idx]
+    gamma_free = fit.coefficients[-22:-11]
+    mu_free = fit.coefficients[-11:]
     gamma = np.append(gamma_free, -gamma_free.sum())
     mu = np.append(mu_free, -mu_free.sum())
 
     return ShiftRegressionFit(
         gamma=gamma, mu=mu, beta=fit.coefficients, cov=fit.cov_hc1,
-        mu_idx=mu_idx, df_resid=fit.df_resid,
+        df_resid=fit.df_resid,
         n_obs=d.size, rss=fit.rss,
         response_scale=float(np.abs(d).max()) if d.size else 0.0)
 
@@ -424,8 +431,7 @@ def joint_F_test(fit: ShiftRegressionFit) -> TestReport:
     Under the sum-to-zero constraint the 12 interactions vanish exactly
     when the 11 free coefficients do, so the test has 11 restrictions.
     """
-    mu_free = fit.beta[fit.mu_idx]
-    V = fit.cov[np.ix_(fit.mu_idx, fit.mu_idx)]
+    mu_free, V = fit.mu[:11], fit.cov
     q = mu_free.size
     if fit.is_exact_fit():
         # Residuals are pure round-off, so V carries no information: the
@@ -461,8 +467,7 @@ def directional_contrast(fit: ShiftRegressionFit) -> TestReport:
     """
     weights = np.zeros(11)
     weights[:6] = 1.0 / 3.0
-    mu_free = fit.beta[fit.mu_idx]
-    V = fit.cov[np.ix_(fit.mu_idx, fit.mu_idx)]
+    mu_free, V = fit.mu[:11], fit.cov
     estimate = float(weights @ mu_free)
     variance = float(weights @ V @ weights)
     noise = 1e-9 * max(1.0, fit.response_scale)
@@ -508,7 +513,8 @@ def chow_scan(components: SeasonalComponents, candidate_years,
     full sample; the unrestricted model fits separate profiles before and
     after the candidate year. F = ((RSS_r - RSS_u)/12) / (RSS_u/(n - 24)).
     Candidates leaving fewer than ``min_side_obs`` observations on either
-    side are skipped with a note.
+    side, or none of the n - 24 residual degrees of freedom, are skipped
+    with a note.
     """
     d = components.deviations
     months = components.months
@@ -549,7 +555,7 @@ def chow_scan(components: SeasonalComponents, candidate_years,
     q = 12
     df_denom = n - 24
     F = np.full(candidates.size, np.inf)
-    fits = rss_u > max(roundoff, 1e-12 * rss_restricted)
+    fits = (df_denom > 0) & (rss_u > max(roundoff, 1e-12 * rss_restricted))
     F[fits] = (drop[fits] / q) / (rss_u[fits] / df_denom)
     F[drop <= roundoff] = 0.0
 
@@ -560,6 +566,9 @@ def chow_scan(components: SeasonalComponents, candidate_years,
         if side_obs < min_side_obs:
             skipped.append((year, f"only {side_obs} "
                                   f"observations on one side (need {min_side_obs})"))
+        elif df_denom < 1:
+            skipped.append((year, f"no residual degrees of freedom ({n} "
+                                  "observations for 24 parameters)"))
         else:
             entries.append(ChowScanEntry(year=year, F=f,
                                          p_value=_f_tail(q, df_denom, f)))

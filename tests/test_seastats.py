@@ -52,13 +52,10 @@ def crafted_fit(mu_free, V, rss=1.0) -> ShiftRegressionFit:
     """A fit whose free interactions and their covariance are given, with
     the other 13 coefficients zero; ``rss=0`` makes it an exact fit."""
     mu_free = np.asarray(mu_free, dtype=float)
-    cov = np.zeros((24, 24))
-    cov[13:, 13:] = V
     return ShiftRegressionFit(
         gamma=np.zeros(12), mu=np.append(mu_free, -mu_free.sum()),
-        beta=np.concatenate([np.zeros(13), mu_free]), cov=cov,
-        mu_idx=np.arange(13, 24), df_resid=100, n_obs=124, rss=rss,
-        response_scale=1.0)
+        beta=np.concatenate([np.zeros(13), mu_free]), cov=np.asarray(V),
+        df_resid=100, n_obs=124, rss=rss, response_scale=1.0)
 
 
 class TestMonthlyPanel:
@@ -166,21 +163,22 @@ class TestOlsHc1:
         rng = np.random.default_rng(21)
         X = np.column_stack([np.ones(30), rng.standard_normal((30, 3))])
         b = np.array([1.0, -2.0, 0.5, 3.0])
-        res = ols_hc1(factor_design(X), X @ b)
+        res = ols_hc1(factor_design(X, tested=np.arange(4)), X @ b)
         assert np.abs(res.coefficients - b).max() < 1e-10
         assert res.rss < 1e-20
 
     def test_two_point_line(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([2.0, 5.0])
-        res = ols_hc1(factor_design(np.vstack([X, X])), np.concatenate([y, y]))
+        res = ols_hc1(factor_design(np.vstack([X, X]), tested=np.arange(2)),
+                      np.concatenate([y, y]))
         assert np.allclose(res.coefficients, [2.0, 3.0])
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(22)
         X = np.column_stack([np.ones(200), rng.standard_normal((200, 5))])
         y = X @ rng.standard_normal(6) + rng.standard_normal(200)
-        res = ols_hc1(factor_design(X), y)
+        res = ols_hc1(factor_design(X, tested=np.arange(6)), y)
         beta_ne = np.linalg.solve(X.T @ X, X.T @ y)
         assert np.abs(res.coefficients - beta_ne).max() < 1e-8
         e = y - X @ beta_ne
@@ -195,7 +193,7 @@ class TestOlsHc1:
         x = rng.standard_normal(40)
         X = np.column_stack([np.ones(40), x, 2.0 * x])
         with pytest.raises(RankDeficientError) as err:
-            factor_design(X, ("const", "a", "b"))
+            factor_design(X, ("const", "a", "b"), tested=np.arange(3))
         assert err.value.columns
 
 
@@ -274,11 +272,13 @@ class TestFitSeasonalShift:
         year_dummies = np.column_stack(
             [(years == yy).astype(float) for yy in range(2010, 2020)])
         fit_a = ols_hc1(factor_design(
-            np.hstack([year_dummies, _sum_coded_months(months)])), y)
+            np.hstack([year_dummies, _sum_coded_months(months)]),
+            tested=np.arange(21)), y)
         demeaned = y - np.repeat(
             [y[years == yy].mean() for yy in range(2010, 2020)], 12)
         fit_b = ols_hc1(factor_design(np.hstack([np.ones((120, 1)),
-                                                 _sum_coded_months(months)])),
+                                                 _sum_coded_months(months)]),
+                                      tested=np.arange(12)),
                         demeaned)
         assert np.abs(fit_a.coefficients[-11:] - fit_b.coefficients[-11:]).max() < 1e-9
 
@@ -298,11 +298,13 @@ def shift_design_matrix(years, months, break_year, year_effects):
 
 
 def assert_matches_lstsq_hc1(fit, X, y):
+    """beta against lstsq; the fit's covariance against the interaction
+    block (the last 11 columns of X) of the explicit HC1 sandwich."""
     n, k = X.shape
     beta = np.linalg.lstsq(X, y, rcond=None)[0]
     bread = np.linalg.inv(X.T @ X)
     scores = X * (y - X @ beta)[:, None]
-    cov = n / (n - k) * bread @ (scores.T @ scores) @ bread
+    cov = (n / (n - k) * bread @ (scores.T @ scores) @ bread)[-11:, -11:]
     np.testing.assert_allclose(fit.beta, beta, rtol=1e-10,
                                atol=1e-10 * np.abs(beta).max())
     np.testing.assert_allclose(fit.cov, cov, rtol=1e-10,
@@ -315,11 +317,13 @@ class TestFactorReuse:
 
     @pytest.fixture
     def factor_calls(self, monkeypatch):
+        """Shapes of the designs factored, and the last factor made."""
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
-            return factor_design(*args, **kwargs)
+            self.last_design = factor_design(*args, **kwargs)
+            return self.last_design
 
         seastats._shift_design.cache_clear()
         monkeypatch.setattr(seastats, "factor_design", counting)
@@ -366,11 +370,13 @@ class TestFactorReuse:
     def test_cached_arrays_are_read_only(self, factor_calls):
         years = np.repeat(np.arange(2012, 2024), 12)
         comp = self.noisy(years, np.tile(MONTHS, 12), 6)
-        fit = fit_seasonal_shift(comp, 2019)
-        with pytest.raises(ValueError):
-            fit.mu_idx[0] = 0
-        again = fit_seasonal_shift(comp, 2019)
-        assert again.mu_idx is fit.mu_idx
+        fit_seasonal_shift(comp, 2019)
+        design = self.last_design
+        assert design.L.shape == (11, comp.years.size)
+        for array in (design.q, design.r_inv, design.L):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        fit_seasonal_shift(comp, 2019)
         assert len(factor_calls) == 1
 
     def test_rank_deficient_design_is_never_cached(self, factor_calls):
@@ -391,8 +397,9 @@ class TestFactorReuse:
 
 class TestFactoredDesign:
     def test_factor_is_read_only(self):
-        design = factor_design(np.random.default_rng(32).standard_normal((9, 3)))
-        for array in (design.q, design.r_inv):
+        design = factor_design(np.random.default_rng(32).standard_normal((9, 3)),
+                               tested=np.array([2, 0]))
+        for array in (design.q, design.r_inv, design.L):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
@@ -602,6 +609,19 @@ class TestChowScan:
         scan = chow_scan(comp, range(2018, 2023))
         assert scan.entries == ()
         assert [y for y, _ in scan.skipped] == list(range(2018, 2023))
+
+    def test_no_residual_degrees_of_freedom_is_skipped(self):
+        """On n = 20 rows the unrestricted model's 24 parameters leave no
+        residual degrees of freedom, whatever ``min_side_obs`` allows."""
+        rng = np.random.default_rng(31)
+        comp = SeasonalComponents(
+            years=np.repeat([2019, 2020], [8, 12]),
+            months=np.r_[np.arange(5, 13), MONTHS],
+            deviations=rng.standard_normal(20))
+        scan = chow_scan(comp, [2020], min_side_obs=1)
+        assert scan.entries == ()
+        assert scan.skipped == ((2020, "no residual degrees of freedom "
+                                       "(20 observations for 24 parameters)"),)
 
     def test_thin_sides_skipped_with_note(self):
         comp = components_from({y: SEASONAL for y in range(2010, 2016)})

@@ -6,7 +6,8 @@ per-month, per-season and per-candidate loops the vectorized code
 replaced, kept verbatim (bar the inlined year counts) as references. The
 vectorized functions group by a calendar index, so row order must not
 change what they return. ``ols_hc1`` on a factored design is
-checked against ``np.linalg.lstsq`` plus an explicit HC1 sandwich.
+checked against ``np.linalg.lstsq`` plus the tested block of an explicit
+HC1 sandwich.
 """
 
 import numpy as np
@@ -356,8 +357,11 @@ def lstsq_hc1(X, y):
     return beta, n / (n - k) * bread @ (X.T * e**2) @ X @ bread
 
 
-def assert_matches_lstsq(beta, cov, X, y):
+def assert_matches_lstsq(beta, cov, X, y, tested):
+    """beta against lstsq; cov against the ``tested`` rows and columns of
+    the sandwich, in that order."""
     beta_ref, cov_ref = lstsq_hc1(X, y)
+    cov_ref = cov_ref[np.ix_(tested, tested)]
     np.testing.assert_allclose(beta, beta_ref, rtol=1e-9,
                                atol=1e-9 * np.abs(beta_ref).max())
     np.testing.assert_allclose(cov, cov_ref, rtol=1e-8,
@@ -370,9 +374,30 @@ def test_ols_hc1_matches_lstsq_sandwich(k, extra, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((k + extra, k))
     y = X @ rng.standard_normal(k) + rng.standard_normal(k + extra)
-    res = ols_hc1(factor_design(X), y)
-    assert_matches_lstsq(res.coefficients, res.cov_hc1, X, y)
+    res = ols_hc1(factor_design(X, tested=np.arange(k)), y)
+    assert_matches_lstsq(res.coefficients, res.cov_hc1, X, y, np.arange(k))
     assert res.df_resid == extra
+
+
+@PROPERTY
+@given(k=st.integers(1, 12), extra=st.integers(2, 40), seed=SEEDS,
+       contiguous=st.booleans())
+def test_ols_hc1_covariance_is_the_tested_block(k, extra, seed, contiguous):
+    """For any subset of the coefficients, contiguous or not and in any
+    order, the covariance is that block of the full HC1 sandwich."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((k + extra, k))
+    y = X @ rng.standard_normal(k) + rng.standard_normal(k + extra)
+    size = int(rng.integers(1, k + 1))
+    if contiguous:
+        start = int(rng.integers(0, k - size + 1))
+        tested = np.arange(start, start + size)
+    else:
+        tested = rng.choice(k, size, replace=False)
+    res = ols_hc1(factor_design(X, tested=tested), y)
+    _, cov_ref = lstsq_hc1(X, y)
+    np.testing.assert_allclose(res.cov_hc1, cov_ref[np.ix_(tested, tested)],
+                               rtol=1e-10, atol=0.0)
 
 
 @PROPERTY
@@ -401,7 +426,7 @@ def test_shift_fit_matches_lstsq_sandwich(layout, seed, year_effects):
                         + (dummies if year_effects else [])
                         + [post, coded, coded * post])
     for fit, d in zip(fits, responses):
-        assert_matches_lstsq(fit.beta, fit.cov, X, d)
+        assert_matches_lstsq(fit.beta, fit.cov, X, d, np.arange(-11, 0))
 
 
 @PROPERTY
@@ -422,6 +447,6 @@ def test_rank_deficiency_names_pivoted_qr_columns(k, extra, seed, n_dependent):
     expected = sorted(labels[j] for j in piv[rank:])
 
     with pytest.raises(RankDeficientError) as err:
-        factor_design(X, labels)
+        factor_design(X, labels, tested=np.arange(X.shape[1]))
     assert err.value.columns == expected
     assert len(expected) == n_dependent
