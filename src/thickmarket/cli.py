@@ -71,6 +71,8 @@ INPUT_FILE = "FILE"   # metavar of every option naming an input file
 # Machine-handoff files that a later command reads back (solve --hazards,
 # solve --warm-start): written at full precision so the reader sees exact floats.
 FULL_PRECISION = frozenset({"hazards.json", "solution.json"})
+# compare's default fixture on each side
+SIDE_FIXTURES = dict(zip(("pre", "post"), SHARE_FIXTURES))
 
 
 def _write_manifest(out_dir: Path, args, parameters: dict,
@@ -124,56 +126,63 @@ def _parse_years(spec: str) -> list[int]:
 
 
 def _resolve_shares(args, side: str = ""):
-    """Shares, eta and a source label from --fixture, --shares or --trends.
+    """Shares, eta and a source label from the one share source given.
 
-    With ``side`` ("pre" or "post") the options are compare's
-    --pre-*/--post-* ones, and a shares file beats the defaulted fixture.
+    The sources are --fixture, --shares, --trends and solve's --hazards,
+    or with ``side`` ("pre" or "post") compare's --pre-/--post-fixture
+    and --pre-/--post-shares. Options the source would silently ignore
+    are refused: a second source, --trend-years without --trends, and
+    --eta with --hazards, whose file holds the eta it was calibrated at
+    (shares and eta are then None). A side's fixture defaults to
+    ``SIDE_FIXTURES``, and that default yields to a shares file: older
+    manifests replay it next to one.
     """
     def opt(name):
         return getattr(args, f"{side}_{name}" if side else name, None)
 
-    eta, fixture, path = opt("eta"), opt("fixture"), opt("shares")
-    if fixture and not (side and path):
+    flag = f"--{side}-" if side else "--"
+    eta, fixture = opt("eta"), opt("fixture")
+    path, trends, trend_years = opt("shares"), opt("trends"), opt("trend_years")
+    if side and fixture in (None, SIDE_FIXTURES[side]):
+        fixture = None if path else SIDE_FIXTURES[side]
+    sources = {f"{flag}fixture": fixture, f"{flag}shares": path,
+               "--trends": trends, "--hazards": opt("hazards_file")}
+    given = [name for name, value in sources.items() if value]
+    if len(given) > 1:
+        raise DataError(f"{' and '.join(given)} are alternative share "
+                        "sources; give one")
+    if trend_years and not trends:
+        raise DataError("--trend-years applies only with --trends")
+
+    if sources["--hazards"]:
+        if eta is not None:
+            raise DataError(f"--eta does not apply with --hazards: "
+                            f"{args.hazards_file} holds the eta it was "
+                            "calibrated at")
+        return None, None, str(args.hazards_file)
+    if fixture:
         shares, eta_default = shares_fixture(fixture)
         eta, label = (eta_default if eta is None else eta), fixture
     elif path:
         shares, label = read_shares_csv(path), str(path)
-    elif opt("trends"):
-        if not args.trend_years:
+    elif trends:
+        if not trend_years:
             raise DataError("--trend-years is required with --trends "
                             "(e.g. 2010-2020)")
-        panel = to_panel(read_monthly_csv(args.trends))
-        years = _parse_years(args.trend_years)
+        panel = to_panel(read_monthly_csv(trends))
+        years = _parse_years(trend_years)
         try:
             shares = shares_from_trends(panel, years)
         except DataError as exc:
-            raise DataError(f"{args.trends}: {exc}") from None
-        label = f"{args.trends} [{args.trend_years}]"
+            raise DataError(f"{trends}: {exc}") from None
+        label = f"{trends} [{trend_years}]"
     else:
         raise DataError("provide a share source: --fixture, --shares, "
                         "or --trends")
     if eta is None:
-        raise DataError(f"--{side}-eta is required with --{side}-shares" if side
+        raise DataError(f"{flag}eta is required with {flag}shares" if side
                         else "--eta is required when not using a fixture")
     return shares, float(eta), label
-
-
-def _check_one_source(args) -> None:
-    """Refuse calibrate or solve options that the chosen source would
-    silently ignore: a second source, --trend-years without --trends, and
-    --eta with --hazards, whose file holds the eta it was calibrated at."""
-    sources = {"--fixture": args.fixture, "--shares": args.shares,
-               "--trends": args.trends,
-               "--hazards": getattr(args, "hazards_file", None)}
-    given = [flag for flag, value in sources.items() if value]
-    if len(given) > 1:
-        raise DataError(f"{' and '.join(given)} are alternative share "
-                        "sources; give one")
-    if args.trend_years and not args.trends:
-        raise DataError("--trend-years applies only with --trends")
-    if sources["--hazards"] and args.eta is not None:
-        raise DataError(f"--eta does not apply with --hazards: "
-                        f"{args.hazards_file} holds the eta it was calibrated at")
 
 
 def _solver_config(args) -> SolverConfig:
@@ -190,7 +199,6 @@ def _solver_config(args) -> SolverConfig:
 
 
 def cmd_calibrate(args):
-    _check_one_source(args)
     shares, eta, label = _resolve_shares(args)
     kappa = solve_kappa(shares, eta)
     hazards = HazardProfile.from_hazard(kappa * shares.shares.values)
@@ -202,19 +210,17 @@ def cmd_calibrate(args):
 
 
 def cmd_solve(args):
-    _check_one_source(args)
+    shares, eta, label = _resolve_shares(args)
     config = _solver_config(args)
     if args.warm_start:
         snapshot = read_equilibrium_json(args.warm_start)
         config.initial_X = snapshot["X"]
         config.initial_v = snapshot["v"]
-    if args.hazards_file:
+    if shares is None:   # --hazards
         hz_doc = read_hazards_json(args.hazards_file)
         hazards = HazardProfile.from_survival(hz_doc["survival"])
         eta = hz_doc.get("eta")
-        label = str(args.hazards_file)
     else:
-        shares, eta, label = _resolve_shares(args)
         hazards = hazards_from_shares(shares, eta)
     solution, u, _ = solve_hazards(
         hazards, annual_rate=args.annual_rate, delta=args.delta,
@@ -304,23 +310,21 @@ def cmd_shift_test(args):
         "directional_contrast": {"t": contrast.statistic,
                                  "p_one_sided": contrast.p_value,
                                  "df": contrast.df_denominator},
-        "seasonal_delta": deltas.as_dict(),
+        "seasonal_delta": deltas,
         "month_effects": fit.gamma.tolist(),
         "month_post_interactions": fit.mu.tolist(),
     }
     table = {
-        "columns": ["F", "p", "t", "p1",
-                    "win_delta", "spr_delta", "sum_delta", "aut_delta"],
+        "columns": ["F", "p", "t", "p1"]
+                   + [season[:3] + "_delta" for season in deltas],
         "rows": [[joint.statistic, joint.p_value, contrast.statistic,
-                  contrast.p_value, deltas.winter, deltas.spring,
-                  deltas.summer, deltas.autumn]],
+                  contrast.p_value, *deltas.values()]],
     }
     outputs = {"shift_test.json": report, "shift_test.txt": table}
     print(f"joint F = {joint.statistic:.3g} (p = {joint.p_value:.3g}); "
           f"contrast t = {contrast.statistic:.3g} (p1 = {contrast.p_value:.3g})")
-    print(f"seasonal deltas (pp): winter {deltas.winter:+.2f}, "
-          f"spring {deltas.spring:+.2f}, summer {deltas.summer:+.2f}, "
-          f"autumn {deltas.autumn:+.2f}")
+    print("seasonal deltas (pp): "
+          + ", ".join(f"{season} {x:+.2f}" for season, x in deltas.items()))
     return outputs, {"break_year": args.break_year, "mode": args.mode}
 
 
@@ -403,18 +407,23 @@ def cmd_rerun(args, out_dir: Path) -> list[Path]:
 # wiring
 
 
-def _add_share_source(p):
-    p.add_argument("--fixture", choices=SHARE_FIXTURES, default=None,
+def _add_share_source(p, side=""):
+    """The share-source options, or with ``side`` compare's --pre-*/--post-*
+    fixture, shares and eta; all default to None, and ``_resolve_shares``
+    fills in a side's fixture from ``SIDE_FIXTURES``."""
+    flag = f"--{side}-" if side else "--"
+    p.add_argument(f"{flag}fixture", choices=SHARE_FIXTURES, default=None,
                    help="bundled share table")
-    p.add_argument("--shares", default=None, metavar=INPUT_FILE,
+    p.add_argument(f"{flag}shares", default=None, metavar=INPUT_FILE,
                    help="CSV with header month,share (months 1-12 or Jan-Dec)")
-    p.add_argument("--trends", default=None, metavar=INPUT_FILE,
-                   help="monthly search-interest CSV (date,value); shares are "
-                        "within-year volumes averaged over --trend-years")
-    p.add_argument("--trend-years", default=None,
-                   help="years to average for --trends, e.g. 2010-2020")
+    if not side:
+        p.add_argument("--trends", default=None, metavar=INPUT_FILE,
+                       help="monthly search-interest CSV (date,value); shares "
+                            "are within-year volumes averaged over --trend-years")
+        p.add_argument("--trend-years", default=None,
+                       help="years to average for --trends, e.g. 2010-2020")
     etas = ", ".join(f"{name} {eta}" for name, (_, eta) in SHARE_FIXTURES.items())
-    p.add_argument("--eta", type=float, default=None,
+    p.add_argument(f"{flag}eta", type=float, default=None,
                    help=f"annual move rate (default per fixture: {etas})")
 
 
@@ -473,15 +482,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("compare", help="pre vs post calibration side by side")
-    pre, post = SHARE_FIXTURES
-    p.add_argument("--pre-fixture", choices=SHARE_FIXTURES, default=pre)
-    p.add_argument("--post-fixture", choices=SHARE_FIXTURES, default=post)
-    p.add_argument("--pre-shares", default=None, metavar=INPUT_FILE,
-                   help="month,share CSV for the pre side (needs --pre-eta)")
-    p.add_argument("--post-shares", default=None, metavar=INPUT_FILE,
-                   help="month,share CSV for the post side (needs --post-eta)")
-    p.add_argument("--pre-eta", type=float, default=None)
-    p.add_argument("--post-eta", type=float, default=None)
+    for side in SIDE_FIXTURES:
+        _add_share_source(p, side)
     _add_model_flags(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_compare)

@@ -17,9 +17,9 @@ pseudo-inverse for the coefficients a test reads; the covariance is the
 HC1 block of those coefficients only, and the shift regression keeps its
 last design's factor for the next panel. The p-values are F and t tails,
 regularized incomplete beta functions computed here with ``math``, one
-scalar at a time, so importing the battery loads no scipy;
-``scipy.linalg`` is loaded only to name the dependent columns of a
-rank-deficient design.
+scalar at a time, and the dependent columns of a rank-deficient design
+are named from the null space of its own R, so the battery needs no
+scipy.
 """
 
 from __future__ import annotations
@@ -84,14 +84,12 @@ class ShiftRegressionFit:
 
     ``gamma`` and ``mu`` are full 12-vectors satisfying the sum-to-zero
     identification exactly (the 12th element is minus the sum of the 11
-    free coefficients). ``beta`` is the full free coefficient vector;
-    ``cov`` is the 11-by-11 HC1 covariance of the free interactions
-    ``mu[:11]``, the only block the shift tests read.
+    free coefficients). ``cov`` is the 11-by-11 HC1 covariance of the
+    free interactions ``mu[:11]``, the only block the shift tests read.
     """
 
     gamma: np.ndarray
     mu: np.ndarray
-    beta: np.ndarray
     cov: np.ndarray
     df_resid: int
     n_obs: int
@@ -138,18 +136,6 @@ class ChowScanResult:
 
     def best(self) -> ChowScanEntry:
         return max(self.entries, key=lambda e: e.F)
-
-
-@dataclass(frozen=True)
-class SeasonalDeltas:
-    winter: float
-    spring: float
-    summer: float
-    autumn: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {"winter": self.winter, "spring": self.spring,
-                "summer": self.summer, "autumn": self.autumn}
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +216,30 @@ def factor_design(design: np.ndarray, names: tuple[str, ...] | None = None, *,
         raise DomainError(f"need more observations ({n}) than columns ({k})")
 
     Q, R = np.linalg.qr(X)
+    rtol = max(n, k) * np.finfo(float).eps
     diag = np.abs(np.diag(R))
-    tol = (diag.max() if diag.size else 0.0) * max(n, k) * np.finfo(float).eps
-    if np.any(diag <= tol):
-        # Redo with column pivoting only to name the dependent columns.
-        from scipy.linalg import qr
-        Rp, piv = qr(X, mode="r", pivoting=True)
-        diag_p = np.abs(np.diag(Rp))
-        tol_p = diag_p.max() * max(n, k) * np.finfo(float).eps
-        rank = int((diag_p > tol_p).sum())
+    if np.any(diag <= (diag.max() if diag.size else 0.0) * rtol):
+        # X and R share a null space. As sigma_min(R) <= min|R_jj| and
+        # sigma_max(R) >= max|R_jj|, the SVD finds rank < k too; the cap
+        # keeps a round-off tie from naming no column.
+        _, sv, vt = np.linalg.svd(R)
+        rank = min(int((sv > sv[0] * rtol).sum()), k - 1)
+        null = vt[rank:].T
+        # Complete pivoting: name the column with the largest entry of the
+        # null basis and eliminate it from the other null vectors, so the
+        # named rows of the basis are nonsingular and X without them has
+        # full rank.
+        dependent = []
+        while null.shape[1]:
+            j, c = np.unravel_index(np.abs(null).argmax(), null.shape)
+            dependent.append(int(j))
+            null = np.delete(null - np.outer(null[:, c], null[j] / null[j, c]),
+                             c, axis=1)
         labels = names or tuple(f"x{j}" for j in range(k))
-        offending = sorted(labels[piv[j]] for j in range(rank, k))
+        offending = sorted(labels[j] for j in dependent)
         raise RankDeficientError(
             f"design matrix is rank deficient (rank {rank} of {k}); "
-            f"dependent columns: {offending}", columns=list(offending))
+            f"dependent columns: {offending}", columns=offending)
 
     r_inv = np.linalg.inv(R)
     L = r_inv[tested] @ Q.T
@@ -419,8 +415,7 @@ def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
     mu = np.append(mu_free, -mu_free.sum())
 
     return ShiftRegressionFit(
-        gamma=gamma, mu=mu, beta=fit.coefficients, cov=fit.cov_hc1,
-        df_resid=fit.df_resid,
+        gamma=gamma, mu=mu, cov=fit.cov_hc1, df_resid=fit.df_resid,
         n_obs=d.size, rss=fit.rss,
         response_scale=float(np.abs(d).max()) if d.size else 0.0)
 
@@ -492,8 +487,9 @@ _SEASON_OF_MONTH = np.array([-1] + [k for m in range(1, 13) for k, months
 
 
 def seasonal_delta(components: SeasonalComponents,
-                   break_year: int) -> SeasonalDeltas:
-    """Post-minus-pre change in the average deviation for each season."""
+                   break_year: int) -> dict[str, float]:
+    """Post-minus-pre change in the average deviation for each season,
+    keyed by season in ``SEASONS`` order."""
     cell = 4 * (components.years >= break_year) + _SEASON_OF_MONTH[components.months]
     n = np.bincount(cell, minlength=8).reshape(2, 4)
     total = np.bincount(cell, weights=components.deviations, minlength=8).reshape(2, 4)
@@ -502,7 +498,7 @@ def seasonal_delta(components: SeasonalComponents,
         raise DataError(f"no observations for season '{list(SEASONS)[empty.argmax()]}'"
                         f" on one side of {break_year}")
     mean_pre, mean_post = total / n
-    return SeasonalDeltas(**dict(zip(SEASONS, (mean_post - mean_pre).tolist())))
+    return dict(zip(SEASONS, (mean_post - mean_pre).tolist()))
 
 
 def chow_scan(components: SeasonalComponents, candidate_years,

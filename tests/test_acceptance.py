@@ -386,8 +386,7 @@ class TestCriterion9:
             scan = chow_scan(comp, range(2013, 2024))
             chow_2021 = next(e.F for e in scan.entries if e.year == 2021)
             e = self.EXPECTED[name]
-            got_deltas = (deltas.winter, deltas.spring, deltas.summer,
-                          deltas.autumn)
+            got_deltas = tuple(deltas.values())
             checks = [
                 abs(joint.statistic - e["F"]) <= 0.05,
                 abs(joint.p_value - e["p"]) <= 0.02,

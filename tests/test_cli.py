@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +362,27 @@ class TestCompareCommand:
         assert run(["compare", "--pre-shares", csv,
                     "--out", tmp_path / "cmp"]) == 2
 
+    def test_defaulted_fixture_of_an_older_manifest_yields(self, tmp_path):
+        """Manifests written while the side fixtures had parser defaults
+        replay ``--pre-fixture sipp-pre`` next to ``--pre-shares``; the
+        default fixture yields to the file, so they rerun unchanged."""
+        csv = tmp_path / "shares.csv"
+        csv.write_text("month,share\n" + "".join(
+            f"{m},{m % 5 + 1}\n" for m in range(1, 13)))
+        new, old = tmp_path / "new", tmp_path / "old"
+        assert run(["compare", "--pre-shares", csv, "--pre-eta", 0.1,
+                    "--out", new]) == 0
+        manifest = json.loads((new / "manifest.json").read_text())
+        assert "--pre-fixture" not in manifest["replay"]
+        manifest["replay"][1:1] = ["--pre-fixture", "sipp-pre",
+                                   "--post-fixture", "sipp-post"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert run(["rerun", tmp_path / "manifest.json", "--out", old]) == 0
+        for name in ("compare.json", "compare.csv"):
+            assert (new / name).read_bytes() == (old / name).read_bytes()
+        replayed = json.loads((old / "manifest.json").read_text())
+        assert replayed["parameters"] == manifest["parameters"]
+
     def test_identical_sides_give_zero_deltas(self, tmp_path):
         out = tmp_path / "cmp"
         assert run(["compare", "--pre-fixture", "sipp-pre",
@@ -692,8 +717,14 @@ class TestExitCodes:
           "--u-fixed", 0.0014], "--fixture and --hazards are alternative"),
         (["solve", "--hazards", "{hazards}", "--eta", 0.5,
           "--u-fixed", 0.0014], "--eta does not apply with --hazards"),
+        (["compare", "--pre-fixture", "sipp-post", "--pre-shares", "{shares}",
+          "--pre-eta", 0.1], "--pre-fixture and --pre-shares are alternative"),
+        (["compare", "--post-fixture", "sipp-pre", "--post-shares",
+          "{shares}", "--post-eta", 0.1],
+         "--post-fixture and --post-shares are alternative"),
     ], ids=["fixture-shares", "shares-trends", "trend-years-alone",
-            "fixture-hazards", "eta-hazards"])
+            "fixture-hazards", "eta-hazards", "compare-pre-fixture-shares",
+            "compare-post-fixture-shares"])
     def test_option_the_source_ignores_is_input_error(self, tmp_path, capsys,
                                                       argv, named):
         """One share source per run: an option it would ignore exits 2."""
@@ -725,3 +756,69 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run(argv + ["--out", out]) == code
         assert not out.exists()
+
+
+REFUSE_SCIPY = """
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was not refused")
+from thickmarket.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """numpy is the only runtime dependency. With every scipy import
+    refused, each command exits as it does with scipy importable and
+    writes the same files, and a design with no May still names its
+    dependent columns."""
+    panel = make_shift_panel(tmp_path / "panel.csv", np.random.default_rng(50))
+    no_may = tmp_path / "no_may.csv"
+    no_may.write_text("".join(f"{line}\n" for line in panel.read_text().splitlines()
+                              if "-05," not in line))
+
+    def argvs(out):
+        return [[str(a) for a in argv] for argv in [
+            ["calibrate", "--fixture", "sipp-pre", "--out", out / "calibrate"],
+            ["solve", "--fixture", "sipp-post", "--out", out / "solve"],
+            ["compare", "--out", out / "compare"],
+            ["shift-test", "--data", panel, "--out", out / "shift-test"],
+            ["shift-test", "--data", no_may, "--out", out / "no-may"],
+            ["break-scan", "--data", panel, "--from-year", 2014,
+             "--to-year", 2023, "--out", out / "break-scan"],
+            ["replicate-nt", "--out", out / "replicate-nt"],
+            ["rerun", out / "shift-test" / "manifest.json",
+             "--out", out / "rerun"]]]
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    blocked, open_ = tmp_path / "blocked", tmp_path / "open"
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSE_SCIPY, json.dumps(argvs(blocked))],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [main(argv) for argv in argvs(open_)]
+    assert codes == [0, 0, 0, 0, 2, 0, 0, 0]
+    assert ("dependent columns: ['month_5', 'month_5:post']"
+            in proc.stderr.splitlines()[-1])
+
+    written = sorted(p.relative_to(open_) for p in open_.rglob("*.*")
+                     if p.name != "manifest.json")
+    assert len(written) == 13
+    assert written == sorted(p.relative_to(blocked) for p in blocked.rglob("*.*")
+                             if p.name != "manifest.json")
+    for name in written:
+        assert (open_ / name).read_bytes() == (blocked / name).read_bytes()

@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 from thickmarket import seastats
+from thickmarket.core import SEASONS
 from thickmarket.errors import DataError, DomainError, RankDeficientError
 from thickmarket.seastats import (
     MonthlyPanel,
@@ -50,12 +51,11 @@ SEASONAL = SEASONAL - SEASONAL.mean()
 
 def crafted_fit(mu_free, V, rss=1.0) -> ShiftRegressionFit:
     """A fit whose free interactions and their covariance are given, with
-    the other 13 coefficients zero; ``rss=0`` makes it an exact fit."""
+    zero month effects; ``rss=0`` makes it an exact fit."""
     mu_free = np.asarray(mu_free, dtype=float)
     return ShiftRegressionFit(
         gamma=np.zeros(12), mu=np.append(mu_free, -mu_free.sum()),
-        beta=np.concatenate([np.zeros(13), mu_free]), cov=np.asarray(V),
-        df_resid=100, n_obs=124, rss=rss, response_scale=1.0)
+        cov=np.asarray(V), df_resid=100, n_obs=124, rss=rss, response_scale=1.0)
 
 
 class TestMonthlyPanel:
@@ -194,7 +194,19 @@ class TestOlsHc1:
         X = np.column_stack([np.ones(40), x, 2.0 * x])
         with pytest.raises(RankDeficientError) as err:
             factor_design(X, ("const", "a", "b"), tested=np.arange(3))
-        assert err.value.columns
+        # the null vector is (0, 2, -1)/sqrt(5); "a" has its largest entry
+        assert err.value.columns == ["a"]
+
+    @pytest.mark.parametrize("scale, named", [
+        (1.0, ["zero"]), (0.0, ["a", "b", "zero"])],
+        ids=["zero-column", "zero-design"])
+    def test_zero_columns_are_named(self, scale, named):
+        """A zero column is the null space; a zero design is all of it."""
+        X = scale * np.random.default_rng(24).standard_normal((12, 2))
+        X = np.column_stack([X[:, 0], np.zeros(12), X[:, 1]])
+        with pytest.raises(RankDeficientError) as err:
+            factor_design(X, ("a", "zero", "b"), tested=np.arange(3))
+        assert err.value.columns == named
 
 
 class TestFitSeasonalShift:
@@ -298,15 +310,19 @@ def shift_design_matrix(years, months, break_year, year_effects):
 
 
 def assert_matches_lstsq_hc1(fit, X, y):
-    """beta against lstsq; the fit's covariance against the interaction
-    block (the last 11 columns of X) of the explicit HC1 sandwich."""
+    """gamma[:11] and mu[:11] against the last 22 lstsq coefficients (the
+    month effects, then the interactions), gamma[11] and mu[11] as minus
+    the sums of the 11; the fit's covariance against the interaction block
+    (the last 11 columns of X) of the explicit HC1 sandwich."""
     n, k = X.shape
     beta = np.linalg.lstsq(X, y, rcond=None)[0]
     bread = np.linalg.inv(X.T @ X)
     scores = X * (y - X @ beta)[:, None]
     cov = (n / (n - k) * bread @ (scores.T @ scores) @ bread)[-11:, -11:]
-    np.testing.assert_allclose(fit.beta, beta, rtol=1e-10,
-                               atol=1e-10 * np.abs(beta).max())
+    np.testing.assert_allclose(np.r_[fit.gamma[:11], fit.mu[:11]], beta[-22:],
+                               rtol=1e-10, atol=1e-10 * np.abs(beta).max())
+    np.testing.assert_array_equal([fit.gamma[11], fit.mu[11]],
+                                  [-fit.gamma[:11].sum(), -fit.mu[:11].sum()])
     np.testing.assert_allclose(fit.cov, cov, rtol=1e-10,
                                atol=1e-10 * np.abs(cov).max())
 
@@ -486,7 +502,7 @@ class TestJointF:
         # const, 14 year effects (16 years less two baselines), post,
         # 11 month effects, 11 interactions
         n, k = 16 * 12, 1 + 14 + 1 + 11 + 11
-        assert fit.beta.size == k
+        assert fit.n_obs == n and fit.df_resid == n - k
         assert rep.df_denominator == n - k
 
 
@@ -550,7 +566,8 @@ class TestSeasonalDelta:
     def test_identical_periods_give_zeros(self):
         comp = components_from({y: SEASONAL for y in range(2014, 2026)})
         d = seasonal_delta(comp, 2021)
-        assert max(abs(x) for x in d.as_dict().values()) < 1e-12
+        assert list(d) == list(SEASONS)
+        assert max(abs(x) for x in d.values()) < 1e-12
 
     def test_unit_spring_shift(self):
         shift = np.zeros(12)
@@ -558,8 +575,8 @@ class TestSeasonalDelta:
         yearly = {y: SEASONAL + (shift if y >= 2021 else 0.0)
                   for y in range(2014, 2026)}
         d = seasonal_delta(components_from(yearly), 2021)
-        assert abs(d.spring - 1.0) < 1e-12
-        assert abs(d.winter) < 1e-12
+        assert abs(d["spring"] - 1.0) < 1e-12
+        assert abs(d["winter"]) < 1e-12
 
     def test_empty_side_rejected(self):
         comp = components_from({y: SEASONAL for y in range(2014, 2020)})

@@ -24,7 +24,6 @@ from thickmarket.seastats import (
     ChowScanResult,
     MonthlyPanel,
     SeasonalComponents,
-    SeasonalDeltas,
     annual_mean_deviation,
     centered_mean_deviation,
     chow_scan,
@@ -94,7 +93,7 @@ _SEASON_OF_MONTH = np.array([-1] + [k for m in range(1, 13) for k, months
 
 
 def looped_seasonal_delta(components: SeasonalComponents,
-                          break_year: int) -> SeasonalDeltas:
+                          break_year: int) -> dict[str, float]:
     post = components.years >= break_year
     season_of = _SEASON_OF_MONTH[components.months]
     out = {}
@@ -106,7 +105,7 @@ def looped_seasonal_delta(components: SeasonalComponents,
             raise DataError(f"no observations for season '{season}' on one "
                             f"side of {break_year}")
         out[season] = float(post_cell.mean() - pre_cell.mean())
-    return SeasonalDeltas(**out)
+    return out
 
 
 def looped_chow_scan(components: SeasonalComponents, candidate_years,
@@ -311,8 +310,9 @@ def test_seasonal_delta_matches_loop(layout, seed):
         assert str(err.value) == str(exc)
         return
     got = seasonal_delta(components, break_year)
-    np.testing.assert_allclose(list(got.as_dict().values()),
-                               list(ref.as_dict().values()), rtol=0.0, atol=1e-12)
+    assert list(got) == list(SEASONS)
+    np.testing.assert_allclose(list(got.values()), list(ref.values()),
+                               rtol=0.0, atol=1e-12)
 
 
 @PROPERTY
@@ -337,13 +337,13 @@ def test_chow_scan_and_deltas_ignore_row_order(layout, seed):
 
     break_year = int(rng.choice(years))
     try:
-        ref_delta = seasonal_delta(components, break_year).as_dict()
+        ref_delta = seasonal_delta(components, break_year)
     except DataError as exc:
         with pytest.raises(DataError) as err:
             seasonal_delta(moved, break_year)
         assert str(err.value) == str(exc)
         return
-    got_delta = seasonal_delta(moved, break_year).as_dict()
+    got_delta = seasonal_delta(moved, break_year)
     np.testing.assert_allclose(list(got_delta.values()), list(ref_delta.values()),
                                rtol=0.0, atol=1e-12)
 
@@ -358,10 +358,10 @@ def lstsq_hc1(X, y):
 
 
 def assert_matches_lstsq(beta, cov, X, y, tested):
-    """beta against lstsq; cov against the ``tested`` rows and columns of
-    the sandwich, in that order."""
+    """beta against the last ``beta.size`` lstsq coefficients; cov against
+    the ``tested`` rows and columns of the sandwich, in that order."""
     beta_ref, cov_ref = lstsq_hc1(X, y)
-    cov_ref = cov_ref[np.ix_(tested, tested)]
+    beta_ref, cov_ref = beta_ref[-beta.size:], cov_ref[np.ix_(tested, tested)]
     np.testing.assert_allclose(beta, beta_ref, rtol=1e-9,
                                atol=1e-9 * np.abs(beta_ref).max())
     np.testing.assert_allclose(cov, cov_ref, rtol=1e-8,
@@ -425,15 +425,22 @@ def test_shift_fit_matches_lstsq_sandwich(layout, seed, year_effects):
     X = np.column_stack([np.ones(years.size)]
                         + (dummies if year_effects else [])
                         + [post, coded, coded * post])
+    # gamma[:11] and mu[:11] are the last 22 coefficients; the 12th of each
+    # is minus the sum of the 11.
     for fit, d in zip(fits, responses):
-        assert_matches_lstsq(fit.beta, fit.cov, X, d, np.arange(-11, 0))
+        assert_matches_lstsq(np.r_[fit.gamma[:11], fit.mu[:11]], fit.cov, X, d,
+                             np.arange(-11, 0))
+        np.testing.assert_array_equal([fit.gamma[11], fit.mu[11]],
+                                      [-fit.gamma[:11].sum(), -fit.mu[:11].sum()])
 
 
 @PROPERTY
 @given(k=st.integers(2, 7), extra=st.integers(2, 40), seed=SEEDS,
        n_dependent=st.integers(1, 3))
-def test_rank_deficiency_names_pivoted_qr_columns(k, extra, seed, n_dependent):
-    """Dependent columns are the ones a pivoted QR puts past the rank."""
+def test_dropping_named_dependent_columns_restores_full_rank(k, extra, seed,
+                                                            n_dependent):
+    """As many columns are named as a pivoted QR puts past the rank, and
+    the design without them has full rank."""
     rng = np.random.default_rng(seed)
     n = k + n_dependent + extra
     base = rng.standard_normal((n, k))
@@ -444,9 +451,12 @@ def test_rank_deficiency_names_pivoted_qr_columns(k, extra, seed, n_dependent):
     _, R, piv = sla.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     rank = int((diag > diag.max() * max(X.shape) * np.finfo(float).eps).sum())
-    expected = sorted(labels[j] for j in piv[rank:])
+    assert X.shape[1] - rank == n_dependent
 
     with pytest.raises(RankDeficientError) as err:
         factor_design(X, labels, tested=np.arange(X.shape[1]))
-    assert err.value.columns == expected
-    assert len(expected) == n_dependent
+    named = err.value.columns
+    assert len(named) == n_dependent and named == sorted(set(named))
+    assert f"(rank {rank} of {X.shape[1]})" in str(err.value)
+    kept = [j for j, label in enumerate(labels) if label not in named]
+    assert np.linalg.matrix_rank(X[:, kept]) == len(kept)

@@ -462,7 +462,9 @@ def test_workflows_import_leaves_scipy_unloaded():
 def test_cli_import_leaves_slow_scipy_modules_unloaded():
     """The CLI loads no scipy module: seastats computes its F and t tails
     with ``math`` (``scipy.special`` alone takes about 0.22 s to import) and
-    loads scipy.linalg only to name the columns of a rank-deficient design."""
+    names the columns of a rank-deficient design from an SVD of its R.
+    ``tests/test_cli.py::test_every_command_runs_without_scipy`` runs every
+    command with scipy refused."""
     assert scipy_modules_after_import("thickmarket.cli") == []
 
 
