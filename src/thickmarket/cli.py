@@ -114,12 +114,17 @@ def _write_manifest(out_dir: Path, args, parameters: dict,
 def _parse_years(spec: str) -> list[int]:
     """Year list from 'A-B' ranges and comma-separated entries."""
     years: list[int] = []
-    try:
-        for token in filter(None, map(str.strip, spec.split(","))):
-            a, _, b = token.partition("-")
-            years.extend(range(int(a), int(b or a) + 1))
-    except ValueError:
-        years = []
+    for token in filter(None, map(str.strip, spec.split(","))):
+        a, dash, b = token.partition("-")
+        try:
+            first, last = int(a), int(b if dash else a)
+            if last < first:
+                raise ValueError
+        except ValueError:
+            raise DataError(f"cannot parse --trend-years '{spec}': '{token}' is "
+                            "neither a year nor a rising range (e.g. 2010-2020)"
+                            ) from None
+        years.extend(range(first, last + 1))
     if not years:
         raise DataError(f"cannot parse --trend-years '{spec}' (e.g. 2010-2020)")
     return years

@@ -11,14 +11,18 @@ fixed-point equations of the map T:
 
 T is piecewise smooth, with kinks only at the clamps on the cutoffs and at
 max(v, v_lo), so an element of the generalized Jacobian is read off the
-step's outputs. Steps are halved until the sup norm of G drops; where no
-cut does, the damped step z += lam*G(z) is taken instead. A solve stops at
-|G| <= 1e-12 * max(1, |z|) in sup norms, and every map evaluation counts
-against ``max_iterations``.
+step's outputs. A cold solve starts at the steady state of the flat
+model, the same market with the annual survival spread evenly over the
+cycle, in closed form. Steps are halved until the sup norm of G drops;
+where no cut does, the damped step z += lam*G(z) is taken instead. A solve
+stops at |G| <= 1e-12 * max(1, |z|) in sup norms; one that stepped to get
+there and is still above 1e-15 * max(1, |z|) takes one more full Newton
+step. Every map evaluation counts against ``max_iterations``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +34,7 @@ from .fixtures import DEFAULT_RENT_PRICE_RATIO
 from .mapping import EquilibriumState, _prices, _step, compute_outputs
 
 _TOL = 1e-12              # stop at |G| <= _TOL * max(1, |z|), sup norms
+_FINISH_TOL = 1e-15       # a stepped solve above this takes one more full step
 _LINE_SEARCH_CUTS = 8     # step halvings tried before a damped fallback step
 
 
@@ -38,8 +43,10 @@ class SolverConfig:
     lam: float = 0.01                   # damped fallback step z += lam*G(z)
     max_iterations: int = 2_000_000     # budget of map evaluations
     rent_price_ratio: float = DEFAULT_RENT_PRICE_RATIO
-    initial_X: np.ndarray | None = None    # None: flat at u/(1-beta)
-    initial_v: np.ndarray | None = None    # None: v_m = 1 - phi_m
+    # both given: a warm start at u = params.u; otherwise the flat model's
+    # steady state (solver._flat_steady_state) fills what is missing
+    initial_X: np.ndarray | None = None
+    initial_v: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 < self.lam <= 1.0:
@@ -64,25 +71,79 @@ class EquilibriumSolution:
         return self.state.period
 
 
-def _initial_point(params: ModelParams, coeffs: AffineCoefficients,
-                   config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Start (X, v); may alias the config's arrays, so callers copy."""
+def _initial_point(params: ModelParams, config: SolverConfig,
+                   ratio: float | None = None) -> np.ndarray:
+    """The start z = (X, v), or (X, v, u) when ``ratio`` is given.
+
+    A config that gives both X and v is a warm start, with u = ``params.u``.
+    Otherwise the start is the steady state of the flat model (see
+    ``_flat_steady_state``): X_m = X_bar, v_m = h_m + phi_m e_bar, and with
+    ``ratio`` the u that model pins.
+    """
     n = params.period
-    X = (np.full(n, coeffs.box.X_lo) if config.initial_X is None
-         else np.asarray(config.initial_X, dtype=float))
-    v = (params.hazards.hazard.values if config.initial_v is None
-         else np.asarray(config.initial_v, dtype=float))
+    X, v, u = config.initial_X, config.initial_v, params.u
+    if X is None or v is None:
+        X_bar, e_bar, u = _flat_steady_state(params, ratio)
+        hazards = params.hazards
+        X = np.full(n, X_bar) if X is None else X
+        if v is None:
+            v = hazards.hazard.values + hazards.survival.values * e_bar
+    X, v = np.asarray(X, dtype=float), np.asarray(v, dtype=float)
     for name, a in (("initial_X", X), ("initial_v", v)):
         if a.shape != (n,):
             raise DomainError(f"{name} must have shape ({n},)")
-    return X, v
+    return np.concatenate((X, v) if ratio is None else (X, v, [u]))
+
+
+def _flat_steady_state(params: ModelParams,
+                       ratio: float | None) -> tuple[float, float, float]:
+    """(X_bar, e_bar, u) at the steady state of the flat model.
+
+    The flat model spreads the annual survival evenly over the cycle:
+    every month has phi_bar = (prod phi_m)^(1/n), h = 1 - phi_bar and
+    A = 1/(1 - beta phi_bar). Its steady state has v = h + phi_bar e,
+    q = v - e = h(1 - e), S = (A/2) q^2 / v, X_bar = (u + S)/(1 - beta) and
+    e = u + beta phi_bar S. With ``ratio``, u = kappa' theta (beta S/(1 - beta)
+    + (A/2) q), where kappa = ratio/12 < 1 - beta and
+    kappa' = kappa/(1 - kappa/(1 - beta)); u is ``params.u`` otherwise.
+    Multiplied by v, either case is a quadratic a e^2 + b e = c with c > 0
+    and one root in (0, 1), taken here without cancellation; a fixed u of
+    at least 1 shuts the market (e = v = 1).
+    """
+    beta = params.beta
+    phi = float(np.exp(np.log(params.hazards.survival.values).mean()))
+    h = 1.0 - phi
+    half_A = 0.5 / (1.0 - beta * phi)
+    if ratio is None:
+        # e v = alpha (1 - e)^2 + u v
+        u = params.u
+        if u >= 1.0:
+            return u / (1.0 - beta), 1.0, u
+        alpha, gamma, u_v = beta * phi * half_A * h * h, 0.0, u
+    else:
+        # e v = alpha (1 - e)^2 + gamma (1 - e) v
+        kappa = ratio / 12.0
+        k = params.theta * kappa / (1.0 - kappa / (1.0 - beta))
+        alpha = beta * (k / (1.0 - beta) + phi) * half_A * h * h
+        gamma, u_v = k * half_A * h, 0.0
+    a = phi * (1.0 + gamma) - alpha
+    b = h + 2.0 * alpha - gamma * (phi - h) - u_v * phi
+    c = alpha + gamma * h + u_v * h
+    d = math.sqrt(b * b + 4.0 * a * c)
+    e = 2.0 * c / (b + d) if b >= 0.0 else (d - b) / (2.0 * a)
+    q = h * (1.0 - e)
+    S = half_A * q * q / (h + phi * e)
+    if ratio is not None:
+        u = k * (beta * S / (1.0 - beta) + half_A * q)
+    return (u + S) / (1.0 - beta), e, u
 
 
 def solve_equilibrium(params: ModelParams,
                       config: SolverConfig | None = None) -> EquilibriumSolution:
     """Solve T(X, v; u) = (X, v) at the u of ``params``.
 
-    Starts from ``config``'s point. The cutoffs are those of the last map
+    Starts from ``config``'s point, or cold from the flat model's steady
+    state (``_initial_point``). The cutoffs are those of the last map
     evaluation, at the solved (X, v), and Q and P follow from them. Raises
     ``ConvergenceError`` when ``max_iterations`` map evaluations do not
     reach the fixed point.
@@ -90,9 +151,8 @@ def solve_equilibrium(params: ModelParams,
     config = config or SolverConfig()
     coeffs = compute_affine_coefficients(params.hazards, params.beta, params.u)
     n = params.period
-    z, evals, res, eps = _newton(
-        np.concatenate(_initial_point(params, coeffs, config)),
-        params, coeffs, config, config.max_iterations)
+    z, evals, res, eps = _newton(_initial_point(params, config), params,
+                                 coeffs, config, config.max_iterations)
     state = EquilibriumState(PeriodicSeries(z[:n]), PeriodicSeries(z[n:]),
                              PeriodicSeries(eps))
     Q, P = compute_outputs(state, params, coeffs)
@@ -105,12 +165,15 @@ def solve_with_endogenous_u(params: ModelParams,
                             ) -> tuple[EquilibriumSolution, float]:
     """Solve (X, v) and u = rent_price_ratio * mean(P) / 12 jointly.
 
-    Newton starts from ``config``'s point and u = ``params.u``. A
+    Newton starts from ``config``'s point and u = ``params.u``, or cold
+    from the flat model's steady state and the u it pins. A
     warm-started ``solve_equilibrium`` at the solved u then takes one
     evaluation and builds the solution, whose ``iterations`` counts every
     map evaluation, capped by ``max_iterations``. The ratio is annual,
     hence the 12. Raises ``DomainError`` at theta = 0, where every price is
-    u/(1 - beta) and the u equation has no isolated positive root, and
+    u/(1 - beta) and the u equation has no isolated positive root, and at
+    ratio >= 12*(1 - beta), where every price is at least u/(1 - beta) and
+    no u > 0 solves it, both before any map evaluation; raises
     ``ConvergenceError`` when the budget runs out or u collapses toward zero.
     """
     if params.theta == 0.0:
@@ -118,12 +181,18 @@ def solve_with_endogenous_u(params: ModelParams,
             "theta = 0 prices every month at u/(1 - beta), so the rent-to-price "
             "condition cannot pin u; fix u instead (--u-fixed)")
     config = config or SolverConfig()
+    ratio = config.rent_price_ratio
+    bound = 12.0 * (1.0 - params.beta)
+    if ratio >= bound:
+        raise DomainError(
+            f"rent_price_ratio {ratio:g} admits no positive u: every price is "
+            "at least u/(1 - beta), so ratio*mean(P)/12 = u needs "
+            f"rent_price_ratio < 12*(1 - beta) = {bound:.6g}")
     coeffs = compute_affine_coefficients(params.hazards, params.beta, params.u)
     n = params.period
-    z = np.concatenate((*_initial_point(params, coeffs, config), [params.u]))
     # one evaluation is left for the final solve
-    z, evals, _, _ = _newton(z, params, coeffs, config, config.max_iterations - 1,
-                             ratio=config.rent_price_ratio)
+    z, evals, _, _ = _newton(_initial_point(params, config, ratio), params,
+                             coeffs, config, config.max_iterations - 1, ratio)
     u = float(z[-1])
     final = replace(config, initial_X=z[:n], initial_v=z[n:-1],
                     max_iterations=config.max_iterations - evals)
@@ -138,8 +207,10 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
 
     z is (X, v) at the fixed u of ``params``, or (X, v, u) with the u
     equation when ``ratio`` is given. Backtracks on the sup norm of G and
-    falls back to z += lam*G(z). Returns (z, evaluations, |G(z)|, eps),
-    where eps holds the clamped cutoffs of the evaluation at the returned z.
+    falls back to z += lam*G(z); once a step meets the test, takes one more
+    full Newton step while |G| is above 1e-15 * max(1, |z|). Returns
+    (z, evaluations, |G(z)|, eps), where eps holds the clamped cutoffs of
+    the evaluation at the returned z.
     """
     n = params.period
     endogenous = ratio is not None
@@ -183,6 +254,14 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
             raise ConvergenceError(
                 "service flow u collapsed toward zero; the rent-to-price "
                 "condition has no positive solution at these parameters")
+    # Newton from a close start often meets the test at a few 1e-13; one
+    # more full step takes the residual to round-off.
+    if jac is not None and res > _FINISH_TOL * max(1.0, np.abs(z).max()):
+        dz = _newton_direction(z, eps, g, params, coeffs, jac)
+        if dz is not None and u_of(z + dz) > 0.0:
+            g_t, eps_t, res_t = evaluate(z + dz)
+            if res_t <= res:
+                z, g, eps, res = z + dz, g_t, eps_t, res_t
     return z, evals, res, eps
 
 

@@ -36,7 +36,9 @@ COMMAND_ARGS = {
 MODEL_EDGES = ([("--theta", v, "theta") for v in (-0.1, 1.5, "nan", 0)]
                + [("--delta", v, "delta") for v in (-0.1, 1, "nan")]
                + [("--annual-rate", v, "interest rate") for v in (0, -1, "nan")]
-               + [("--rent-ratio", v, "rent_price_ratio") for v in (0, 1, "nan")])
+               + [("--rent-ratio", v, "rent_price_ratio") for v in (0, 1, "nan")]
+               # at the defaults no u > 0 exists once ratio >= 12*(1 - beta)
+               + [("--rent-ratio", 0.9, "rent_price_ratio < 12*(1 - beta)")])
 SOURCES = {"calibrate": ["--fixture", "sipp-pre"],
            "solve": ["--fixture", "sipp-pre"], "compare": []}
 # (command, flag, bad value, what the error must name); SOURCES gives each
@@ -681,11 +683,16 @@ class TestExitCodes:
           "--eta", 0.1], "--trend-years"),
         (["calibrate", "--trends", "{trends}", "--trend-years", "2010-x",
           "--eta", 0.1], "--trend-years"),
+        (["calibrate", "--trends", "{trends}", "--trend-years", "2015-",
+          "--eta", 0.1], "'2015-'"),
+        (["calibrate", "--trends", "{trends}", "--trend-years",
+          "2015,2020-2010", "--eta", 0.1], "'2020-2010'"),
         (["shift-test", "--data", "{panel}", "--min-months", 13],
          "--min-months"),
         (["solve", "--hazards", "{hazards}", "--u-fixed", 0.0014], "{hazards}"),
         (["replicate-nt", "--params", "{params}"], "{params}"),
-    ], ids=["trend-years", "trend-range", "min-months", "hazards", "params"])
+    ], ids=["trend-years", "trend-range", "open-range", "reversed-range",
+            "min-months", "hazards", "params"])
     def test_ill_typed_input_is_input_error(self, tmp_path, capsys, argv,
                                             named):
         """Values that parse as the wrong type exit 2 and name their source."""

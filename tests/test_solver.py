@@ -5,10 +5,13 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thickmarket import (
     ConvergenceError,
@@ -24,7 +27,7 @@ from thickmarket import (
     solve_with_endogenous_u,
 )
 from thickmarket import mapping, solver
-from thickmarket.calibrate import normalize_shares
+from thickmarket.calibrate import compose_beta, normalize_shares
 from thickmarket.fixtures import (
     DEFAULT_RENT_PRICE_RATIO,
     SIPP_POST_RAW,
@@ -94,9 +97,10 @@ class TestConvergenceContract:
                       coeffs) == sol.final_residual
 
     def test_initial_guess_is_not_a_fixed_point(self, pre_params, pre_coeffs):
-        from thickmarket.solver import _initial_point
-        X, v = _initial_point(pre_params, pre_coeffs, SolverConfig())
-        assert defect(X, v, pre_params, pre_coeffs) > 0.0
+        """The flat model's steady state is not that of seasonal hazards."""
+        z = solver._initial_point(pre_params, SolverConfig())
+        assert z.shape == (24,)
+        assert defect(z[:12], z[12:], pre_params, pre_coeffs) > 0.0
 
     def test_residual_decreases_along_iteration(self, pre_params, pre_coeffs):
         X = np.full(12, pre_coeffs.box.X_lo)
@@ -305,6 +309,18 @@ class TestEndogenousU:
         with pytest.raises(DomainError, match="theta = 0.*--u-fixed"):
             solve_with_endogenous_u(params, SolverConfig())
 
+    @pytest.mark.parametrize("above", [0.0, 1e-9, 0.5])
+    def test_rent_ratio_without_positive_u_is_domain_error(
+            self, monkeypatch, pre_seeded_at_u1, above):
+        """Every price is at least u/(1 - beta), so u = ratio*mean(P)/12 has
+        no positive root once ratio >= 12*(1 - beta); no map is evaluated."""
+        calls = count_steps(monkeypatch)
+        bound = 12.0 * (1.0 - pre_seeded_at_u1.beta)
+        config = SolverConfig(rent_price_ratio=bound + above)
+        with pytest.raises(DomainError, match=r"< 12\*\(1 - beta\) = 0\.35"):
+            solve_with_endogenous_u(pre_seeded_at_u1, config)
+        assert calls == []
+
     def test_vanishing_theta_collapses_u(self, beta_pair, pre_hazards):
         """Just above theta = 0 the solve runs, and u collapses to zero."""
         beta_hat, _ = beta_pair
@@ -329,8 +345,9 @@ def newton_solves():
 
 @pytest.fixture()
 def pre_seeded_at_u1(beta_pair, pre_hazards):
-    """SIPP pre-2021 parameters with the service flow seeded at u = 1, as
-    the workflows seed the endogenous-u solve."""
+    """SIPP pre-2021 parameters with u = 1, as the workflows pass them to
+    the endogenous-u solve. A cold solve starts u at the flat model's
+    value, so this u only sets the floor below which u has collapsed."""
     beta_hat, _ = beta_pair
     return ModelParams(beta_hat=beta_hat, delta=0.025, theta=0.5, u=1.0,
                        hazards=pre_hazards)
@@ -345,6 +362,15 @@ class TestNewtonEndogenousU:
                           params, coeffs) <= 1e-12
             target = DEFAULT_RENT_PRICE_RATIO * solution.P.mean() / 12.0
             assert abs(target - u) <= 1e-12
+
+    def test_stepped_solves_end_at_round_off(self, newton_solves, pre_solution):
+        """A solve that stepped to meet the 1e-12 test takes one more full
+        Newton step while its residual is above 1e-15 * max(1, |z|)."""
+        params = two_season_params()
+        solutions = [s for s, *_ in newton_solves] + [
+            pre_solution, solve_equilibrium(params)]
+        for solution in solutions:
+            assert solution.final_residual <= 1e-3 * stop_bound(solution)
 
     def test_iterations_count_every_map_evaluation(self, newton_solves):
         for solution, _, _, steps in newton_solves:
@@ -437,6 +463,138 @@ class TestNewtonEndogenousU:
         with pytest.raises(ConvergenceError):
             solve_with_endogenous_u(pre_seeded_at_u1,
                                     SolverConfig(max_iterations=needed - 1))
+
+
+def endogenous_oracle(phi, beta, theta, ratio, scalar_oracle):
+    """u of a constant-hazard cycle by bisection of ratio*P(u)/12 - u, with
+    the month-invariant oracle at each u. Returns (eps, v, X, u)."""
+    A = 1.0 / (1.0 - beta * phi)
+
+    def excess(u):
+        eps, v, X = scalar_oracle(phi, beta, u)
+        P = ((1.0 - theta) * u / (1.0 - beta) + theta * (beta * X + u)
+             + theta * 0.5 * A * (v - eps))
+        return ratio * P / 12.0 - u
+
+    lo, hi = 0.0, 0.5
+    assert excess(hi) < 0.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+    u = 0.5 * (lo + hi)
+    return (*scalar_oracle(phi, beta, u), u)
+
+
+def property_calibration(seed, wide):
+    """Shares, eta, theta, annual rate and rent ratio from one seed: those
+    of ``eq-sweep`` (Dirichlet(3 x SIPP table), eta ~ U(0.07, 0.12), the
+    model's defaults), or with ``wide`` a Dirichlet concentration in
+    [0.5, 30], eta in [0.01, 0.5], theta in [0.05, 0.95], an annual rate
+    in [1%, 15%] and a rent ratio in [0.005, 0.2]."""
+    rng = np.random.default_rng(seed)
+    base = np.asarray(SIPP_PRE_RAW if seed % 2 == 0 else SIPP_POST_RAW)
+    if not wide:
+        shares = normalize_shares(rng.dirichlet(3.0 * base))
+        return shares, rng.uniform(0.07, 0.12), 0.5, 0.06, DEFAULT_RENT_PRICE_RATIO
+    shares = normalize_shares(rng.dirichlet(rng.uniform(0.5, 30.0) * base))
+    return (shares, rng.uniform(0.01, 0.5), rng.uniform(0.05, 0.95),
+            rng.uniform(0.01, 0.15), rng.uniform(0.005, 0.2))
+
+
+class TestFlatStart:
+    """Cold solves start at the steady state of the flat model, the same
+    market with the annual survival spread evenly over the cycle."""
+
+    def test_constant_hazards_start_at_the_fixed_point(self, monkeypatch,
+                                                       constant_params):
+        """One evaluation at fixed u; with endogenous u, one for Newton and
+        one for the final solve."""
+        calls = count_steps(monkeypatch)
+        assert solve_equilibrium(constant_params).iterations == len(calls) == 1
+        calls.clear()
+        solution, _ = solve_with_endogenous_u(constant_params.with_u(1.0))
+        assert solution.iterations == len(calls) == 2
+
+    @pytest.mark.parametrize("u", [1e-4, 0.0014, 0.25, 0.9])
+    def test_root_matches_bisection_at_fixed_u(self, constant_params,
+                                               scalar_oracle, u):
+        """Covers both branches of the root formula (b > 0 at small u)."""
+        params = constant_params.with_u(u)
+        X_bar, e_bar, u_bar = solver._flat_steady_state(params, None)
+        eps, _, X = scalar_oracle(0.991, params.beta, u)
+        assert u_bar == u
+        assert abs(e_bar - eps) <= 1e-13
+        assert abs(X_bar - X) <= 1e-13 * X
+
+    @pytest.mark.parametrize("theta, ratio", [(0.5, 0.03), (0.1, 0.2),
+                                              (0.9, 0.005)])
+    def test_root_matches_bisection_with_endogenous_u(self, constant_params,
+                                                      scalar_oracle, theta,
+                                                      ratio):
+        params = ModelParams(beta_hat=constant_params.beta_hat,
+                             delta=constant_params.delta, theta=theta, u=1.0,
+                             hazards=constant_params.hazards)
+        X_bar, e_bar, u_bar = solver._flat_steady_state(params, ratio)
+        eps, _, X, u = endogenous_oracle(0.991, params.beta, theta, ratio,
+                                         scalar_oracle)
+        assert abs(u_bar - u) <= 1e-12 * u
+        assert abs(e_bar - eps) <= 1e-12
+        assert abs(X_bar - X) <= 1e-12 * X
+
+    def test_market_shut_at_u_of_one(self, constant_params):
+        """At a fixed u >= 1 every cutoff clamps at v = 1 and nothing sells."""
+        X_bar, e_bar, _ = solver._flat_steady_state(constant_params.with_u(2.0),
+                                                    None)
+        assert e_bar == 1.0
+        assert X_bar == 2.0 / (1.0 - constant_params.beta)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+    def test_same_point_as_box_corners_in_few_evaluations(self, seed, wide):
+        """From the flat start, a solve takes at most 8 evaluations and no
+        fallback step, and ends within 1e-10 of the solves from the box's
+        corners: for endogenous u the corner (u/(1 - beta), 1 - phi_m) at
+        u = 1 that cold solves started from before, for the fixed-u solve
+        at the solved u all four. A fallback is taken when no direction
+        exists or when all eight cuts of one fail, which alone costs nine
+        evaluations; so the spy on directions and the count rule it out."""
+        shares, eta, theta, rate, ratio = property_calibration(seed, wide)
+        beta_hat, _ = compose_beta(rate, 0.025)
+        seeded = ModelParams(beta_hat=beta_hat, delta=0.025, theta=theta,
+                             u=1.0, hazards=hazards_from_shares(shares, eta))
+        config = SolverConfig(rent_price_ratio=ratio)
+        newton = solver._newton_direction
+        directions = []
+
+        def spy(*args):
+            directions.append(newton(*args))
+            return directions[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_newton_direction", spy)
+            calls = count_steps(mp)
+            solution, u = solve_with_endogenous_u(seeded, config)
+            assert solution.iterations == len(calls) <= 8
+            calls.clear()
+            fixed = solve_equilibrium(seeded.with_u(u), config)
+            assert fixed.iterations == len(calls) <= 8
+        assert all(dz is not None for dz in directions)
+
+        def distance(a, b):
+            return max(np.abs(a.state.X.values - b.state.X.values).max(),
+                       np.abs(a.state.v.values - b.state.v.values).max())
+
+        corner, u_corner = solve_with_endogenous_u(seeded, replace(
+            config, initial_X=np.full(12, 1.0 / (1.0 - seeded.beta)),
+            initial_v=seeded.hazards.hazard.values))
+        assert distance(solution, corner) <= 1e-10
+        assert abs(u - u_corner) <= 1e-10 * u
+        box = compute_affine_coefficients(seeded.hazards, seeded.beta, u).box
+        for X0, v0 in itertools.product((box.X_lo, box.X_hi),
+                                        (box.v_lo, box.v_hi)):
+            other = solve_equilibrium(seeded.with_u(u), replace(
+                config, initial_X=np.full(12, X0), initial_v=np.full(12, v0)))
+            assert distance(fixed, other) <= 1e-10
 
 
 def scipy_modules_after_import(module):
