@@ -79,27 +79,21 @@ def hazards_from_shares(shares: MoveShares, eta: float) -> HazardProfile:
     return HazardProfile.from_hazard(solve_kappa(shares, eta) * shares.shares.values)
 
 
-def compose_beta(annual_interest_rate: float, delta: float) -> tuple[float, float]:
-    """Monthly discount pair (beta_hat, beta) from an annual interest rate.
+def compose_beta(annual_interest_rate: float) -> float:
+    """Monthly pure-time discount factor beta_hat = (1 + rate)^(-1/12).
 
-    beta_hat = (1 + rate)^(-1/12) is pure time discounting; the effective
-    beta = beta_hat * (1 - delta) also prices in the monthly probability
-    delta that a transaction in progress is disrupted.
+    ``ModelParams`` prices in the monthly disruption probability delta,
+    beta = beta_hat * (1 - delta), and checks both.
     """
     if not annual_interest_rate > -1.0:
         raise DomainError(
             f"annual interest rate must exceed -1, got {annual_interest_rate}")
-    if not 0.0 <= delta < 1.0:
-        raise DomainError(f"delta must lie in [0, 1), got {delta}")
     beta_hat = (1.0 + annual_interest_rate) ** (-1.0 / 12.0)
     if not beta_hat < 1.0:
         raise DomainError(
             f"a non-positive interest rate gives beta_hat = {beta_hat:.6g} >= 1, "
             "outside the model's discount domain")
-    beta = beta_hat * (1.0 - delta)
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"effective beta must lie in (0, 1), got {beta}")
-    return beta_hat, beta
+    return beta_hat
 
 
 def shares_from_trends(panel, years) -> MoveShares:

@@ -76,7 +76,7 @@ SIDE_FIXTURES = dict(zip(("pre", "post"), SHARE_FIXTURES))
 
 
 def _write_manifest(out_dir: Path, args, parameters: dict,
-                    outputs: list[Path]) -> Path:
+                    outputs: list[Path]) -> None:
     """Write ``manifest.json``; replay argv and inputs come from the parser.
 
     Every option of the command except ``--out`` is replayed in parser
@@ -105,10 +105,8 @@ def _write_manifest(out_dir: Path, args, parameters: dict,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-    return path
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _parse_years(spec: str) -> list[int]:
@@ -217,16 +215,21 @@ def cmd_calibrate(args):
 def cmd_solve(args):
     shares, eta, label = _resolve_shares(args)
     config = _solver_config(args)
-    if args.warm_start:
-        snapshot = read_equilibrium_json(args.warm_start)
-        config.initial_X = snapshot["X"]
-        config.initial_v = snapshot["v"]
     if shares is None:   # --hazards
         hz_doc = read_hazards_json(args.hazards_file)
-        hazards = HazardProfile.from_survival(hz_doc["survival"])
+        try:
+            hazards = HazardProfile.from_survival(hz_doc["survival"])
+        except DomainError as exc:
+            raise DomainError(f"{args.hazards_file}: {exc}") from None
         eta = hz_doc.get("eta")
     else:
         hazards = hazards_from_shares(shares, eta)
+    if args.warm_start:
+        snapshot = read_equilibrium_json(args.warm_start)
+        if not snapshot["X"].shape == snapshot["v"].shape == (hazards.period,):
+            raise DataError(f"{args.warm_start}: X and v must hold "
+                            f"{hazards.period} values each, one per month")
+        config.initial_X, config.initial_v = snapshot["X"], snapshot["v"]
     solution, u, _ = solve_hazards(
         hazards, annual_rate=args.annual_rate, delta=args.delta,
         theta=args.theta, u_fixed=args.u_fixed, config=config)
@@ -401,7 +404,10 @@ def cmd_rerun(args, out_dir: Path) -> list[Path]:
             raise DataError(f"manifest {path}: replay does not parse "
                             f"({reason})") from None
     here = os.getcwd()
-    os.chdir(manifest.get("cwd", here))
+    cwd = manifest.get("cwd", here)
+    if not (isinstance(cwd, str) and os.path.isdir(cwd)):
+        raise DataError(f"manifest {path}: cwd {cwd!r} is not a directory")
+    os.chdir(cwd)
     try:
         return _dispatch(replayed)
     finally:

@@ -109,21 +109,22 @@ def read_shares_csv(path) -> MoveShares:
                 {"month", "share"} - set(reader.fieldnames):
             raise DataError(f"{path}: expected header 'month,share'")
         for line_no, row in enumerate(reader, start=2):
-            token = row["month"].strip()
+            token = (row["month"] or "").strip()   # None: a short row
             if token.isdigit():
                 month = int(token)
             else:
                 month = name_to_month.get(token[:3].lower(), 0)
             if not 1 <= month <= 12:
-                raise DataError(f"line {line_no}: unknown month '{row['month']}'")
+                raise DataError(f"{path}: line {line_no}: unknown month "
+                                f"'{row['month']}'")
             if not np.isnan(raw[month - 1]):
-                raise DataError(f"line {line_no}: duplicate month '{row['month']}'")
+                raise DataError(f"{path}: line {line_no}: duplicate month "
+                                f"'{row['month']}'")
             try:
                 share = float(row["share"])
-            except ValueError:
-                raise DataError(
-                    f"line {line_no}: cannot parse share '{row['share']}'"
-                ) from None
+            except (TypeError, ValueError):   # TypeError: a row without share
+                raise DataError(f"{path}: line {line_no}: cannot parse share "
+                                f"'{row['share']}'") from None
             if not (math.isfinite(share) and share > 0.0):
                 raise DataError(
                     f"{path}: line {line_no}: share for {MONTH_NAMES[month - 1]} "
@@ -256,8 +257,8 @@ def load_json_object(path: Path) -> dict:
 
 
 def _read_arrays_json(path, keys: tuple[str, ...], kind: str) -> dict:
-    """Load a JSON object whose ``keys`` hold arrays of numbers; they come
-    back as numpy vectors."""
+    """Load a JSON object whose ``keys`` hold non-empty arrays of finite
+    numbers; they come back as numpy vectors."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -267,9 +268,12 @@ def _read_arrays_json(path, keys: tuple[str, ...], kind: str) -> dict:
         raise DataError(f"{path}: {kind} lacks arrays {sorted(missing)}")
     for key in keys:
         try:
-            doc[key] = np.asarray(doc[key], dtype=float)
+            arr = doc[key] = np.asarray(doc[key], dtype=float)
+            if arr.ndim != 1 or not arr.size or not np.isfinite(arr).all():
+                raise ValueError
         except (TypeError, ValueError):
-            raise DataError(f"{path}: '{key}' must be an array of numbers") from None
+            raise DataError(f"{path}: '{key}' must be a non-empty array of "
+                            "finite numbers") from None
     return doc
 
 

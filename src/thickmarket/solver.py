@@ -13,10 +13,11 @@ T is piecewise smooth, with kinks only at the clamps on the cutoffs and at
 max(v, v_lo), so an element of the generalized Jacobian is read off the
 step's outputs. A cold solve starts at the steady state of the flat
 model, the same market with the annual survival spread evenly over the
-cycle, in closed form. Steps are halved until the sup norm of G drops;
-where no cut does, the damped step z += lam*G(z) is taken instead. A solve
-stops at |G| <= 1e-12 * max(1, |z|) in sup norms; one that stepped to get
-there and is still above 1e-15 * max(1, |z|) takes one more full Newton
+cycle, in closed form; an unknown u starts there on a warm start too.
+Steps are halved until the sup norm of G drops; where no cut does, the
+damped step z += lam*G(z) is taken instead. A solve stops at
+|G| <= 1e-12 * max(1, |z|) in sup norms; one that stepped to get there
+and is still above 1e-15 * max(1, |z|) takes one more full Newton
 step. Every map evaluation counts against ``max_iterations``.
 """
 
@@ -43,8 +44,8 @@ class SolverConfig:
     lam: float = 0.01                   # damped fallback step z += lam*G(z)
     max_iterations: int = 2_000_000     # budget of map evaluations
     rent_price_ratio: float = DEFAULT_RENT_PRICE_RATIO
-    # both given: a warm start at u = params.u; otherwise the flat model's
-    # steady state (solver._flat_steady_state) fills what is missing
+    # both (a warm start) or neither (the flat model's steady state,
+    # solver._flat_steady_state); an unknown u always starts at the latter's
     initial_X: np.ndarray | None = None
     initial_v: np.ndarray | None = None
 
@@ -54,8 +55,8 @@ class SolverConfig:
         if not self.max_iterations >= 1:
             raise DomainError(
                 f"max_iterations must be at least 1, got {self.max_iterations}")
-        if not 0.0 < self.rent_price_ratio < 1.0:
-            raise DomainError("rent_price_ratio must lie in (0, 1)")
+        if not self.rent_price_ratio > 0.0:
+            raise DomainError("rent_price_ratio must be positive")
 
 
 @dataclass(frozen=True)
@@ -75,19 +76,21 @@ def _initial_point(params: ModelParams, config: SolverConfig,
                    ratio: float | None = None) -> np.ndarray:
     """The start z = (X, v), or (X, v, u) when ``ratio`` is given.
 
-    A config that gives both X and v is a warm start, with u = ``params.u``.
-    Otherwise the start is the steady state of the flat model (see
-    ``_flat_steady_state``): X_m = X_bar, v_m = h_m + phi_m e_bar, and with
-    ``ratio`` the u that model pins.
+    A config that gives X and v is a warm start; one that gives neither
+    starts at the steady state of the flat model (see
+    ``_flat_steady_state``): X_m = X_bar, v_m = h_m + phi_m e_bar. With
+    ``ratio``, u is that model's in either case, so ``params.u`` only sets
+    the floor below which u has collapsed.
     """
     n = params.period
-    X, v, u = config.initial_X, config.initial_v, params.u
-    if X is None or v is None:
+    X, v = config.initial_X, config.initial_v
+    if (X is None) != (v is None):
+        raise DomainError("a warm start gives both initial_X and initial_v")
+    if X is None or ratio is not None:   # a warm fixed-u start needs none
         X_bar, e_bar, u = _flat_steady_state(params, ratio)
-        hazards = params.hazards
-        X = np.full(n, X_bar) if X is None else X
-        if v is None:
-            v = hazards.hazard.values + hazards.survival.values * e_bar
+    if X is None:
+        X, hazards = np.full(n, X_bar), params.hazards
+        v = hazards.hazard.values + hazards.survival.values * e_bar
     X, v = np.asarray(X, dtype=float), np.asarray(v, dtype=float)
     for name, a in (("initial_X", X), ("initial_v", v)):
         if a.shape != (n,):
@@ -165,8 +168,8 @@ def solve_with_endogenous_u(params: ModelParams,
                             ) -> tuple[EquilibriumSolution, float]:
     """Solve (X, v) and u = rent_price_ratio * mean(P) / 12 jointly.
 
-    Newton starts from ``config``'s point and u = ``params.u``, or cold
-    from the flat model's steady state and the u it pins. A
+    Newton starts from ``config``'s point, or cold from the flat model's
+    steady state, and from the u that model pins. A
     warm-started ``solve_equilibrium`` at the solved u then takes one
     evaluation and builds the solution, whose ``iterations`` counts every
     map evaluation, capped by ``max_iterations``. The ratio is annual,

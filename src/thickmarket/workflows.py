@@ -7,11 +7,7 @@ import numpy as np
 from .calibrate import MoveShares, compose_beta, hazards_from_shares
 from .core import MONTH_NAMES, SEASONS, HazardProfile, ModelParams, seasonal_deviation
 from .errors import DataError
-from .fixtures import (
-    DEFAULT_ANNUAL_RATE,
-    DEFAULT_DELTA,
-    DEFAULT_THETA,
-)
+from .fixtures import DEFAULT_ANNUAL_RATE, DEFAULT_DELTA, DEFAULT_THETA
 from .solver import EquilibriumSolution, SolverConfig, solve_equilibrium, solve_with_endogenous_u
 
 
@@ -28,29 +24,20 @@ def solve_hazards(hazards: HazardProfile,
     configured rent-to-price ratio; otherwise the equilibrium is solved
     once at the given u. Returns (solution, u, params).
     """
-    config = config or SolverConfig()
-    beta_hat, _ = compose_beta(annual_rate, delta)
+    params = ModelParams(beta_hat=compose_beta(annual_rate), delta=delta,
+                         theta=theta, u=1.0 if u_fixed is None else u_fixed,
+                         hazards=hazards)
     if u_fixed is not None:
-        params = ModelParams(beta_hat=beta_hat, delta=delta, theta=theta,
-                             u=u_fixed, hazards=hazards)
         return solve_equilibrium(params, config), u_fixed, params
-    params = ModelParams(beta_hat=beta_hat, delta=delta, theta=theta,
-                         u=1.0, hazards=hazards)
     solution, u = solve_with_endogenous_u(params, config)
     return solution, u, params.with_u(u)
 
 
-def solve_calibration(shares: MoveShares, eta: float,
-                      annual_rate: float = DEFAULT_ANNUAL_RATE,
-                      delta: float = DEFAULT_DELTA,
-                      theta: float = DEFAULT_THETA,
-                      u_fixed: float | None = None,
-                      config: SolverConfig | None = None,
+def solve_calibration(shares: MoveShares, eta: float, **model
                       ) -> tuple[EquilibriumSolution, float, ModelParams]:
-    """Calibrate hazards from move shares, then solve the equilibrium."""
-    return solve_hazards(hazards_from_shares(shares, eta),
-                         annual_rate=annual_rate, delta=delta, theta=theta,
-                         u_fixed=u_fixed, config=config)
+    """Calibrate hazards from move shares, then solve the equilibrium;
+    ``model`` takes the keywords of ``solve_hazards``."""
+    return solve_hazards(hazards_from_shares(shares, eta), **model)
 
 
 def deviation_summary(solution: EquilibriumSolution) -> dict:
@@ -100,9 +87,14 @@ def replicate_biannual(params: dict, config: SolverConfig | None = None,
     except (TypeError, ValueError):
         raise DataError(f"{source}: {list(required[:4])} must be numbers and "
                         "survival a list of numbers") from None
+    targets = params.get("targets")
+    if targets and not (isinstance(targets, dict) and
+                        {"sale_probability", "vacancies"} <= targets.keys()):
+        raise DataError(f"{source}: targets must be an object with "
+                        "sale_probability and vacancies")
     model = ModelParams(beta_hat=beta_hat, delta=delta, theta=theta, u=u,
                         hazards=HazardProfile.from_survival(survival))
-    solution = solve_equilibrium(model, config or SolverConfig())
+    solution = solve_equilibrium(model, config)
     v = solution.state.v.values
     eps = solution.state.epsilon.values
     sale_prob = 1.0 - eps / v
@@ -116,7 +108,6 @@ def replicate_biannual(params: dict, config: SolverConfig | None = None,
         "iterations": int(solution.iterations),
         "residual": float(solution.final_residual),
     }
-    targets = params.get("targets")
     if targets:
         tol = float(targets.get("tolerance", 0.005))
         err_q = np.abs(sale_prob - np.asarray(targets["sale_probability"]))
@@ -134,7 +125,8 @@ def replicate_biannual(params: dict, config: SolverConfig | None = None,
 
 def compare_calibrations(solution_pre: EquilibriumSolution,
                          solution_post: EquilibriumSolution) -> dict:
-    """Side-by-side seasonal deviations with per-month deltas."""
+    """Side-by-side seasonal deviations of two 12-month cycles, with
+    per-month deltas and season-mean changes."""
     pre = deviation_summary(solution_pre)
     post = deviation_summary(solution_post)
     out = {"pre": pre, "post": post, "delta": {}}
@@ -147,6 +139,6 @@ def compare_calibrations(solution_pre: EquilibriumSolution,
                 season: post[key]["season_means"][season]
                 - pre[key]["season_means"][season]
                 for season in SEASONS
-            } if "season_means" in pre[key] else {},
+            },
         }
     return out

@@ -79,7 +79,9 @@ def scalar_oracle():
 
 @pytest.fixture(scope="session")
 def beta_pair():
-    return compose_beta(0.06, DEFAULT_DELTA)
+    """(beta_hat, beta) at a 6% annual rate and the default delta."""
+    beta_hat = compose_beta(0.06)
+    return beta_hat, beta_hat * (1.0 - DEFAULT_DELTA)
 
 
 @pytest.fixture(scope="session")

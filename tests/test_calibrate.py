@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from thickmarket import (
     DataError,
     DomainError,
+    HazardProfile,
+    ModelParams,
     compose_beta,
     hazards_from_shares,
     normalize_shares,
@@ -163,29 +165,26 @@ class TestHazardsFromShares:
 
 class TestComposeBeta:
     def test_six_percent_rate(self):
-        beta_hat, beta = compose_beta(0.06, 0.0)
+        beta_hat = compose_beta(0.06)
         assert abs(beta_hat - 1.06 ** (-1.0 / 12.0)) < 1e-15
         assert round(beta_hat, 3) == 0.995
-        assert beta == beta_hat
 
     def test_disruption_compounds_annually(self):
-        _, beta = compose_beta(0.06, 0.025)
+        """delta enters through ``ModelParams``, which checks it."""
+        hazards = HazardProfile.from_survival(np.full(12, 0.99))
+        params = ModelParams(beta_hat=compose_beta(0.06), delta=0.025,
+                             theta=0.5, u=1.0, hazards=hazards)
         annual_disruption = 1.0 - (1.0 - 0.025) ** 12
         assert abs(annual_disruption - 0.262) < 5e-4
-        assert abs(beta - 1.06 ** (-1.0 / 12.0) * 0.975) < 1e-15
+        assert abs(params.beta - 1.06 ** (-1.0 / 12.0) * 0.975) < 1e-15
 
     def test_zero_rate_rejected(self):
-        with pytest.raises(DomainError):
-            compose_beta(0.0, 0.0)
-
-    def test_bad_delta_rejected(self):
-        for delta in (-0.1, 1.0):
-            with pytest.raises(DomainError):
-                compose_beta(0.06, delta)
+        with pytest.raises(DomainError, match="non-positive interest rate"):
+            compose_beta(0.0)
 
     def test_rate_below_minus_one_rejected(self):
         with pytest.raises(DomainError):
-            compose_beta(-1.5, 0.0)
+            compose_beta(-1.5)
 
 
 def _trend_panel(per_year_values: dict[int, np.ndarray]) -> MonthlyPanel:
@@ -230,6 +229,11 @@ class TestSharesFromTrends:
         panel = _trend_panel({2015: vals})
         with pytest.raises(DataError, match="missing months"):
             shares_from_trends(panel, [2015])
+
+    def test_no_years_rejected(self):
+        panel = _trend_panel({2015: np.ones(12)})
+        with pytest.raises(DataError, match="at least one year"):
+            shares_from_trends(panel, [])
 
     def test_zero_total_rejected(self):
         panel = _trend_panel({2015: np.zeros(12)})

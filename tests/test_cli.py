@@ -39,6 +39,11 @@ MODEL_EDGES = ([("--theta", v, "theta") for v in (-0.1, 1.5, "nan", 0)]
                + [("--rent-ratio", v, "rent_price_ratio") for v in (0, 1, "nan")]
                # at the defaults no u > 0 exists once ratio >= 12*(1 - beta)
                + [("--rent-ratio", 0.9, "rent_price_ratio < 12*(1 - beta)")])
+# commands that read one input file, "{file}"
+SHARES_ARGV = ["calibrate", "--shares", "{file}", "--eta", 0.1]
+HAZARDS_ARGV = ["solve", "--hazards", "{file}", "--u-fixed", 0.0014]
+WARM_ARGV = ["solve", "--fixture", "sipp-pre", "--warm-start", "{file}"]
+PARAMS_ARGV = ["replicate-nt", "--params", "{file}"]
 SOURCES = {"calibrate": ["--fixture", "sipp-pre"],
            "solve": ["--fixture", "sipp-pre"], "compare": []}
 # (command, flag, bad value, what the error must name); SOURCES gives each
@@ -315,6 +320,22 @@ class TestManifests:
         capsys.readouterr()
         assert run(["rerun", path, "--out", tmp_path / "x"]) == 2
         assert capsys.readouterr().err.startswith(f"error: manifest {path}")
+
+    @pytest.mark.parametrize("cwd", [123, "{missing}"], ids=["int", "missing"])
+    def test_manifest_cwd_that_is_no_directory_is_input_error(
+            self, tmp_path, capsys, cwd):
+        """An integer would be taken as a file descriptor by os.chdir."""
+        out = tmp_path / "cal"
+        assert run(["calibrate", "--fixture", "sipp-pre", "--out", out]) == 0
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["cwd"] = str(tmp_path / "gone") if cwd == "{missing}" else cwd
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["rerun", path, "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {path}: cwd")
+        assert not (tmp_path / "x").exists()
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THICKMARKET_OUTDIR", str(tmp_path / "envout"))
@@ -687,12 +708,14 @@ class TestExitCodes:
           "--eta", 0.1], "'2015-'"),
         (["calibrate", "--trends", "{trends}", "--trend-years",
           "2015,2020-2010", "--eta", 0.1], "'2020-2010'"),
+        (["calibrate", "--trends", "{trends}", "--trend-years", ",",
+          "--eta", 0.1], "--trend-years ','"),
         (["shift-test", "--data", "{panel}", "--min-months", 13],
          "--min-months"),
         (["solve", "--hazards", "{hazards}", "--u-fixed", 0.0014], "{hazards}"),
         (["replicate-nt", "--params", "{params}"], "{params}"),
     ], ids=["trend-years", "trend-range", "open-range", "reversed-range",
-            "min-months", "hazards", "params"])
+            "no-years", "min-months", "hazards", "params"])
     def test_ill_typed_input_is_input_error(self, tmp_path, capsys, argv,
                                             named):
         """Values that parse as the wrong type exit 2 and name their source."""
@@ -711,6 +734,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert str(files.get(named, named)) in err
+
+    @pytest.mark.parametrize("argv, text", [
+        (SHARES_ARGV, "month,share\n1,1\nFoo,1\n"),
+        (SHARES_ARGV, "month,share\n1,1\n1,1\n"),
+        (SHARES_ARGV, "month,share\n1,1\n2,abc\n"),
+        (SHARES_ARGV, "month,share\n1,1\n2\n"),
+        (SHARES_ARGV, "share,month\n1,1\n1\n"),
+        (HAZARDS_ARGV, json.dumps({"survival": [0.99] * 11 + [float("nan")]})),
+        (HAZARDS_ARGV, json.dumps({"survival": 0.99})),
+        (HAZARDS_ARGV, json.dumps({"survival": []})),
+        (HAZARDS_ARGV, json.dumps({"survival": [0.99] * 11 + [1.5]})),
+        (WARM_ARGV, json.dumps({key: [1.0] * (11 if key == "X" else 12)
+                                for key in ("X", "v", "epsilon", "Q", "P")})),
+        (WARM_ARGV, json.dumps({key: [1.0] * (13 if key == "v" else 12)
+                                for key in ("X", "v", "epsilon", "Q", "P")})),
+        (PARAMS_ARGV, json.dumps({**load_biannual_benchmark(), "targets": {
+            "vacancies": [0.167, 0.18]}})),
+        (PARAMS_ARGV, json.dumps({**load_biannual_benchmark(), "targets": {
+            "sale_probability": [0.25, 0.31]}})),
+        (PARAMS_ARGV, json.dumps({**load_biannual_benchmark(),
+                                  "targets": [0.25, 0.31]})),
+    ], ids=["shares-unknown-month", "shares-repeated-month",
+            "shares-unparsable", "shares-short-row", "shares-no-month",
+            "hazards-nan", "hazards-scalar", "hazards-empty",
+            "hazards-out-of-range", "warm-start-short-X",
+            "warm-start-long-v", "targets-without-sale-probability",
+            "targets-without-vacancies", "targets-not-an-object"])
+    def test_bad_input_file_is_named(self, tmp_path, capsys, argv, text):
+        """Every input error in a file's content exits 2 naming the file."""
+        bad = tmp_path / "input"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert run([bad if a == "{file}" else a for a in argv]
+                   + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, named", [
         (["calibrate", "--fixture", "sipp-pre", "--shares", "{shares}"],

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from thickmarket.dataio import (
     RawSeries,
     deflate_and_index,
     equilibrium_to_dict,
+    read_equilibrium_json,
+    read_hazards_json,
     read_monthly_csv,
     read_shares_csv,
     to_panel,
@@ -103,6 +106,17 @@ class TestReadMonthlyCsv:
         assert series.dates == ((2019, 1), (2019, 5))
         assert series.values.tolist() == [100.0, 104.0]
 
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("")
+        with pytest.raises(DataError, match="s.csv: empty file"):
+            read_monthly_csv(p)
+
+    def test_month_13_reports_line(self, tmp_path):
+        p = write_csv(tmp_path / "s.csv", ["2019-12,100", "2019-13,101"])
+        with pytest.raises(DataError, match="line 3: month 13 out of range"):
+            read_monthly_csv(p)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
     def test_non_finite_value_reports_line(self, tmp_path, bad):
         p = write_csv(tmp_path / "s.csv", ["2019-01,100", f"2019-02,{bad}"])
@@ -141,6 +155,50 @@ class TestReadSharesCsv:
             read_shares_csv(path)
         message = str(err.value)
         assert "line 4" in message and "Mar" in message and str(path) in message
+
+
+    @pytest.mark.parametrize("rows, message", [
+        (["1,1", "Foo,1"], "line 3: unknown month 'Foo'"),
+        (["1,1", "13,1"], "line 3: unknown month '13'"),
+        (["Jan,1", "1,1"], "line 3: duplicate month '1'"),
+        (["1,1", "2,abc"], "line 3: cannot parse share 'abc'"),
+    ], ids=["unknown-name", "month-13", "repeated", "unparsable"])
+    def test_bad_row_names_line_and_file(self, tmp_path, rows, message):
+        path = write_csv(tmp_path / "m.csv", rows, header="month,share")
+        pattern = f"^{re.escape(str(path))}: {message}$"
+        with pytest.raises(DataError, match=pattern):
+            read_shares_csv(path)
+
+
+class TestReadArraysJson:
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="no such file"):
+            read_hazards_json(tmp_path / "absent.json")
+
+    def test_document_without_survival(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"hazard": [0.01] * 12}))
+        with pytest.raises(DataError, match=r"lacks arrays \['survival'\]"):
+            read_hazards_json(path)
+
+    @pytest.mark.parametrize("survival", [
+        [0.99] * 11 + [float("nan")], [0.99] * 11 + [float("inf")], 0.99, [],
+        [[0.99] * 12], [0.99] * 11 + ["abc"]],
+        ids=["nan", "inf", "scalar", "empty", "nested", "text"])
+    def test_survival_must_be_finite_vector(self, tmp_path, survival):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"survival": survival}))
+        pattern = f"^{re.escape(str(path))}: 'survival' must be"
+        with pytest.raises(DataError, match=pattern):
+            read_hazards_json(path)
+
+    def test_snapshot_arrays_come_back_as_vectors(self, tmp_path):
+        path = tmp_path / "s.json"
+        doc = {key: [1.0, 2.0] for key in ("X", "v", "epsilon", "Q", "P")}
+        path.write_text(json.dumps({**doc, "u": 0.5}))
+        snapshot = read_equilibrium_json(path)
+        assert snapshot["X"].dtype == float and snapshot["u"] == 0.5
+        assert snapshot["P"].tolist() == [1.0, 2.0]
 
 
 class TestDeflation:

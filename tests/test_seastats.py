@@ -188,6 +188,21 @@ class TestOlsHc1:
         assert np.abs(res.cov_hc1 - v_ne).max() < 1e-10
         assert res.df_resid == 194
 
+    @pytest.mark.parametrize("shape, message", [
+        ((3, 3), r"more observations \(3\) than columns \(3\)"),
+        ((2, 3), r"more observations \(2\) than columns \(3\)"),
+        ((12,), "design must be"), ((2, 6, 2), "design must be")])
+    def test_design_shape_checked(self, shape, message):
+        X = np.random.default_rng(25).standard_normal(shape)
+        with pytest.raises(DomainError, match=message):
+            factor_design(X, tested=np.arange(1))
+
+    @pytest.mark.parametrize("length", [29, 31])
+    def test_response_length_checked(self, length):
+        X = np.column_stack([np.ones(30), np.arange(30.0)])
+        with pytest.raises(DomainError, match="response length n"):
+            ols_hc1(factor_design(X, tested=np.arange(2)), np.ones(length))
+
     def test_rank_deficiency_names_columns(self):
         rng = np.random.default_rng(23)
         x = rng.standard_normal(40)

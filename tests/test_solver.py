@@ -148,7 +148,9 @@ class TestConvergenceContract:
                               SolverConfig(max_iterations=needed - 1))
 
     @pytest.mark.parametrize("field, value", [
-        ("max_iterations", 0), ("max_iterations", -5),
+        ("max_iterations", 0), ("max_iterations", -5), ("lam", 0.0),
+        ("lam", 1.5), ("lam", float("nan")), ("rent_price_ratio", 0.0),
+        ("rent_price_ratio", -0.03), ("rent_price_ratio", float("nan")),
     ])
     def test_empty_budget_or_tolerance_rejected(self, field, value):
         with pytest.raises(DomainError, match=field):
@@ -309,7 +311,7 @@ class TestEndogenousU:
         with pytest.raises(DomainError, match="theta = 0.*--u-fixed"):
             solve_with_endogenous_u(params, SolverConfig())
 
-    @pytest.mark.parametrize("above", [0.0, 1e-9, 0.5])
+    @pytest.mark.parametrize("above", [0.0, 1e-9, 0.5, 5.0])
     def test_rent_ratio_without_positive_u_is_domain_error(
             self, monkeypatch, pre_seeded_at_u1, above):
         """Every price is at least u/(1 - beta), so u = ratio*mean(P)/12 has
@@ -346,7 +348,7 @@ def newton_solves():
 @pytest.fixture()
 def pre_seeded_at_u1(beta_pair, pre_hazards):
     """SIPP pre-2021 parameters with u = 1, as the workflows pass them to
-    the endogenous-u solve. A cold solve starts u at the flat model's
+    the endogenous-u solve. Every such solve starts u at the flat model's
     value, so this u only sets the floor below which u has collapsed."""
     beta_hat, _ = beta_pair
     return ModelParams(beta_hat=beta_hat, delta=0.025, theta=0.5, u=1.0,
@@ -446,6 +448,31 @@ class TestNewtonEndogenousU:
         for attr in ("X", "v"):
             assert np.abs(getattr(solution.state, attr).values
                           - getattr(reference.state, attr).values
+                          ).max() <= 1e-12
+
+    def test_singular_jacobian_takes_the_damped_step(self, monkeypatch,
+                                                     pre_params, pre_solution):
+        """Where J is singular ``_newton_direction`` returns None, and the
+        loop takes one damped step z += lam*G(z) and goes on from there."""
+        newton = solver._newton_direction
+        directions = []
+
+        def singular_first(z, eps, g, params, coeffs, jac):
+            if not directions:   # every block zero: J = 0 - 0
+                jac = (jac[0], *(np.zeros_like(b) for b in jac[1:4]), jac[4],
+                       np.zeros_like(jac[5]))
+            directions.append(newton(z, eps, g, params, coeffs, jac))
+            return directions[-1]
+
+        monkeypatch.setattr(solver, "_newton_direction", singular_first)
+        calls = count_steps(monkeypatch)
+        solution = solve_equilibrium(pre_params)
+        assert directions[0] is None
+        assert all(dz is not None for dz in directions[1:])
+        assert solution.iterations == len(calls) > pre_solution.iterations
+        for attr in ("X", "v"):
+            assert np.abs(getattr(solution.state, attr).values
+                          - getattr(pre_solution.state, attr).values
                           ).max() <= 1e-12
 
     @pytest.mark.parametrize("budget", [1, 5])
@@ -559,7 +586,7 @@ class TestFlatStart:
         exists or when all eight cuts of one fail, which alone costs nine
         evaluations; so the spy on directions and the count rule it out."""
         shares, eta, theta, rate, ratio = property_calibration(seed, wide)
-        beta_hat, _ = compose_beta(rate, 0.025)
+        beta_hat = compose_beta(rate)
         seeded = ModelParams(beta_hat=beta_hat, delta=0.025, theta=theta,
                              u=1.0, hazards=hazards_from_shares(shares, eta))
         config = SolverConfig(rent_price_ratio=ratio)
@@ -584,17 +611,55 @@ class TestFlatStart:
             return max(np.abs(a.state.X.values - b.state.X.values).max(),
                        np.abs(a.state.v.values - b.state.v.values).max())
 
-        corner, u_corner = solve_with_endogenous_u(seeded, replace(
-            config, initial_X=np.full(12, 1.0 / (1.0 - seeded.beta)),
-            initial_v=seeded.hazards.hazard.values))
-        assert distance(solution, corner) <= 1e-10
-        assert abs(u - u_corner) <= 1e-10 * u
+        # every endogenous solve starts u at the flat model's value, so the
+        # corner start at u = 1 goes to Newton directly
+        coeffs = compute_affine_coefficients(seeded.hazards, seeded.beta, 1.0)
+        corner = np.r_[np.full(12, 1.0 / (1.0 - seeded.beta)),
+                       seeded.hazards.hazard.values, 1.0]
+        z, *_ = solver._newton(corner, seeded, coeffs, config,
+                               config.max_iterations, ratio)
+        assert np.abs(z[:24] - np.r_[solution.state.X.values,
+                                     solution.state.v.values]).max() <= 1e-10
+        assert abs(u - z[-1]) <= 1e-10 * u
         box = compute_affine_coefficients(seeded.hazards, seeded.beta, u).box
         for X0, v0 in itertools.product((box.X_lo, box.X_hi),
                                         (box.v_lo, box.v_hi)):
             other = solve_equilibrium(seeded.with_u(u), replace(
                 config, initial_X=np.full(12, X0), initial_v=np.full(12, v0)))
             assert distance(fixed, other) <= 1e-10
+
+
+class TestStartRule:
+    """A start is cold or a full (X, v) pair, and an unknown u always starts
+    at the flat model's value, so ``params.u`` only sets the u floor."""
+
+    @pytest.mark.parametrize("given", ["initial_X", "initial_v"])
+    def test_lone_start_array_is_domain_error(self, monkeypatch, pre_params,
+                                              given):
+        calls = count_steps(monkeypatch)
+        config = SolverConfig(**{given: np.ones(12)})
+        for solve in (solve_equilibrium, solve_with_endogenous_u):
+            with pytest.raises(DomainError, match="both initial_X and"):
+                solve(pre_params, config)
+        assert calls == []
+
+    def test_warm_endogenous_start_takes_u_from_flat_model(
+            self, pre_seeded_at_u1, sipp_pre_endogenous):
+        """Warm from its own answer, a solve takes fewer evaluations than
+        cold and ends at the same point; the seeded u changes nothing."""
+        cold, u_cold = sipp_pre_endogenous
+        config = SolverConfig(initial_X=cold.state.X.values,
+                              initial_v=cold.state.v.values)
+        warm, u = solve_with_endogenous_u(pre_seeded_at_u1, config)
+        assert warm.iterations < cold.iterations == 6
+        assert abs(u - u_cold) <= 1e-14 * u_cold
+        for attr in ("X", "v", "epsilon"):
+            a, b = (getattr(s.state, attr).values for s in (warm, cold))
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+        other, u_other = solve_with_endogenous_u(
+            pre_seeded_at_u1.with_u(u_cold), config)
+        assert u_other == u and other.iterations == warm.iterations
+        assert np.array_equal(other.state.X.values, warm.state.X.values)
 
 
 def scipy_modules_after_import(module):
