@@ -110,8 +110,8 @@ def _write_manifest(out_dir: Path, args, parameters: dict,
 
 
 def _parse_years(spec: str) -> list[int]:
-    """Year list from 'A-B' ranges and comma-separated entries."""
-    years: list[int] = []
+    """Distinct years in 1-9999 from 'A-B' ranges and comma-separated entries."""
+    spans: list[tuple[int, int]] = []
     for token in filter(None, map(str.strip, spec.split(","))):
         a, dash, b = token.partition("-")
         try:
@@ -122,10 +122,14 @@ def _parse_years(spec: str) -> list[int]:
             raise DataError(f"cannot parse --trend-years '{spec}': '{token}' is "
                             "neither a year nor a rising range (e.g. 2010-2020)"
                             ) from None
-        years.extend(range(first, last + 1))
-    if not years:
+        if first < 1 or last > 9999:
+            raise DataError(f"--trend-years '{spec}': '{token}' leaves 1-9999")
+        if any(first <= hi and lo <= last for lo, hi in spans):
+            raise DataError(f"--trend-years '{spec}': '{token}' repeats a year")
+        spans.append((first, last))
+    if not spans:
         raise DataError(f"cannot parse --trend-years '{spec}' (e.g. 2010-2020)")
-    return years
+    return [year for first, last in spans for year in range(first, last + 1)]
 
 
 def _resolve_shares(args, side: str = ""):
@@ -189,8 +193,13 @@ def _resolve_shares(args, side: str = ""):
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(max_iterations=args.max_iter,
-                        rent_price_ratio=args.rent_ratio)
+    """--rent-ratio pins an unknown u; --u-fixed takes only its default,
+    which older manifests replay."""
+    ratio = DEFAULT_RENT_PRICE_RATIO if args.rent_ratio is None else args.rent_ratio
+    if getattr(args, "u_fixed", None) is not None and ratio != DEFAULT_RENT_PRICE_RATIO:
+        raise DataError("--rent-ratio does not apply with --u-fixed: "
+                        "it pins an unknown u")
+    return SolverConfig(max_iterations=args.max_iter, rent_price_ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +243,7 @@ def cmd_solve(args):
         hazards, annual_rate=args.annual_rate, delta=args.delta,
         theta=args.theta, u_fixed=args.u_fixed, config=config)
 
-    doc = equilibrium_to_dict(solution, u=u)
+    doc = equilibrium_to_dict(solution)
     if eta is not None:
         doc["eta"] = eta
     doc["source"] = label
@@ -450,8 +459,9 @@ def _add_model_flags(p):
                    help="monthly disruption probability (default %(default)s)")
     p.add_argument("--theta", type=float, default=DEFAULT_THETA,
                    help="seller bargaining weight (default %(default)s)")
-    p.add_argument("--rent-ratio", type=float, default=DEFAULT_RENT_PRICE_RATIO,
-                   help="annual rent-to-price ratio for endogenous u")
+    p.add_argument("--rent-ratio", type=float, default=None,
+                   help="annual rent-to-price ratio that pins an unknown u "
+                        f"(default {DEFAULT_RENT_PRICE_RATIO})")
 
 
 def _add_panel_flags(p):

@@ -220,9 +220,9 @@ def _fmt_cell(value, full_precision: bool) -> str:
     return str(value)
 
 
-def equilibrium_to_dict(solution, u: float | None = None) -> dict:
+def equilibrium_to_dict(solution) -> dict:
     """JSON document for an equilibrium: 12-element arrays plus diagnostics."""
-    doc = {
+    return {
         "X": solution.state.X.values.tolist(),
         "v": solution.state.v.values.tolist(),
         "epsilon": solution.state.epsilon.values.tolist(),
@@ -230,10 +230,8 @@ def equilibrium_to_dict(solution, u: float | None = None) -> dict:
         "P": solution.P.values.tolist(),
         "iterations": int(solution.iterations),
         "residual": float(solution.final_residual),
+        "u": float(solution.u),
     }
-    if u is not None:
-        doc["u"] = float(u)
-    return doc
 
 
 def hazards_to_dict(profile, kappa: float, eta: float) -> dict:

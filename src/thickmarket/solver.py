@@ -1,13 +1,13 @@
-"""Solvers for the unique periodic equilibrium.
+"""Solver for the unique periodic equilibrium.
 
-Both solves run one loop, semismooth Newton (Qi & Sun 1993) on the
-fixed-point equations of the map T:
+``solve_equilibrium`` runs one loop, semismooth Newton (Qi & Sun 1993),
+on the fixed-point equations of the map T:
 
-- at a fixed service flow u, ``solve_equilibrium`` solves the 2n equations
+- at a fixed service flow u, the 2n equations
   G(X, v) = T(X, v; u) - (X, v);
-- with u pinned to a rent-to-price ratio times the mean price,
-  ``solve_with_endogenous_u`` adds u as an unknown and the equation
-  ratio*mean(P)/12 - u, 2n+1 in all.
+- with u pinned to a rent-to-price ratio times the mean price, u joins
+  the unknowns and the equation ratio*mean(P)/12 - u joins G, 2n+1 in
+  all. ``solve_with_endogenous_u`` is this solve at the configured ratio.
 
 T is piecewise smooth, with kinks only at the clamps on the cutoffs and at
 max(v, v_lo), so an element of the generalized Jacobian is read off the
@@ -18,13 +18,14 @@ Steps are halved until the sup norm of G drops; where no cut does, the
 damped step z += lam*G(z) is taken instead. A solve stops at
 |G| <= 1e-12 * max(1, |z|) in sup norms; one that stepped to get there
 and is still above 1e-15 * max(1, |z|) takes one more full Newton
-step. Every map evaluation counts against ``max_iterations``.
+step. The solution is the last iterate with the cutoffs of its
+evaluation. Every map evaluation counts against ``max_iterations``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +65,7 @@ class EquilibriumSolution:
     state: EquilibriumState
     Q: PeriodicSeries
     P: PeriodicSeries
+    u: float
     iterations: int
     final_residual: float
 
@@ -141,78 +143,65 @@ def _flat_steady_state(params: ModelParams,
     return (u + S) / (1.0 - beta), e, u
 
 
-def solve_equilibrium(params: ModelParams,
-                      config: SolverConfig | None = None) -> EquilibriumSolution:
-    """Solve T(X, v; u) = (X, v) at the u of ``params``.
+def solve_equilibrium(params: ModelParams, config: SolverConfig | None = None,
+                      *, ratio: float | None = None) -> EquilibriumSolution:
+    """Solve T(X, v; u) = (X, v) at the u of ``params`` or, given the annual
+    ``ratio``, jointly with u = ratio * mean(P) / 12, in one Newton run.
 
-    Starts from ``config``'s point, or cold from the flat model's steady
-    state (``_initial_point``). The cutoffs are those of the last map
-    evaluation, at the solved (X, v), and Q and P follow from them. Raises
-    ``ConvergenceError`` when ``max_iterations`` map evaluations do not
-    reach the fixed point.
+    The solution is the last iterate with the cutoffs of its evaluation;
+    ``final_residual`` is the sup norm of T(X, v; u) - (X, v) there. Raises
+    ``DomainError`` before any map evaluation at theta = 0, where every
+    price is u/(1 - beta) and the u equation has no isolated root, and
+    unless 0 < ratio < 12*(1 - beta), as every price is at least
+    u/(1 - beta); raises ``ConvergenceError`` when ``max_iterations`` map
+    evaluations do not reach the fixed point or u collapses toward zero.
     """
+    if ratio is not None:
+        if params.theta == 0.0:
+            raise DomainError(
+                "theta = 0 prices every month at u/(1 - beta), so the rent-to-price "
+                "condition cannot pin u; fix u instead (--u-fixed)")
+        bound = 12.0 * (1.0 - params.beta)
+        if not 0.0 < ratio < bound:
+            raise DomainError(
+                f"rent_price_ratio {ratio:g} admits no positive u: every price is "
+                "at least u/(1 - beta), so ratio*mean(P)/12 = u needs "
+                f"0 < rent_price_ratio < 12*(1 - beta) = {bound:.6g}")
     config = config or SolverConfig()
     coeffs = compute_affine_coefficients(params.hazards, params.beta, params.u)
     n = params.period
-    z, evals, res, eps = _newton(_initial_point(params, config), params,
-                                 coeffs, config, config.max_iterations)
-    state = EquilibriumState(PeriodicSeries(z[:n]), PeriodicSeries(z[n:]),
+    z, evals, g, eps = _newton(_initial_point(params, config, ratio), params,
+                               coeffs, config, ratio)
+    if ratio is not None:
+        params = params.with_u(float(z[-1]))
+    state = EquilibriumState(PeriodicSeries(z[:n]), PeriodicSeries(z[n:2 * n]),
                              PeriodicSeries(eps))
     Q, P = compute_outputs(state, params, coeffs)
     return EquilibriumSolution(
-        state=state, Q=Q, P=P, iterations=evals, final_residual=res)
+        state=state, Q=Q, P=P, u=params.u, iterations=evals,
+        final_residual=float(np.abs(g[:2 * n]).max()))
 
 
 def solve_with_endogenous_u(params: ModelParams,
                             config: SolverConfig | None = None
                             ) -> tuple[EquilibriumSolution, float]:
-    """Solve (X, v) and u = rent_price_ratio * mean(P) / 12 jointly.
-
-    Newton starts from ``config``'s point, or cold from the flat model's
-    steady state, and from the u that model pins. A
-    warm-started ``solve_equilibrium`` at the solved u then takes one
-    evaluation and builds the solution, whose ``iterations`` counts every
-    map evaluation, capped by ``max_iterations``. The ratio is annual,
-    hence the 12. Raises ``DomainError`` at theta = 0, where every price is
-    u/(1 - beta) and the u equation has no isolated positive root, and at
-    ratio >= 12*(1 - beta), where every price is at least u/(1 - beta) and
-    no u > 0 solves it, both before any map evaluation; raises
-    ``ConvergenceError`` when the budget runs out or u collapses toward zero.
-    """
-    if params.theta == 0.0:
-        raise DomainError(
-            "theta = 0 prices every month at u/(1 - beta), so the rent-to-price "
-            "condition cannot pin u; fix u instead (--u-fixed)")
+    """``solve_equilibrium`` with u = rent_price_ratio * mean(P) / 12, the
+    ratio taken from ``config``; returns the solution and its u."""
     config = config or SolverConfig()
-    ratio = config.rent_price_ratio
-    bound = 12.0 * (1.0 - params.beta)
-    if ratio >= bound:
-        raise DomainError(
-            f"rent_price_ratio {ratio:g} admits no positive u: every price is "
-            "at least u/(1 - beta), so ratio*mean(P)/12 = u needs "
-            f"rent_price_ratio < 12*(1 - beta) = {bound:.6g}")
-    coeffs = compute_affine_coefficients(params.hazards, params.beta, params.u)
-    n = params.period
-    # one evaluation is left for the final solve
-    z, evals, _, _ = _newton(_initial_point(params, config, ratio), params,
-                             coeffs, config, config.max_iterations - 1, ratio)
-    u = float(z[-1])
-    final = replace(config, initial_X=z[:n], initial_v=z[n:-1],
-                    max_iterations=config.max_iterations - evals)
-    solution = solve_equilibrium(params.with_u(u), final)
-    return replace(solution, iterations=evals + solution.iterations), u
+    solution = solve_equilibrium(params, config, ratio=config.rent_price_ratio)
+    return solution, solution.u
 
 
 def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
-            config: SolverConfig, budget: int, ratio: float | None = None
-            ) -> tuple[np.ndarray, int, float, np.ndarray]:
-    """Drive G(z) to zero from z in at most ``budget`` map evaluations.
+            config: SolverConfig, ratio: float | None = None
+            ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """Drive G(z) to zero from z in at most ``max_iterations`` map evaluations.
 
     z is (X, v) at the fixed u of ``params``, or (X, v, u) with the u
     equation when ``ratio`` is given. Backtracks on the sup norm of G and
     falls back to z += lam*G(z); once a step meets the test, takes one more
     full Newton step while |G| is above 1e-15 * max(1, |z|). Returns
-    (z, evaluations, |G(z)|, eps), where eps holds the clamped cutoffs of
+    (z, evaluations, G(z), eps), where eps holds the clamped cutoffs of
     the evaluation at the returned z.
     """
     n = params.period
@@ -222,7 +211,7 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
 
     def evaluate(z):
         nonlocal evals
-        if evals == budget:
+        if evals == config.max_iterations:
             raise ConvergenceError(
                 f"equilibrium solve did not converge within {config.max_iterations} "
                 f"map evaluations (last residual {res:.3g})", residual=res)
@@ -265,7 +254,7 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
             g_t, eps_t, res_t = evaluate(z + dz)
             if res_t <= res:
                 z, g, eps, res = z + dz, g_t, eps_t, res_t
-    return z, evals, res, eps
+    return z, evals, g, eps
 
 
 def _jacobian_blocks(params: ModelParams, coeffs: AffineCoefficients,

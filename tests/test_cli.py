@@ -406,6 +406,23 @@ class TestCompareCommand:
         replayed = json.loads((old / "manifest.json").read_text())
         assert replayed["parameters"] == manifest["parameters"]
 
+    def test_defaulted_rent_ratio_of_an_older_manifest_yields(self, tmp_path):
+        """Manifests written while --rent-ratio had a parser default replay
+        ``--rent-ratio 0.03`` next to ``--u-fixed``; the default is accepted
+        there, so they rerun unchanged."""
+        new, old = tmp_path / "new", tmp_path / "old"
+        assert run(["solve", "--fixture", "sipp-pre", "--u-fixed", 0.0014,
+                    "--out", new]) == 0
+        manifest = json.loads((new / "manifest.json").read_text())
+        replay = manifest["replay"]
+        assert "--rent-ratio" not in replay
+        at = replay.index("--max-iter")   # where the parser default sat
+        replay[at:at] = ["--rent-ratio", "0.03"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert run(["rerun", tmp_path / "manifest.json", "--out", old]) == 0
+        for name in ("solution.json", "summary.json", "deviations.csv"):
+            assert (new / name).read_bytes() == (old / name).read_bytes()
+
     def test_identical_sides_give_zero_deltas(self, tmp_path):
         out = tmp_path / "cmp"
         assert run(["compare", "--pre-fixture", "sipp-pre",
@@ -710,12 +727,17 @@ class TestExitCodes:
           "2015,2020-2010", "--eta", 0.1], "'2020-2010'"),
         (["calibrate", "--trends", "{trends}", "--trend-years", ",",
           "--eta", 0.1], "--trend-years ','"),
+        (["calibrate", "--trends", "{trends}", "--trend-years",
+          "2015-2016,2015", "--eta", 0.1], "'2015' repeats a year"),
+        (["calibrate", "--trends", "{trends}", "--trend-years",
+          "2015,1-3000000", "--eta", 0.1], "'1-3000000' leaves 1-9999"),
         (["shift-test", "--data", "{panel}", "--min-months", 13],
          "--min-months"),
         (["solve", "--hazards", "{hazards}", "--u-fixed", 0.0014], "{hazards}"),
         (["replicate-nt", "--params", "{params}"], "{params}"),
     ], ids=["trend-years", "trend-range", "open-range", "reversed-range",
-            "no-years", "min-months", "hazards", "params"])
+            "no-years", "repeated-year", "huge-range", "min-months", "hazards",
+            "params"])
     def test_ill_typed_input_is_input_error(self, tmp_path, capsys, argv,
                                             named):
         """Values that parse as the wrong type exit 2 and name their source."""
@@ -789,9 +811,11 @@ class TestExitCodes:
         (["compare", "--post-fixture", "sipp-pre", "--post-shares",
           "{shares}", "--post-eta", 0.1],
          "--post-fixture and --post-shares are alternative"),
+        (["solve", "--fixture", "sipp-pre", "--u-fixed", 0.0014,
+          "--rent-ratio", 5], "--rent-ratio does not apply with --u-fixed"),
     ], ids=["fixture-shares", "shares-trends", "trend-years-alone",
             "fixture-hazards", "eta-hazards", "compare-pre-fixture-shares",
-            "compare-post-fixture-shares"])
+            "compare-post-fixture-shares", "rent-ratio-u-fixed"])
     def test_option_the_source_ignores_is_input_error(self, tmp_path, capsys,
                                                       argv, named):
         """One share source per run: an option it would ignore exits 2."""

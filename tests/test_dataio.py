@@ -274,22 +274,20 @@ class TestWriters:
     def test_identical_runs_are_byte_identical(self, tmp_path, pre_params):
         from thickmarket import SolverConfig, solve_equilibrium
         sol = solve_equilibrium(pre_params, SolverConfig())
-        a = write_results(equilibrium_to_dict(sol, u=pre_params.u),
-                          tmp_path / "a.json")
-        b = write_results(equilibrium_to_dict(sol, u=pre_params.u),
-                          tmp_path / "b.json")
+        a = write_results(equilibrium_to_dict(sol), tmp_path / "a.json")
+        b = write_results(equilibrium_to_dict(sol), tmp_path / "b.json")
         assert a.read_bytes() == b.read_bytes()
 
     def test_equilibrium_schema(self, tmp_path, pre_params):
         from thickmarket import SolverConfig, solve_equilibrium
         sol = solve_equilibrium(pre_params, SolverConfig())
-        path = write_results(equilibrium_to_dict(sol, u=pre_params.u),
-                             tmp_path / "sol.json")
+        path = write_results(equilibrium_to_dict(sol), tmp_path / "sol.json")
         doc = json.loads(path.read_text())
         for key in ("X", "v", "epsilon", "Q", "P"):
             assert len(doc[key]) == 12
         assert isinstance(doc["iterations"], int)
         assert doc["residual"] < 1e-5
+        assert doc["u"] == pre_params.u
 
     def test_json_six_significant_digits(self, tmp_path):
         path = write_results({"x": 0.12345678901234}, tmp_path / "r.json")

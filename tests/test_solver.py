@@ -475,7 +475,7 @@ class TestNewtonEndogenousU:
                           - getattr(pre_solution.state, attr).values
                           ).max() <= 1e-12
 
-    @pytest.mark.parametrize("budget", [1, 5])
+    @pytest.mark.parametrize("budget", [1, 4])
     def test_small_budget_raises(self, pre_seeded_at_u1, budget):
         with pytest.raises(ConvergenceError, match="map evaluations"):
             solve_with_endogenous_u(pre_seeded_at_u1,
@@ -490,6 +490,42 @@ class TestNewtonEndogenousU:
         with pytest.raises(ConvergenceError):
             solve_with_endogenous_u(pre_seeded_at_u1,
                                     SolverConfig(max_iterations=needed - 1))
+
+
+class TestOnePass:
+    """Every solve builds the coefficients once and runs Newton once, and
+    a ratio that pins no u stops it before any map evaluation."""
+
+    def test_one_coefficient_build_and_one_newton_run(
+            self, monkeypatch, pre_params, pre_seeded_at_u1):
+        builds, runs = [], []
+        build, newton = solver.compute_affine_coefficients, solver._newton
+        monkeypatch.setattr(solver, "compute_affine_coefficients",
+                            lambda *args: builds.append(None) or build(*args))
+        monkeypatch.setattr(solver, "_newton",
+                            lambda *args: runs.append(None) or newton(*args))
+        solve_equilibrium(pre_params)
+        assert len(builds) == len(runs) == 1
+        builds.clear()
+        runs.clear()
+        solution, u = solve_with_endogenous_u(pre_seeded_at_u1)
+        assert len(builds) == len(runs) == 1
+        assert solution.u == u
+
+    # 12*(1 - beta) is 0.35667 at the fixture's beta
+    @pytest.mark.parametrize("theta, ratio", [
+        (0.5, 0.0), (0.5, -0.03), (0.5, float("nan")), (0.5, 0.3567),
+        (0.5, 5.0), (0.0, DEFAULT_RENT_PRICE_RATIO)])
+    def test_ratio_without_positive_u_stops_before_newton(
+            self, monkeypatch, pre_seeded_at_u1, theta, ratio):
+        calls = count_steps(monkeypatch)
+        params = ModelParams(beta_hat=pre_seeded_at_u1.beta_hat,
+                             delta=pre_seeded_at_u1.delta, theta=theta, u=1.0,
+                             hazards=pre_seeded_at_u1.hazards)
+        with pytest.raises(DomainError, match="theta = 0" if theta == 0.0
+                           else r"0 < rent_price_ratio < 12\*\(1 - beta\)"):
+            solve_equilibrium(params, ratio=ratio)
+        assert calls == []
 
 
 def endogenous_oracle(phi, beta, theta, ratio, scalar_oracle):
@@ -534,13 +570,12 @@ class TestFlatStart:
 
     def test_constant_hazards_start_at_the_fixed_point(self, monkeypatch,
                                                        constant_params):
-        """One evaluation at fixed u; with endogenous u, one for Newton and
-        one for the final solve."""
+        """One evaluation, at fixed u and with endogenous u alike."""
         calls = count_steps(monkeypatch)
         assert solve_equilibrium(constant_params).iterations == len(calls) == 1
         calls.clear()
         solution, _ = solve_with_endogenous_u(constant_params.with_u(1.0))
-        assert solution.iterations == len(calls) == 2
+        assert solution.iterations == len(calls) == 1
 
     @pytest.mark.parametrize("u", [1e-4, 0.0014, 0.25, 0.9])
     def test_root_matches_bisection_at_fixed_u(self, constant_params,
@@ -616,8 +651,7 @@ class TestFlatStart:
         coeffs = compute_affine_coefficients(seeded.hazards, seeded.beta, 1.0)
         corner = np.r_[np.full(12, 1.0 / (1.0 - seeded.beta)),
                        seeded.hazards.hazard.values, 1.0]
-        z, *_ = solver._newton(corner, seeded, coeffs, config,
-                               config.max_iterations, ratio)
+        z, *_ = solver._newton(corner, seeded, coeffs, config, ratio)
         assert np.abs(z[:24] - np.r_[solution.state.X.values,
                                      solution.state.v.values]).max() <= 1e-10
         assert abs(u - z[-1]) <= 1e-10 * u
@@ -651,7 +685,7 @@ class TestStartRule:
         config = SolverConfig(initial_X=cold.state.X.values,
                               initial_v=cold.state.v.values)
         warm, u = solve_with_endogenous_u(pre_seeded_at_u1, config)
-        assert warm.iterations < cold.iterations == 6
+        assert warm.iterations < cold.iterations == 5
         assert abs(u - u_cold) <= 1e-14 * u_cold
         for attr in ("X", "v", "epsilon"):
             a, b = (getattr(s.state, attr).values for s in (warm, cold))
