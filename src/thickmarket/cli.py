@@ -31,6 +31,7 @@ from .dataio import (
     equilibrium_to_dict,
     hazards_to_dict,
     load_json_object,
+    naming,
     read_equilibrium_json,
     read_hazards_json,
     read_monthly_csv,
@@ -178,10 +179,8 @@ def _resolve_shares(args, side: str = ""):
                             "(e.g. 2010-2020)")
         panel = to_panel(read_monthly_csv(trends))
         years = _parse_years(trend_years)
-        try:
+        with naming(trends):
             shares = shares_from_trends(panel, years)
-        except DataError as exc:
-            raise DataError(f"{trends}: {exc}") from None
         label = f"{trends} [{trend_years}]"
     else:
         raise DataError("provide a share source: --fixture, --shares, "
@@ -226,18 +225,18 @@ def cmd_solve(args):
     config = _solver_config(args)
     if shares is None:   # --hazards
         hz_doc = read_hazards_json(args.hazards_file)
-        try:
+        with naming(args.hazards_file):
+            if hz_doc["survival"].size != 12:
+                raise DataError("survival must hold 12 values, one per month")
             hazards = HazardProfile.from_survival(hz_doc["survival"])
-        except DomainError as exc:
-            raise DomainError(f"{args.hazards_file}: {exc}") from None
         eta = hz_doc.get("eta")
     else:
         hazards = hazards_from_shares(shares, eta)
     if args.warm_start:
         snapshot = read_equilibrium_json(args.warm_start)
-        if not snapshot["X"].shape == snapshot["v"].shape == (hazards.period,):
-            raise DataError(f"{args.warm_start}: X and v must hold "
-                            f"{hazards.period} values each, one per month")
+        with naming(args.warm_start):
+            if not snapshot["X"].size == snapshot["v"].size == 12:
+                raise DataError("X and v must hold 12 values each, one per month")
         config.initial_X, config.initial_v = snapshot["X"], snapshot["v"]
     solution, u, _ = solve_hazards(
         hazards, annual_rate=args.annual_rate, delta=args.delta,
@@ -255,10 +254,9 @@ def cmd_solve(args):
                                   "rows": rows},
                "summary.json": summary}
 
-    name = summary["P"].get("peak_month_name", summary["P"]["peak_month"])
     print(f"solved {label}: u={u:.6g}, {solution.iterations} iterations, "
           f"residual {solution.final_residual:.3g}")
-    print(f"price deviation peak: {name}; "
+    print(f"price deviation peak: {summary['P']['peak_month_name']}; "
           f"range [{summary['P']['min']:.2f}%, {summary['P']['max']:.2f}%]")
     return outputs, {"eta": eta, "u": u, "delta": args.delta,
                      "theta": args.theta, "source": label}
@@ -294,30 +292,33 @@ def cmd_compare(args):
 
 
 def _load_components(args):
+    """The seasonal components of --data and the label its input errors carry."""
+    label = args.data
     series = read_monthly_csv(args.data, value_column=args.value_column,
                               date_column=args.date_column)
     if args.deflate_by:
         cpi = read_monthly_csv(args.deflate_by)
-        try:
+        label = f"{args.data} deflated by {args.deflate_by}"
+        with naming(label):
             series = deflate_and_index(series, cpi)
-        except DataError as exc:
-            raise DataError(f"{args.data} deflated by {args.deflate_by}: {exc}") from None
     panel = to_panel(series)
-    components = (centered_mean_deviation(panel) if args.mode == "centered12"
-                  else annual_mean_deviation(panel, args.min_months))
-    if components.deviations.size == 0:
-        raise DataError(f"{args.data}: no observations left to test "
-                        f"(--mode {args.mode}, --min-months {args.min_months})")
-    return components
+    with naming(label):
+        components = (centered_mean_deviation(panel) if args.mode == "centered12"
+                      else annual_mean_deviation(panel, args.min_months))
+        if components.deviations.size == 0:
+            raise DataError("no observations left to test (--mode "
+                            f"{args.mode}, --min-months {args.min_months})")
+    return components, label
 
 
 def cmd_shift_test(args):
-    components = _load_components(args)
-    fit = fit_seasonal_shift(components, args.break_year,
-                             include_year_effects=not args.no_year_effects)
-    joint = joint_F_test(fit)
-    contrast = directional_contrast(fit)
-    deltas = seasonal_delta(components, args.break_year)
+    components, label = _load_components(args)
+    with naming(label):
+        fit = fit_seasonal_shift(components, args.break_year,
+                                 include_year_effects=not args.no_year_effects)
+        joint = joint_F_test(fit)
+        contrast = directional_contrast(fit)
+        deltas = seasonal_delta(components, args.break_year)
 
     report = {
         "break_year": args.break_year,
@@ -346,8 +347,12 @@ def cmd_shift_test(args):
 
 
 def cmd_break_scan(args):
-    components = _load_components(args)
-    scan = chow_scan(components, range(args.from_year, args.to_year + 1))
+    if not 1 <= args.from_year <= args.to_year <= 9999:
+        raise DataError(f"--from-year {args.from_year} and --to-year "
+                        f"{args.to_year} must give a rising range in 1-9999")
+    components, label = _load_components(args)
+    with naming(label):
+        scan = chow_scan(components, range(args.from_year, args.to_year + 1))
     rows = [[e.year, e.F, e.p_value] for e in scan.entries]
     report = {
         "candidates": [{"year": e.year, "F": e.F, "p": e.p_value}
@@ -366,19 +371,16 @@ def cmd_break_scan(args):
 
 
 def cmd_replicate_nt(args):
-    if args.params:
-        path = Path(args.params)
-        if not path.exists():
-            raise DataError(
-                f"no such parameter file: {path}; provide a JSON file with "
-                "fields beta_hat, delta, theta, u, survival (per-season list) "
-                "and optional labels/targets")
-        params = load_json_object(path)
-    else:
-        params = load_biannual_benchmark()
+    if args.params and not Path(args.params).exists():
+        raise DataError(
+            f"no such parameter file: {args.params}; provide a JSON file with "
+            "fields beta_hat, delta, theta, u, survival (per-season list) "
+            "and optional labels/targets")
+    params = (load_json_object(args.params) if args.params
+              else load_biannual_benchmark())
     config = SolverConfig(max_iterations=args.max_iter)
-    report = replicate_biannual(params, config,
-                                args.params or "bundled benchmark file")
+    with naming(args.params or "bundled benchmark file"):
+        report = replicate_biannual(params, config)
     outputs = {"benchmark_report.json": report}
     labels = report["labels"]
     for i, label in enumerate(labels):
@@ -395,27 +397,23 @@ def cmd_replicate_nt(args):
 def cmd_rerun(args, out_dir: Path) -> list[Path]:
     """Replay a manifest; the replayed command writes its own manifest."""
     path = Path(args.manifest)
-    if not path.exists():
-        raise DataError(f"no such manifest: {path}")
     manifest = load_json_object(path)
-    replay = manifest.get("replay")
-    if not replay:
-        raise DataError(f"manifest {path} has no replay arguments")
-    if not (isinstance(replay, list) and all(isinstance(a, str) for a in replay)):
-        raise DataError(f"manifest {path}: replay must be a list of strings")
-    # relative input paths resolve in "cwd", so the output path is absolute
-    argv = replay + ["--out", str(out_dir.resolve())]
-    with contextlib.redirect_stderr(io.StringIO()) as err:
-        try:
-            replayed = _build_parser().parse_args(argv)
-        except SystemExit:
-            reason = err.getvalue().rpartition("error: ")[2].strip()
-            raise DataError(f"manifest {path}: replay does not parse "
-                            f"({reason})") from None
     here = os.getcwd()
-    cwd = manifest.get("cwd", here)
-    if not (isinstance(cwd, str) and os.path.isdir(cwd)):
-        raise DataError(f"manifest {path}: cwd {cwd!r} is not a directory")
+    with naming(f"manifest {path}"):
+        replay = manifest.get("replay")
+        if not (isinstance(replay, list) and all(isinstance(a, str) for a in replay)):
+            raise DataError("replay must be a list of strings")
+        # relative input paths resolve in "cwd", so the output path is absolute
+        argv = replay + ["--out", str(out_dir.resolve())]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                replayed = _build_parser().parse_args(argv)
+            except SystemExit:
+                reason = err.getvalue().rpartition("error: ")[2].strip()
+                raise DataError(f"replay does not parse ({reason})") from None
+        cwd = manifest.get("cwd", here)
+        if not (isinstance(cwd, str) and os.path.isdir(cwd)):
+            raise DataError(f"cwd {cwd!r} is not a directory")
     os.chdir(cwd)
     try:
         return _dispatch(replayed)

@@ -9,6 +9,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -19,8 +20,21 @@ import numpy as np
 
 from .calibrate import MoveShares, normalize_shares
 from .core import MONTH_NAMES
-from .errors import DataError
+from .errors import DataError, DomainError
 from .seastats import MonthlyPanel
+
+
+@contextlib.contextmanager
+def naming(label):
+    """Name ``label`` in the input errors raised inside: a missing file
+    becomes ``DataError("no such file: label")``, and a DataError or
+    DomainError is raised again as its own type with ``"label: "`` in front."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise DataError(f"no such file: {label}") from None
+    except (DataError, DomainError) as exc:
+        raise type(exc)(f"{label}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -63,51 +77,42 @@ def _parse_month(text: str, line_no: int) -> tuple[int, int]:
 def read_monthly_csv(path, value_column: str = "value",
                      date_column: str = "date") -> RawSeries:
     """Parse a monthly CSV into a sorted, duplicate-checked series."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     rows: list[tuple[tuple[int, int], float]] = []
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DataError("empty file, expected a CSV header")
-            missing = {date_column, value_column} - set(reader.fieldnames)
-            if missing:
-                raise DataError(f"header lacks column(s) {sorted(missing)}; "
-                                f"found {reader.fieldnames}")
-            for line_no, row in enumerate(reader, start=2):
-                date = _parse_month(row[date_column], line_no)
-                raw = (row[value_column] or "").strip()
-                if raw == "":
-                    continue
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise DataError(f"line {line_no}: cannot parse value "
-                                    f"'{row[value_column]}'") from None
-                if not math.isfinite(value):
-                    raise DataError(f"line {line_no}: non-finite value '{raw}'")
-                rows.append((date, value))
+    with naming(path), open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataError("empty file, expected a CSV header")
+        missing = {date_column, value_column} - set(reader.fieldnames)
+        if missing:
+            raise DataError(f"header lacks column(s) {sorted(missing)}; "
+                            f"found {reader.fieldnames}")
+        for line_no, row in enumerate(reader, start=2):
+            date = _parse_month(row[date_column], line_no)
+            raw = (row[value_column] or "").strip()
+            if raw == "":
+                continue
+            try:
+                value = float(raw)
+            except ValueError:
+                raise DataError(f"line {line_no}: cannot parse value "
+                                f"'{row[value_column]}'") from None
+            if not math.isfinite(value):
+                raise DataError(f"line {line_no}: non-finite value '{raw}'")
+            rows.append((date, value))
         rows.sort(key=lambda r: r[0])
         return RawSeries(dates=tuple(d for d, _ in rows),
                          values=np.array([v for _, v in rows]))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
 
 
 def read_shares_csv(path) -> MoveShares:
     """Read a 12-row month,share table (months 1..12 or Jan..Dec names)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     name_to_month = {n.lower(): i + 1 for i, n in enumerate(MONTH_NAMES)}
     raw = np.full(12, np.nan)
-    with path.open(newline="") as fh:
+    with naming(path), open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or \
                 {"month", "share"} - set(reader.fieldnames):
-            raise DataError(f"{path}: expected header 'month,share'")
+            raise DataError("expected header 'month,share'")
         for line_no, row in enumerate(reader, start=2):
             token = (row["month"] or "").strip()   # None: a short row
             if token.isdigit():
@@ -115,25 +120,23 @@ def read_shares_csv(path) -> MoveShares:
             else:
                 month = name_to_month.get(token[:3].lower(), 0)
             if not 1 <= month <= 12:
-                raise DataError(f"{path}: line {line_no}: unknown month "
-                                f"'{row['month']}'")
+                raise DataError(f"line {line_no}: unknown month '{row['month']}'")
             if not np.isnan(raw[month - 1]):
-                raise DataError(f"{path}: line {line_no}: duplicate month "
-                                f"'{row['month']}'")
+                raise DataError(f"line {line_no}: duplicate month '{row['month']}'")
             try:
                 share = float(row["share"])
             except (TypeError, ValueError):   # TypeError: a row without share
-                raise DataError(f"{path}: line {line_no}: cannot parse share "
+                raise DataError(f"line {line_no}: cannot parse share "
                                 f"'{row['share']}'") from None
             if not (math.isfinite(share) and share > 0.0):
                 raise DataError(
-                    f"{path}: line {line_no}: share for {MONTH_NAMES[month - 1]} "
+                    f"line {line_no}: share for {MONTH_NAMES[month - 1]} "
                     f"must be positive and finite, got '{row['share']}'")
             raw[month - 1] = share
-    if np.any(np.isnan(raw)):
-        missing = [MONTH_NAMES[i] for i in range(12) if np.isnan(raw[i])]
-        raise DataError(f"{path}: missing shares for {missing}")
-    return normalize_shares(raw)
+        if np.any(np.isnan(raw)):
+            missing = [MONTH_NAMES[i] for i in range(12) if np.isnan(raw[i])]
+            raise DataError(f"missing shares for {missing}")
+        return normalize_shares(raw)
 
 
 def deflate_and_index(nominal: RawSeries, cpi: RawSeries) -> RawSeries:
@@ -243,36 +246,35 @@ def hazards_to_dict(profile, kappa: float, eta: float) -> dict:
     }
 
 
-def load_json_object(path: Path) -> dict:
+def load_json_object(path) -> dict:
     """Parse a JSON file holding an object; malformed JSON is a DataError."""
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    return doc
+    with naming(path):
+        try:
+            doc = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            raise DataError(f"malformed JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise DataError(f"expected a JSON object, got {type(doc).__name__}")
+        return doc
 
 
 def _read_arrays_json(path, keys: tuple[str, ...], kind: str) -> dict:
     """Load a JSON object whose ``keys`` hold non-empty arrays of finite
     numbers; they come back as numpy vectors."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     doc = load_json_object(path)
-    missing = set(keys) - set(doc)
-    if missing:
-        raise DataError(f"{path}: {kind} lacks arrays {sorted(missing)}")
-    for key in keys:
-        try:
-            arr = doc[key] = np.asarray(doc[key], dtype=float)
-            if arr.ndim != 1 or not arr.size or not np.isfinite(arr).all():
-                raise ValueError
-        except (TypeError, ValueError):
-            raise DataError(f"{path}: '{key}' must be a non-empty array of "
-                            "finite numbers") from None
-    return doc
+    with naming(path):
+        missing = set(keys) - set(doc)
+        if missing:
+            raise DataError(f"{kind} lacks arrays {sorted(missing)}")
+        for key in keys:
+            try:
+                arr = doc[key] = np.asarray(doc[key], dtype=float)
+                if arr.ndim != 1 or not arr.size or not np.isfinite(arr).all():
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise DataError(f"'{key}' must be a non-empty array of "
+                                "finite numbers") from None
+        return doc
 
 
 def read_hazards_json(path) -> dict:

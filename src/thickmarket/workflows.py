@@ -41,56 +41,53 @@ def solve_calibration(shares: MoveShares, eta: float, **model
 
 
 def deviation_summary(solution: EquilibriumSolution) -> dict:
-    """Seasonal deviations of P and Q with peak months and season means."""
+    """Seasonal deviations of P and Q over a 12-month cycle, with peak
+    months and season means."""
     dev_P = seasonal_deviation(solution.P).values
     dev_Q = seasonal_deviation(solution.Q).values
-    months = list(range(1, solution.period + 1))
 
     def describe(dev):
-        info = {
+        peak = int(np.argmax(dev))
+        return {
             "deviation": dev.tolist(),
-            "peak_month": int(months[int(np.argmax(dev))]),
-            "trough_month": int(months[int(np.argmin(dev))]),
+            "peak_month": peak + 1,
+            "trough_month": int(np.argmin(dev)) + 1,
             "min": float(dev.min()),
             "max": float(dev.max()),
             "amplitude": float(dev.max() - dev.min()),
-        }
-        if solution.period == 12:
-            info["peak_month_name"] = MONTH_NAMES[info["peak_month"] - 1]
-            info["season_means"] = {
+            "peak_month_name": MONTH_NAMES[peak],
+            "season_means": {
                 season: float(np.mean([dev[m - 1] for m in ms]))
                 for season, ms in SEASONS.items()
-            }
-        return info
+            },
+        }
 
     return {"P": describe(dev_P), "Q": describe(dev_Q)}
 
 
-def replicate_biannual(params: dict, config: SolverConfig | None = None,
-                       source: str = "benchmark parameter file") -> dict:
+def replicate_biannual(params: dict, config: SolverConfig | None = None) -> dict:
     """Solve the two-season benchmark and compare against its targets.
 
     ``params`` must carry beta_hat, delta, theta, u, and survival (a list
     of per-season survival probabilities); an optional ``targets`` block
     with sale_probability, vacancies, and tolerance turns the report into
-    a pass/fail validation. ``source`` names the parameters in errors.
+    a pass/fail validation.
     """
     required = ("beta_hat", "delta", "theta", "u", "survival")
     missing = [k for k in required if k not in params]
     if missing:
-        raise DataError(
-            f"{source} lacks required fields {missing}; "
-            f"expected at least {list(required)}")
+        raise DataError(f"missing required fields {missing}; "
+                        f"expected at least {list(required)}")
     try:
         beta_hat, delta, theta, u = (float(params[k]) for k in required[:4])
         survival = np.asarray(params["survival"], float)
     except (TypeError, ValueError):
-        raise DataError(f"{source}: {list(required[:4])} must be numbers and "
+        raise DataError(f"{list(required[:4])} must be numbers and "
                         "survival a list of numbers") from None
     targets = params.get("targets")
     if targets and not (isinstance(targets, dict) and
                         {"sale_probability", "vacancies"} <= targets.keys()):
-        raise DataError(f"{source}: targets must be an object with "
+        raise DataError("targets must be an object with "
                         "sale_probability and vacancies")
     model = ModelParams(beta_hat=beta_hat, delta=delta, theta=theta, u=u,
                         hazards=HazardProfile.from_survival(survival))

@@ -44,6 +44,9 @@ SHARES_ARGV = ["calibrate", "--shares", "{file}", "--eta", 0.1]
 HAZARDS_ARGV = ["solve", "--hazards", "{file}", "--u-fixed", 0.0014]
 WARM_ARGV = ["solve", "--fixture", "sipp-pre", "--warm-start", "{file}"]
 PARAMS_ARGV = ["replicate-nt", "--params", "{file}"]
+SHIFT_ARGV = ["shift-test", "--data", "{file}", "--break-year", 2021]
+SCAN_ARGV = ["break-scan", "--data", "{file}", "--from-year", 2014,
+             "--to-year", 2023]
 SOURCES = {"calibrate": ["--fixture", "sipp-pre"],
            "solve": ["--fixture", "sipp-pre"], "compare": []}
 # (command, flag, bad value, what the error must name); SOURCES gives each
@@ -78,6 +81,13 @@ def non_default_argv(command):
         else:
             argv += [flag, f"{action.dest}-value"]
     return argv
+
+
+def panel_text(years=range(2009, 2025), zero_year=None):
+    """A date,value CSV of a seasonal panel, all zero in ``zero_year``."""
+    return "date,value\n" + "".join(
+        f"{y}-{m:02d},{0 if y == zero_year else 100 + m}\n"
+        for y in years for m in range(1, 13))
 
 
 def make_shift_panel(path, rng, shift_months=(3, 4, 5), shift=2.0,
@@ -735,9 +745,15 @@ class TestExitCodes:
          "--min-months"),
         (["solve", "--hazards", "{hazards}", "--u-fixed", 0.0014], "{hazards}"),
         (["replicate-nt", "--params", "{params}"], "{params}"),
+        (["break-scan", "--data", "{panel}", "--from-year", 2023,
+          "--to-year", 2015], "--from-year 2023 and --to-year 2015"),
+        (["break-scan", "--data", "{panel}", "--from-year", 2014,
+          "--to-year", 202015], "--from-year 2014 and --to-year 202015"),
+        (["break-scan", "--data", "{panel}", "--from-year", 0,
+          "--to-year", 2015], "--from-year 0 and --to-year 2015"),
     ], ids=["trend-years", "trend-range", "open-range", "reversed-range",
             "no-years", "repeated-year", "huge-range", "min-months", "hazards",
-            "params"])
+            "params", "falling-scan", "huge-scan", "scan-from-year-zero"])
     def test_ill_typed_input_is_input_error(self, tmp_path, capsys, argv,
                                             named):
         """Values that parse as the wrong type exit 2 and name their source."""
@@ -756,6 +772,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert str(files.get(named, named)) in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("argv, text", [
         (SHARES_ARGV, "month,share\n1,1\nFoo,1\n"),
@@ -767,6 +784,7 @@ class TestExitCodes:
         (HAZARDS_ARGV, json.dumps({"survival": 0.99})),
         (HAZARDS_ARGV, json.dumps({"survival": []})),
         (HAZARDS_ARGV, json.dumps({"survival": [0.99] * 11 + [1.5]})),
+        (HAZARDS_ARGV, json.dumps({"survival": [0.9, 0.95]})),
         (WARM_ARGV, json.dumps({key: [1.0] * (11 if key == "X" else 12)
                                 for key in ("X", "v", "epsilon", "Q", "P")})),
         (WARM_ARGV, json.dumps({key: [1.0] * (13 if key == "v" else 12)
@@ -777,12 +795,22 @@ class TestExitCodes:
             "sale_probability": [0.25, 0.31]}})),
         (PARAMS_ARGV, json.dumps({**load_biannual_benchmark(),
                                   "targets": [0.25, 0.31]})),
+        (PARAMS_ARGV, json.dumps({**load_biannual_benchmark(),
+                                  "beta_hat": 1.5})),
+        (PARAMS_ARGV, json.dumps({**load_biannual_benchmark(),
+                                  "survival": [1.5, 0.9]})),
+        (SHIFT_ARGV, panel_text(zero_year=2016)),
+        (SCAN_ARGV, panel_text(zero_year=2016)),
+        (SHIFT_ARGV, panel_text(years=range(2009, 2021))),
     ], ids=["shares-unknown-month", "shares-repeated-month",
             "shares-unparsable", "shares-short-row", "shares-no-month",
             "hazards-nan", "hazards-scalar", "hazards-empty",
-            "hazards-out-of-range", "warm-start-short-X",
+            "hazards-out-of-range", "hazards-two-seasons", "warm-start-short-X",
             "warm-start-long-v", "targets-without-sale-probability",
-            "targets-without-vacancies", "targets-not-an-object"])
+            "targets-without-vacancies", "targets-not-an-object",
+            "params-beta-hat-out-of-range", "params-survival-out-of-range",
+            "shift-test-zero-mean-year", "break-scan-zero-mean-year",
+            "shift-test-no-post-break-year"])
     def test_bad_input_file_is_named(self, tmp_path, capsys, argv, text):
         """Every input error in a file's content exits 2 naming the file."""
         bad = tmp_path / "input"
@@ -792,6 +820,50 @@ class TestExitCodes:
                    + ["--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (SHIFT_ARGV, panel_text(zero_year=2016), "year 2016 has zero mean"),
+        (SCAN_ARGV, panel_text(zero_year=2016), "year 2016 has zero mean"),
+        (SHIFT_ARGV, panel_text(years=range(2009, 2021)),
+         "observations must span both sides of the break year 2021"),
+    ], ids=["shift-test-zero-mean-year", "break-scan-zero-mean-year",
+            "shift-test-no-post-break-year"])
+    def test_deflated_panel_error_names_both_files(self, tmp_path, capsys,
+                                                   argv, text, message):
+        """A fault found after deflation names the panel and its deflator."""
+        panel, cpi = tmp_path / "panel.csv", tmp_path / "cpi.csv"
+        panel.write_text(text)
+        cpi.write_text(panel_text())
+        out = tmp_path / "out"
+        assert run([panel if a == "{file}" else a for a in argv]
+                   + ["--deflate-by", cpi, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {panel} deflated by {cpi}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--eta", 0.1, "--shares", "{missing}"],
+        ["calibrate", "--eta", 0.1, "--trend-years", 2015,
+         "--trends", "{missing}"],
+        ["solve", "--u-fixed", 0.0014, "--hazards", "{missing}"],
+        ["solve", "--fixture", "sipp-pre", "--warm-start", "{missing}"],
+        ["shift-test", "--data", "{missing}"],
+        ["shift-test", "--data", "{panel}", "--deflate-by", "{missing}"],
+        ["replicate-nt", "--params", "{missing}"],
+        ["rerun", "{missing}"],
+    ], ids=["shares", "trends", "hazards", "warm-start", "data", "deflate-by",
+            "params", "manifest"])
+    def test_missing_input_file_is_named(self, tmp_path, capsys, argv):
+        missing = tmp_path / "absent"
+        panel = make_shift_panel(tmp_path / "panel.csv",
+                                 np.random.default_rng(56))
+        files = {"{missing}": missing, "{panel}": panel}
+        out = tmp_path / "out"
+        assert run([files.get(a, a) for a in argv] + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, named", [

@@ -11,6 +11,7 @@ from thickmarket.dataio import (
     RawSeries,
     deflate_and_index,
     equilibrium_to_dict,
+    naming,
     read_equilibrium_json,
     read_hazards_json,
     read_monthly_csv,
@@ -18,7 +19,7 @@ from thickmarket.dataio import (
     to_panel,
     write_results,
 )
-from thickmarket.errors import DataError
+from thickmarket.errors import DataError, DomainError
 from thickmarket.fixtures import SIPP_POST_RAW, SIPP_PRE_RAW
 
 
@@ -168,6 +169,27 @@ class TestReadSharesCsv:
         pattern = f"^{re.escape(str(path))}: {message}$"
         with pytest.raises(DataError, match=pattern):
             read_shares_csv(path)
+
+
+class TestNaming:
+    def test_missing_file_becomes_data_error(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        pattern = f"^no such file: {re.escape(str(path))}$"
+        with pytest.raises(DataError, match=pattern):
+            with naming(path):
+                path.read_text()
+
+    @pytest.mark.parametrize("error", [DataError, DomainError])
+    def test_input_error_keeps_its_type(self, error):
+        with pytest.raises(error, match="^A deflated by B: bad$") as info:
+            with naming("A deflated by B"):
+                raise error("bad")
+        assert type(info.value) is error
+
+    def test_other_errors_pass_unchanged(self):
+        with pytest.raises(ZeroDivisionError, match="^boom$"):
+            with naming("f.csv"):
+                raise ZeroDivisionError("boom")
 
 
 class TestReadArraysJson:
