@@ -39,7 +39,7 @@ from .dataio import (
     to_panel,
     write_results,
 )
-from .errors import ConvergenceError, DataError, DomainError, RankDeficientError
+from .errors import ConvergenceError, DataError, DomainError
 from .fixtures import (
     DEFAULT_ANNUAL_RATE,
     DEFAULT_DELTA,
@@ -74,6 +74,7 @@ INPUT_FILE = "FILE"   # metavar of every option naming an input file
 FULL_PRECISION = frozenset({"hazards.json", "solution.json"})
 # compare's default fixture on each side
 SIDE_FIXTURES = dict(zip(("pre", "post"), SHARE_FIXTURES))
+MIN_MONTHS = 6   # --min-months in annual mode; centered12 takes only this
 
 
 def _write_manifest(out_dir: Path, args, parameters: dict,
@@ -213,9 +214,7 @@ def cmd_calibrate(args):
     shares, eta, label = _resolve_shares(args)
     kappa = solve_kappa(shares, eta)
     hazards = HazardProfile.from_hazard(kappa * shares.shares.values)
-    doc = hazards_to_dict(hazards, kappa, eta)
-    doc["shares"] = shares.shares.values.tolist()
-    doc["source"] = label
+    doc = hazards_to_dict(hazards, kappa, eta, shares, label)
     print(f"calibrated hazards from {label}: kappa={kappa:.6g} eta={eta}")
     return {"hazards.json": doc}, {"eta": eta, "kappa": kappa, "source": label}
 
@@ -224,32 +223,19 @@ def cmd_solve(args):
     shares, eta, label = _resolve_shares(args)
     config = _solver_config(args)
     if shares is None:   # --hazards
-        hz_doc = read_hazards_json(args.hazards_file)
-        with naming(args.hazards_file):
-            if hz_doc["survival"].size != 12:
-                raise DataError("survival must hold 12 values, one per month")
-            hazards = HazardProfile.from_survival(hz_doc["survival"])
-        eta = hz_doc.get("eta")
+        hazards, eta = read_hazards_json(args.hazards_file)
     else:
         hazards = hazards_from_shares(shares, eta)
     if args.warm_start:
-        snapshot = read_equilibrium_json(args.warm_start)
-        with naming(args.warm_start):
-            if not snapshot["X"].size == snapshot["v"].size == 12:
-                raise DataError("X and v must hold 12 values each, one per month")
-        config.initial_X, config.initial_v = snapshot["X"], snapshot["v"]
+        config.initial_X, config.initial_v = read_equilibrium_json(args.warm_start)
     solution, u, _ = solve_hazards(
         hazards, annual_rate=args.annual_rate, delta=args.delta,
         theta=args.theta, u_fixed=args.u_fixed, config=config)
 
-    doc = equilibrium_to_dict(solution)
-    if eta is not None:
-        doc["eta"] = eta
-    doc["source"] = label
     summary = deviation_summary(solution)
     rows = [[m, summary["P"]["deviation"][m - 1], summary["Q"]["deviation"][m - 1]]
             for m in range(1, solution.period + 1)]
-    outputs = {"solution.json": doc,
+    outputs = {"solution.json": equilibrium_to_dict(solution, label, eta),
                "deviations.csv": {"columns": ["month", "P_dev", "Q_dev"],
                                   "rows": rows},
                "summary.json": summary}
@@ -292,7 +278,14 @@ def cmd_compare(args):
 
 
 def _load_components(args):
-    """The seasonal components of --data and the label its input errors carry."""
+    """The seasonal components of --data and the label its input errors
+    carry; --min-months applies in annual mode, and centered12 takes only
+    its default, which older manifests replay."""
+    centered = args.mode == "centered12"
+    min_months = MIN_MONTHS if args.min_months is None else args.min_months
+    if centered and min_months != MIN_MONTHS:
+        raise DataError("--min-months does not apply with --mode centered12: "
+                        "only annual mode drops short years")
     label = args.data
     series = read_monthly_csv(args.data, value_column=args.value_column,
                               date_column=args.date_column)
@@ -303,11 +296,11 @@ def _load_components(args):
             series = deflate_and_index(series, cpi)
     panel = to_panel(series)
     with naming(label):
-        components = (centered_mean_deviation(panel) if args.mode == "centered12"
-                      else annual_mean_deviation(panel, args.min_months))
+        components = (centered_mean_deviation(panel) if centered
+                      else annual_mean_deviation(panel, min_months))
         if components.deviations.size == 0:
-            raise DataError("no observations left to test (--mode "
-                            f"{args.mode}, --min-months {args.min_months})")
+            limits = "" if centered else f", --min-months {min_months}"
+            raise DataError(f"no observations left to test (--mode {args.mode}{limits})")
     return components, label
 
 
@@ -469,8 +462,9 @@ def _add_panel_flags(p):
     p.add_argument("--date-column", default="date")
     p.add_argument("--mode", choices=["annual", "centered12"], default="annual",
                    help="deviation mode: annual mean or centred 12-month mean")
-    p.add_argument("--min-months", type=int, default=6,
-                   help="minimum months for a year to enter (annual mode)")
+    p.add_argument("--min-months", type=int, default=None,
+                   help="minimum months for a year to enter (annual mode only; "
+                        f"default {MIN_MONTHS})")
     p.add_argument("--deflate-by", default=None, metavar=INPUT_FILE,
                    help="price-index CSV used to deflate the series first")
 
@@ -562,7 +556,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, DomainError, RankDeficientError, OSError) as exc:
+    except (DataError, DomainError, OSError) as exc:   # RankDeficientError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -1,9 +1,11 @@
-"""CSV ingestion, CPI deflation, and deterministic result writers.
+"""CSV ingestion, CPI deflation, deterministic result writers, and the
+hand-off files ``hazards.json`` and ``solution.json`` that one command
+writes and another reads back; no other module knows their keys.
 
-Input series are plain ``date,value`` CSVs (ISO year-month dates; full
-dates are truncated to the month). ``write_results`` writes every output
-file, in the format its suffix names, with stable key ordering and 6
-significant digits (or exact floats), so identical inputs produce
+Input series are plain UTF-8 ``date,value`` CSVs (ISO year-month dates;
+full dates are truncated to the month). ``write_results`` writes every
+output file, in the format its suffix names, with stable key ordering and
+6 significant digits (or exact floats), so identical inputs produce
 byte-identical files.
 """
 
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import MoveShares, normalize_shares
-from .core import MONTH_NAMES
+from .core import MONTH_NAMES, HazardProfile
 from .errors import DataError, DomainError
 from .seastats import MonthlyPanel
 
@@ -27,12 +29,16 @@ from .seastats import MonthlyPanel
 @contextlib.contextmanager
 def naming(label):
     """Name ``label`` in the input errors raised inside: a missing file
-    becomes ``DataError("no such file: label")``, and a DataError or
-    DomainError is raised again as its own type with ``"label: "`` in front."""
+    becomes ``DataError("no such file: label")``, text that is not UTF-8 a
+    DataError naming the first bad byte, and a DataError or DomainError is
+    raised again as its own type with ``"label: "`` in front."""
     try:
         yield
     except FileNotFoundError:
         raise DataError(f"no such file: {label}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{label}: not UTF-8 text (byte "
+                        f"0x{exc.object[exc.start]:02x}: {exc.reason})") from None
     except (DataError, DomainError) as exc:
         raise type(exc)(f"{label}: {exc}") from None
 
@@ -78,7 +84,7 @@ def read_monthly_csv(path, value_column: str = "value",
                      date_column: str = "date") -> RawSeries:
     """Parse a monthly CSV into a sorted, duplicate-checked series."""
     rows: list[tuple[tuple[int, int], float]] = []
-    with naming(path), open(path, newline="") as fh:
+    with naming(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError("empty file, expected a CSV header")
@@ -108,7 +114,7 @@ def read_shares_csv(path) -> MoveShares:
     """Read a 12-row month,share table (months 1..12 or Jan..Dec names)."""
     name_to_month = {n.lower(): i + 1 for i, n in enumerate(MONTH_NAMES)}
     raw = np.full(12, np.nan)
-    with naming(path), open(path, newline="") as fh:
+    with naming(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or \
                 {"month", "share"} - set(reader.fieldnames):
@@ -223,8 +229,22 @@ def _fmt_cell(value, full_precision: bool) -> str:
     return str(value)
 
 
-def equilibrium_to_dict(solution) -> dict:
-    """JSON document for an equilibrium: 12-element arrays plus diagnostics."""
+def hazards_to_dict(profile, kappa: float, eta: float, shares: MoveShares,
+                    source: str) -> dict:
+    """The ``hazards.json`` document, which ``read_hazards_json`` reads."""
+    return {
+        "hazard": profile.hazard.values.tolist(),
+        "survival": profile.survival.values.tolist(),
+        "kappa": float(kappa),
+        "eta": float(eta),
+        "shares": shares.shares.values.tolist(),
+        "source": source,
+    }
+
+
+def equilibrium_to_dict(solution, source: str, eta: float | None = None) -> dict:
+    """The ``solution.json`` document, which ``read_equilibrium_json``
+    reads; ``eta`` is left out when the source does not give it."""
     return {
         "X": solution.state.X.values.tolist(),
         "v": solution.state.v.values.tolist(),
@@ -234,15 +254,8 @@ def equilibrium_to_dict(solution) -> dict:
         "iterations": int(solution.iterations),
         "residual": float(solution.final_residual),
         "u": float(solution.u),
-    }
-
-
-def hazards_to_dict(profile, kappa: float, eta: float) -> dict:
-    return {
-        "hazard": profile.hazard.values.tolist(),
-        "survival": profile.survival.values.tolist(),
-        "kappa": float(kappa),
-        "eta": float(eta),
+        "source": source,
+        **({} if eta is None else {"eta": float(eta)}),
     }
 
 
@@ -250,7 +263,7 @@ def load_json_object(path) -> dict:
     """Parse a JSON file holding an object; malformed JSON is a DataError."""
     with naming(path):
         try:
-            doc = json.loads(Path(path).read_text())
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:
             raise DataError(f"malformed JSON ({exc})") from None
         if not isinstance(doc, dict):
@@ -258,30 +271,38 @@ def load_json_object(path) -> dict:
         return doc
 
 
-def _read_arrays_json(path, keys: tuple[str, ...], kind: str) -> dict:
-    """Load a JSON object whose ``keys`` hold non-empty arrays of finite
-    numbers; they come back as numpy vectors."""
+def _monthly_arrays(doc: dict, keys: tuple[str, ...], kind: str) -> list:
+    """``keys`` of a hand-off document as vectors of 12 finite numbers."""
+    missing = set(keys) - set(doc)
+    if missing:
+        raise DataError(f"{kind} lacks arrays {sorted(missing)}")
+    arrays = []
+    for key in keys:
+        try:
+            arrays.append(np.asarray(doc[key], dtype=float))
+            if arrays[-1].shape != (12,) or not np.isfinite(arrays[-1]).all():
+                raise ValueError
+        except (TypeError, ValueError):
+            raise DataError(f"'{key}' must be an array of 12 finite numbers, "
+                            "one per month") from None
+    return arrays
+
+
+def read_hazards_json(path) -> tuple[HazardProfile, float | None]:
+    """The hazards of a ``hazards.json`` and its eta, None when absent."""
     doc = load_json_object(path)
     with naming(path):
-        missing = set(keys) - set(doc)
-        if missing:
-            raise DataError(f"{kind} lacks arrays {sorted(missing)}")
-        for key in keys:
-            try:
-                arr = doc[key] = np.asarray(doc[key], dtype=float)
-                if arr.ndim != 1 or not arr.size or not np.isfinite(arr).all():
-                    raise ValueError
-            except (TypeError, ValueError):
-                raise DataError(f"'{key}' must be a non-empty array of "
-                                "finite numbers") from None
-        return doc
+        (survival,) = _monthly_arrays(doc, ("survival",), "hazard document")
+        eta = doc.get("eta")
+        if "eta" in doc and not (isinstance(eta, float) and 0.0 < eta < 1.0):
+            raise DataError(f"'eta' must be a number in (0, 1), got {eta!r}")
+        return HazardProfile.from_survival(survival), eta
 
 
-def read_hazards_json(path) -> dict:
-    """Load a calibrated hazard document (as written by hazards_to_dict)."""
-    return _read_arrays_json(path, ("survival",), "hazard document")
-
-
-def read_equilibrium_json(path) -> dict:
-    """Load an equilibrium snapshot (as written by equilibrium_to_dict)."""
-    return _read_arrays_json(path, ("X", "v", "epsilon", "Q", "P"), "snapshot")
+def read_equilibrium_json(path) -> tuple[np.ndarray, np.ndarray]:
+    """X and v of a ``solution.json``; its five arrays are checked."""
+    doc = load_json_object(path)
+    with naming(path):
+        X, v, *_ = _monthly_arrays(doc, ("X", "v", "epsilon", "Q", "P"),
+                                   "snapshot")
+    return X, v

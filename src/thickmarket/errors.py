@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each carries only its message."""
 
 
 class DomainError(ValueError):
@@ -12,14 +12,6 @@ class DataError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative routine failed to converge within its budget."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
-
-class RankDeficientError(ValueError):
+class RankDeficientError(DataError):
     """A regression design matrix is rank deficient."""
-
-    def __init__(self, message: str, columns: list[str] | None = None):
-        super().__init__(message)
-        self.columns = columns or []

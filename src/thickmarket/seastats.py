@@ -236,10 +236,9 @@ def factor_design(design: np.ndarray, names: tuple[str, ...] | None = None, *,
             null = np.delete(null - np.outer(null[:, c], null[j] / null[j, c]),
                              c, axis=1)
         labels = names or tuple(f"x{j}" for j in range(k))
-        offending = sorted(labels[j] for j in dependent)
         raise RankDeficientError(
             f"design matrix is rank deficient (rank {rank} of {k}); "
-            f"dependent columns: {offending}", columns=offending)
+            f"dependent columns: {sorted(labels[j] for j in dependent)}")
 
     r_inv = np.linalg.inv(R)
     L = r_inv[tested] @ Q.T

@@ -15,7 +15,9 @@ step's outputs. A cold solve starts at the steady state of the flat
 model, the same market with the annual survival spread evenly over the
 cycle, in closed form; an unknown u starts there on a warm start too.
 Steps are halved until the sup norm of G drops; where no cut does, the
-damped step z += lam*G(z) is taken instead. A solve stops at
+damped step z += lam*G(z) is taken instead. No trial with u at or below
+the floor 1e-10 * params.u is evaluated, so only a damped step can reach
+it, and that is a collapse of u. A solve stops at
 |G| <= 1e-12 * max(1, |z|) in sup norms; one that stepped to get there
 and is still above 1e-15 * max(1, |z|) takes one more full Newton
 step. The solution is the last iterate with the cutoffs of its
@@ -198,11 +200,12 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
     """Drive G(z) to zero from z in at most ``max_iterations`` map evaluations.
 
     z is (X, v) at the fixed u of ``params``, or (X, v, u) with the u
-    equation when ``ratio`` is given. Backtracks on the sup norm of G and
-    falls back to z += lam*G(z); once a step meets the test, takes one more
-    full Newton step while |G| is above 1e-15 * max(1, |z|). Returns
-    (z, evaluations, G(z), eps), where eps holds the clamped cutoffs of
-    the evaluation at the returned z.
+    equation when ``ratio`` is given. Backtracks on the sup norm of G over
+    trials whose u is above the floor and falls back to z += lam*G(z),
+    which raises if it crosses the floor; once a step meets the test,
+    takes one more full Newton step while |G| is above 1e-15 * max(1, |z|).
+    Returns (z, evaluations, G(z), eps), where eps holds the clamped
+    cutoffs of the evaluation at the returned z.
     """
     n = params.period
     endogenous = ratio is not None
@@ -214,7 +217,7 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
         if evals == config.max_iterations:
             raise ConvergenceError(
                 f"equilibrium solve did not converge within {config.max_iterations} "
-                f"map evaluations (last residual {res:.3g})", residual=res)
+                f"map evaluations (last residual {res:.3g})")
         evals += 1
         X, v = z[:n], z[n:2 * n]
         p = params.with_u(z[-1]) if endogenous else params
@@ -233,24 +236,23 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
         dz = _newton_direction(z, eps, g, params, coeffs, jac)
         for t in 0.5 ** np.arange(_LINE_SEARCH_CUTS if dz is not None else 0):
             trial = z + t * dz
-            if u_of(trial) > 0.0:
+            if u_of(trial) > u_floor:
                 g_t, eps_t, res_t = evaluate(trial)
                 if res_t <= (1.0 - 1e-4 * t) * res:
                     z, g, eps, res = trial, g_t, eps_t, res_t
                     break
         else:
             z = z + config.lam * g
-            if u_of(z) > u_floor:
-                g, eps, res = evaluate(z)
-        if u_of(z) <= u_floor:
-            raise ConvergenceError(
-                "service flow u collapsed toward zero; the rent-to-price "
-                "condition has no positive solution at these parameters")
+            if u_of(z) <= u_floor:
+                raise ConvergenceError(
+                    "service flow u collapsed toward zero; the rent-to-price "
+                    "condition has no positive solution at these parameters")
+            g, eps, res = evaluate(z)
     # Newton from a close start often meets the test at a few 1e-13; one
     # more full step takes the residual to round-off.
     if jac is not None and res > _FINISH_TOL * max(1.0, np.abs(z).max()):
         dz = _newton_direction(z, eps, g, params, coeffs, jac)
-        if dz is not None and u_of(z + dz) > 0.0:
+        if dz is not None and u_of(z + dz) > u_floor:
             g_t, eps_t, res_t = evaluate(z + dz)
             if res_t <= res:
                 z, g, eps, res = z + dz, g_t, eps_t, res_t

@@ -90,6 +90,11 @@ def panel_text(years=range(2009, 2025), zero_year=None):
         for y in years for m in range(1, 13))
 
 
+# no March from 2021 on: the shift design's March columns are dependent
+NO_LATE_MARCH = "".join(f"{line}\n" for line in panel_text().splitlines()
+                        if not (line[:4] >= "2021" and line[4:8] == "-03,"))
+
+
 def make_shift_panel(path, rng, shift_months=(3, 4, 5), shift=2.0,
                      years=range(2009, 2025), noise=0.4):
     rows = ["date,value"]
@@ -227,6 +232,18 @@ class TestSolveCommand:
         a = json.loads((out / "solution.json").read_text())
         b = json.loads((direct / "solution.json").read_text())
         assert a["P"] == b["P"]   # full-precision hazard handoff is lossless
+
+    def test_hazards_without_eta_solve_and_write_no_eta(self, tmp_path):
+        cal, out = tmp_path / "cal", tmp_path / "sol"
+        assert run(["calibrate", "--fixture", "sipp-pre", "--out", cal]) == 0
+        doc = json.loads((cal / "hazards.json").read_text())
+        del doc["eta"]
+        (cal / "hazards.json").write_text(json.dumps(doc))
+        assert run(["solve", "--hazards", cal / "hazards.json",
+                    "--u-fixed", 0.0014, "--out", out]) == 0
+        assert "eta" not in json.loads((out / "solution.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["eta"] is None
 
     def test_warm_start_reaches_same_fixed_point_faster(self, tmp_path):
         first = tmp_path / "first"
@@ -446,6 +463,27 @@ class TestCompareCommand:
 
 
 class TestShiftTestCommand:
+    @pytest.mark.parametrize("command", ["shift-test", "break-scan"])
+    def test_default_min_months_of_an_older_manifest_yields(self, tmp_path,
+                                                           command):
+        """Manifests written while --min-months had a parser default replay
+        ``--min-months 6`` under ``--mode centered12``; the default is
+        accepted there, so they rerun unchanged."""
+        panel = make_shift_panel(tmp_path / "panel.csv",
+                                 np.random.default_rng(57))
+        argv = [panel if a == "{panel}" else a for a in COMMAND_ARGS[command]]
+        new, old = tmp_path / "new", tmp_path / "old"
+        assert run([command, *argv, "--mode", "centered12", "--out", new]) == 0
+        manifest = json.loads((new / "manifest.json").read_text())
+        replay = manifest["replay"]
+        assert "--min-months" not in replay
+        at = replay.index("--mode") + 2   # where the parser default sat
+        replay[at:at] = ["--min-months", "6"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert run(["rerun", tmp_path / "manifest.json", "--out", old]) == 0
+        for name in manifest["outputs"]:
+            assert (new / name).read_bytes() == (old / name).read_bytes()
+
     def test_deflation_needs_no_base_year(self, tmp_path):
         """Deviations are ratios to year means, so the level of the deflator
         moves none of them."""
@@ -789,6 +827,11 @@ class TestExitCodes:
                                 for key in ("X", "v", "epsilon", "Q", "P")})),
         (WARM_ARGV, json.dumps({key: [1.0] * (13 if key == "v" else 12)
                                 for key in ("X", "v", "epsilon", "Q", "P")})),
+        (WARM_ARGV, json.dumps({key: [1.0] * (13 if key == "Q" else 12)
+                                for key in ("X", "v", "epsilon", "Q", "P")})),
+        (HAZARDS_ARGV, json.dumps({"survival": [0.99] * 12, "eta": "abc"})),
+        (HAZARDS_ARGV, json.dumps({"survival": [0.99] * 12, "eta": 1.5})),
+        (HAZARDS_ARGV, json.dumps({"survival": [0.99] * 12, "eta": True})),
         (PARAMS_ARGV, json.dumps({**load_biannual_benchmark(), "targets": {
             "vacancies": [0.167, 0.18]}})),
         (PARAMS_ARGV, json.dumps({**load_biannual_benchmark(), "targets": {
@@ -802,15 +845,18 @@ class TestExitCodes:
         (SHIFT_ARGV, panel_text(zero_year=2016)),
         (SCAN_ARGV, panel_text(zero_year=2016)),
         (SHIFT_ARGV, panel_text(years=range(2009, 2021))),
+        (SHIFT_ARGV, NO_LATE_MARCH),
     ], ids=["shares-unknown-month", "shares-repeated-month",
             "shares-unparsable", "shares-short-row", "shares-no-month",
             "hazards-nan", "hazards-scalar", "hazards-empty",
             "hazards-out-of-range", "hazards-two-seasons", "warm-start-short-X",
-            "warm-start-long-v", "targets-without-sale-probability",
+            "warm-start-long-v", "warm-start-long-Q", "hazards-eta-text",
+            "hazards-eta-above-one", "hazards-eta-bool",
+            "targets-without-sale-probability",
             "targets-without-vacancies", "targets-not-an-object",
             "params-beta-hat-out-of-range", "params-survival-out-of-range",
             "shift-test-zero-mean-year", "break-scan-zero-mean-year",
-            "shift-test-no-post-break-year"])
+            "shift-test-no-post-break-year", "shift-test-rank-deficient"])
     def test_bad_input_file_is_named(self, tmp_path, capsys, argv, text):
         """Every input error in a file's content exits 2 naming the file."""
         bad = tmp_path / "input"
@@ -827,8 +873,9 @@ class TestExitCodes:
         (SCAN_ARGV, panel_text(zero_year=2016), "year 2016 has zero mean"),
         (SHIFT_ARGV, panel_text(years=range(2009, 2021)),
          "observations must span both sides of the break year 2021"),
+        (SHIFT_ARGV, NO_LATE_MARCH, "design matrix is rank deficient"),
     ], ids=["shift-test-zero-mean-year", "break-scan-zero-mean-year",
-            "shift-test-no-post-break-year"])
+            "shift-test-no-post-break-year", "shift-test-rank-deficient"])
     def test_deflated_panel_error_names_both_files(self, tmp_path, capsys,
                                                    argv, text, message):
         """A fault found after deflation names the panel and its deflator."""
@@ -866,6 +913,27 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["shift-test", "--data", "{bad}"],
+        ["shift-test", "--data", "{panel}", "--deflate-by", "{bad}"],
+        ["calibrate", "--shares", "{bad}", "--eta", 0.1],
+        ["calibrate", "--trends", "{bad}", "--trend-years", 2015,
+         "--eta", 0.1],
+    ], ids=["data", "deflate-by", "shares", "trends"])
+    def test_input_that_is_not_utf8_is_named(self, tmp_path, capsys, argv):
+        """A byte that is not UTF-8 exits 2 naming the file and the byte."""
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"date,value\n2015-01,caf\xe9\n")
+        panel = make_shift_panel(tmp_path / "panel.csv",
+                                 np.random.default_rng(59))
+        files = {"{bad}": bad, "{panel}": panel}
+        out = tmp_path / "out"
+        assert run([files.get(a, a) for a in argv] + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text (byte 0xe9")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, named", [
         (["calibrate", "--fixture", "sipp-pre", "--shares", "{shares}"],
          "--fixture and --shares are alternative"),
@@ -885,15 +953,24 @@ class TestExitCodes:
          "--post-fixture and --post-shares are alternative"),
         (["solve", "--fixture", "sipp-pre", "--u-fixed", 0.0014,
           "--rent-ratio", 5], "--rent-ratio does not apply with --u-fixed"),
+        (["shift-test", "--data", "{panel}", "--mode", "centered12",
+          "--min-months", 99],
+         "--min-months does not apply with --mode centered12"),
+        (["break-scan", "--data", "{panel}", "--from-year", 2014,
+          "--to-year", 2023, "--mode", "centered12", "--min-months", 5],
+         "--min-months does not apply with --mode centered12"),
     ], ids=["fixture-shares", "shares-trends", "trend-years-alone",
             "fixture-hazards", "eta-hazards", "compare-pre-fixture-shares",
-            "compare-post-fixture-shares", "rent-ratio-u-fixed"])
+            "compare-post-fixture-shares", "rent-ratio-u-fixed",
+            "min-months-centered12", "break-scan-min-months-centered12"])
     def test_option_the_source_ignores_is_input_error(self, tmp_path, capsys,
                                                       argv, named):
         """One share source per run: an option it would ignore exits 2."""
         files = {"{shares}": tmp_path / "shares.csv",
                  "{trends}": tmp_path / "trends.csv",
-                 "{hazards}": tmp_path / "cal" / "hazards.json"}
+                 "{hazards}": tmp_path / "cal" / "hazards.json",
+                 "{panel}": tmp_path / "panel.csv"}
+        make_shift_panel(files["{panel}"], np.random.default_rng(58))
         files["{shares}"].write_text("month,share\n" + "".join(
             f"{m},1\n" for m in range(1, 13)))
         files["{trends}"].write_text("date,value\n" + "".join(

@@ -11,6 +11,7 @@ from thickmarket.dataio import (
     RawSeries,
     deflate_and_index,
     equilibrium_to_dict,
+    hazards_to_dict,
     naming,
     read_equilibrium_json,
     read_hazards_json,
@@ -19,8 +20,10 @@ from thickmarket.dataio import (
     to_panel,
     write_results,
 )
-from thickmarket.errors import DataError, DomainError
-from thickmarket.fixtures import SIPP_POST_RAW, SIPP_PRE_RAW
+from thickmarket.calibrate import solve_kappa
+from thickmarket.core import HazardProfile
+from thickmarket.errors import DataError, DomainError, RankDeficientError
+from thickmarket.fixtures import SIPP_POST_RAW, SIPP_PRE_RAW, shares_fixture
 
 
 def write_csv(path, rows, header="date,value"):
@@ -179,12 +182,21 @@ class TestNaming:
             with naming(path):
                 path.read_text()
 
-    @pytest.mark.parametrize("error", [DataError, DomainError])
+    @pytest.mark.parametrize("error", [DataError, DomainError,
+                                       RankDeficientError])
     def test_input_error_keeps_its_type(self, error):
         with pytest.raises(error, match="^A deflated by B: bad$") as info:
             with naming("A deflated by B"):
                 raise error("bad")
         assert type(info.value) is error
+
+    @pytest.mark.parametrize("reader", [read_monthly_csv, read_shares_csv])
+    def test_text_that_is_not_utf8_names_file_and_byte(self, tmp_path, reader):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"date,value\n2019-01,1\xff\n")
+        pattern = f"^{re.escape(str(path))}: not UTF-8 text \\(byte 0xff"
+        with pytest.raises(DataError, match=pattern):
+            reader(path)
 
     def test_other_errors_pass_unchanged(self):
         with pytest.raises(ZeroDivisionError, match="^boom$"):
@@ -216,11 +228,48 @@ class TestReadArraysJson:
 
     def test_snapshot_arrays_come_back_as_vectors(self, tmp_path):
         path = tmp_path / "s.json"
-        doc = {key: [1.0, 2.0] for key in ("X", "v", "epsilon", "Q", "P")}
-        path.write_text(json.dumps({**doc, "u": 0.5}))
-        snapshot = read_equilibrium_json(path)
-        assert snapshot["X"].dtype == float and snapshot["u"] == 0.5
-        assert snapshot["P"].tolist() == [1.0, 2.0]
+        doc = {key: [1.0, 2.0] * 6 for key in ("X", "v", "epsilon", "Q", "P")}
+        path.write_text(json.dumps({**doc, "v": [3.0] * 12, "u": 0.5}))
+        X, v = read_equilibrium_json(path)
+        assert X.dtype == float and v.dtype == float
+        assert X.tolist() == [1.0, 2.0] * 6 and v.tolist() == [3.0] * 12
+
+    @pytest.mark.parametrize("key, size", [("Q", 13), ("epsilon", 11),
+                                           ("X", 2)])
+    def test_every_snapshot_array_holds_12_values(self, tmp_path, key, size):
+        path = tmp_path / "s.json"
+        doc = {k: [1.0] * 12 for k in ("X", "v", "epsilon", "Q", "P")}
+        path.write_text(json.dumps({**doc, key: [1.0] * size}))
+        pattern = f"^{re.escape(str(path))}: '{key}' must be an array of 12"
+        with pytest.raises(DataError, match=pattern):
+            read_equilibrium_json(path)
+
+    def test_hazards_round_trip(self, tmp_path):
+        shares, eta = shares_fixture("sipp-pre")
+        kappa = solve_kappa(shares, eta)
+        profile = HazardProfile.from_hazard(kappa * shares.shares.values)
+        path = write_results(hazards_to_dict(profile, kappa, eta, shares, "x"),
+                             tmp_path / "hazards.json", full_precision=True)
+        back, eta_back = read_hazards_json(path)
+        assert back.survival.values.tolist() == profile.survival.values.tolist()
+        assert eta_back == eta
+        doc = json.loads(path.read_text())
+        assert doc["source"] == "x" and doc["kappa"] == kappa
+        assert doc["shares"] == shares.shares.values.tolist()
+
+    def test_hazards_without_eta(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"survival": [0.99] * 12}))
+        profile, eta = read_hazards_json(path)
+        assert eta is None and profile.survival.values.tolist() == [0.99] * 12
+
+    @pytest.mark.parametrize("eta", ["abc", 1.5, True, 0.0, None, [0.1]])
+    def test_eta_must_be_a_number_in_the_unit_interval(self, tmp_path, eta):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"survival": [0.99] * 12, "eta": eta}))
+        pattern = f"^{re.escape(str(path))}: 'eta' must be a number in"
+        with pytest.raises(DataError, match=pattern):
+            read_hazards_json(path)
 
 
 class TestDeflation:
@@ -296,15 +345,16 @@ class TestWriters:
     def test_identical_runs_are_byte_identical(self, tmp_path, pre_params):
         from thickmarket import SolverConfig, solve_equilibrium
         sol = solve_equilibrium(pre_params, SolverConfig())
-        a = write_results(equilibrium_to_dict(sol), tmp_path / "a.json")
-        b = write_results(equilibrium_to_dict(sol), tmp_path / "b.json")
+        a = write_results(equilibrium_to_dict(sol, "x", 0.1), tmp_path / "a.json")
+        b = write_results(equilibrium_to_dict(sol, "x", 0.1), tmp_path / "b.json")
         assert a.read_bytes() == b.read_bytes()
 
     def test_equilibrium_schema(self, tmp_path, pre_params):
         from thickmarket import SolverConfig, solve_equilibrium
         sol = solve_equilibrium(pre_params, SolverConfig())
-        path = write_results(equilibrium_to_dict(sol), tmp_path / "sol.json")
+        path = write_results(equilibrium_to_dict(sol, "x"), tmp_path / "sol.json")
         doc = json.loads(path.read_text())
+        assert doc["source"] == "x" and "eta" not in doc
         for key in ("X", "v", "epsilon", "Q", "P"):
             assert len(doc[key]) == 12
         assert isinstance(doc["iterations"], int)

@@ -1,5 +1,7 @@
 """Components, robust regression, shift tests, Chow scan."""
 
+import ast
+
 import numpy as np
 import pytest
 from scipy import special
@@ -23,6 +25,11 @@ from thickmarket.seastats import (
 )
 
 MONTHS = np.arange(1, 13)
+
+
+def dependent_columns(err):
+    """The column names a RankDeficientError's message ends with."""
+    return ast.literal_eval(str(err.value).partition("dependent columns: ")[2])
 
 
 def panel_of(rows) -> MonthlyPanel:
@@ -210,7 +217,7 @@ class TestOlsHc1:
         with pytest.raises(RankDeficientError) as err:
             factor_design(X, ("const", "a", "b"), tested=np.arange(3))
         # the null vector is (0, 2, -1)/sqrt(5); "a" has its largest entry
-        assert err.value.columns == ["a"]
+        assert dependent_columns(err) == ["a"]
 
     @pytest.mark.parametrize("scale, named", [
         (1.0, ["zero"]), (0.0, ["a", "b", "zero"])],
@@ -221,7 +228,7 @@ class TestOlsHc1:
         X = np.column_stack([X[:, 0], np.zeros(12), X[:, 1]])
         with pytest.raises(RankDeficientError) as err:
             factor_design(X, ("a", "zero", "b"), tested=np.arange(3))
-        assert err.value.columns == named
+        assert dependent_columns(err) == named
 
 
 class TestFitSeasonalShift:
@@ -420,7 +427,7 @@ class TestFactorReuse:
         for _ in range(2):
             with pytest.raises(RankDeficientError) as err:
                 fit_seasonal_shift(bad, 2019)
-            assert err.value.columns == ["month_5", "month_5:post"]
+            assert dependent_columns(err) == ["month_5", "month_5:post"]
         after = fit_seasonal_shift(good, 2019)
         np.testing.assert_array_equal(after.cov, first.cov)
         assert len(factor_calls) == 3
