@@ -13,6 +13,7 @@ no Python loop over months.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,21 @@ class AffineCoefficients:
         return X @ self._D_matrix.T
 
 
+@functools.cache
+def _calendar(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of an n-month cycle: cal[m0, r] is the calendar index
+    of month m0 + 1 + r; lag[m0, c] is m0 * n + r for the r with
+    cal[m0, r] = c, so taking it from a lag-indexed table puts each entry
+    on its calendar column; powers is 0..n."""
+    months = np.arange(n)
+    cal = (months[:, None] + 1 + months) % n
+    lag = months[:, None] * n + (months - months[:, None] - 1) % n
+    tables = (cal, lag, np.arange(n + 1))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def compute_affine_coefficients(hazards: HazardProfile, beta: float,
                                 u: float) -> AffineCoefficients:
     """Evaluate the closed forms for A, the weights w, and all bounds.
@@ -74,15 +90,15 @@ def compute_affine_coefficients(hazards: HazardProfile, beta: float,
     phi = hazards.survival.values
     n = phi.size
 
-    denom = 1.0 - beta ** n * float(np.prod(phi))
+    denom = 1.0 - beta ** n * float(phi.prod())
 
-    # cal[m0, r] is the calendar index of month m0 + 1 + r; row m0 of
-    # prods holds prod_{j=1..s} phi_{m+j}, s = 0..n-1 (empty product = 1).
-    cal = (np.arange(n)[:, None] + 1 + np.arange(n)) % n
+    # row m0 of prods holds prod_{j=1..s} phi_{m+j}, s = 0..n-1 (empty
+    # product = 1)
+    cal, lag, powers = _calendar(n)
     ahead = phi[cal]
     prods = np.ones((n, n))
     prods[:, 1:] = np.cumprod(ahead[:, :-1], axis=1)
-    beta_pows = beta ** np.arange(n + 1)
+    beta_pows = beta ** powers
     # vecdot sums each row as np.dot does; matmul and einsum round differently
     A = np.vecdot(prods, beta_pows[:n]) / denom
     W = beta_pows[1:] * prods * (1.0 - ahead) / denom
@@ -99,10 +115,9 @@ def compute_affine_coefficients(hazards: HazardProfile, beta: float,
     X_hi = X_lo + A_max * v_hi / (2.0 * (1.0 - beta))
     box = Box(v_lo=v_lo, v_hi=v_hi, X_lo=X_lo, X_hi=X_hi)
 
-    # Scatter the lag-indexed weights onto calendar positions so that
-    # D = Dmat @ X in one matvec: column (m0 + r) mod n gets w_{m, r}.
-    Dmat = np.zeros((n, n))
-    Dmat[np.arange(n)[:, None], cal] = W
+    # Put the lag-indexed weights on calendar positions so that D = Dmat @ X
+    # in one matvec: column (m0 + r) mod n gets w_{m, r}.
+    Dmat = W.take(lag)
 
     return AffineCoefficients(
         A=PeriodicSeries(A), W=W, Wstar=Wstar,

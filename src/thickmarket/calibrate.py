@@ -65,8 +65,9 @@ def solve_kappa(shares: MoveShares, eta: float) -> float:
     s = shares.shares.values
     kappa = 0.0
     for _ in range(_NEWTON_MAX_STEPS):
-        prod = survival_product(shares, kappa)
-        step = (prod - target) / (prod * float(np.sum(s / (1.0 - kappa * s))))
+        t = 1.0 - kappa * s
+        prod = float(t.prod())
+        step = (prod - target) / (prod * float((s / t).sum()))
         if not kappa + step > kappa:
             return kappa
         kappa += step

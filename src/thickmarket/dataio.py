@@ -174,9 +174,9 @@ def to_panel(series: RawSeries) -> MonthlyPanel:
 def round6(obj):
     """Recursively round floats to 6 significant digits for stable output."""
     if isinstance(obj, float):
-        if np.isnan(obj):
+        if math.isnan(obj):
             return None
-        if np.isinf(obj):
+        if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return float(f"{obj:.6g}")
     if isinstance(obj, dict):
@@ -289,13 +289,38 @@ def _monthly_arrays(doc: dict, keys: tuple[str, ...], kind: str) -> list:
 
 
 def read_hazards_json(path) -> tuple[HazardProfile, float | None]:
-    """The hazards of a ``hazards.json`` and its eta, None when absent."""
+    """The hazards of a ``hazards.json`` and its eta, None when absent.
+
+    The other keys restate ``survival``; each one present must agree with
+    it within 1e-12: ``hazard`` = 1 - survival, ``eta`` = 1 - prod(survival)
+    and, given both, ``kappa`` * ``shares`` = 1 - survival.
+    """
     doc = load_json_object(path)
     with naming(path):
         (survival,) = _monthly_arrays(doc, ("survival",), "hazard document")
         eta = doc.get("eta")
         if "eta" in doc and not (isinstance(eta, float) and 0.0 < eta < 1.0):
             raise DataError(f"'eta' must be a number in (0, 1), got {eta!r}")
+        hazard = 1.0 - survival
+        restated = []
+        if "hazard" in doc:
+            restated.append(("'hazard'", "1 - survival", _monthly_arrays(
+                doc, ("hazard",), "hazard document")[0], hazard))
+        if eta is not None:
+            restated.append(("'eta'", "1 - prod(survival)", eta,
+                             1.0 - survival.prod()))
+        if {"kappa", "shares"} <= doc.keys():
+            kappa = doc["kappa"]
+            if isinstance(kappa, bool) or not isinstance(kappa, (int, float)):
+                raise DataError(f"'kappa' must be a number, got {kappa!r}")
+            (shares,) = _monthly_arrays(doc, ("shares",), "hazard document")
+            restated.append(("'kappa' * 'shares'", "1 - survival",
+                             kappa * shares, hazard))
+        for name, rule, given, implied in restated:
+            off = float(np.abs(given - implied).max())
+            if not off <= 1e-12:
+                raise DataError(f"{name} must equal {rule} within 1e-12; "
+                                f"it is off by {off:.3g}")
         return HazardProfile.from_survival(survival), eta
 
 

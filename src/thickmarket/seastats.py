@@ -25,8 +25,8 @@ scipy.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -347,12 +347,42 @@ def _t_tail(df: int, t: float) -> float:
 # shift regression and tests
 
 
-@lru_cache(maxsize=1)
-def _shift_design(layout, break_year, include_year_effects):
+_CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+
+class _LastLayoutCache:
+    """``lru_cache(maxsize=1)`` for ``build(years, months, *key)``, with the
+    arrays compared by dtype and value with copies of the last ones instead
+    of hashed: on a 2,400-row layout that takes about half the time of
+    hashing their bytes. A build that raises caches nothing."""
+
+    def __init__(self, build):
+        self.build = build
+        self.cache_clear()
+
+    def cache_clear(self):
+        self.last, self.hits, self.misses = None, 0, 0
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses)
+
+    def __call__(self, years, months, *key):
+        last = self.last
+        if last is not None and key == last[2] and all(
+                a.dtype == b.dtype and np.array_equal(a, b)
+                for a, b in zip((years, months), last)):
+            self.hits += 1
+            return last[3]
+        self.misses += 1
+        design = self.build(years, months, *key)
+        self.last = years.copy(), months.copy(), key, design
+        return design
+
+
+@_LastLayoutCache
+def _shift_design(years, months, break_year, include_year_effects):
     """Read-only factored shift design whose last 22 columns are the 11 free
-    month effects and then the 11 free interactions, the tested ones;
-    ``layout`` is the (dtype, shape, bytes) of the years and of the months."""
-    years, months = (np.frombuffer(b, t).reshape(s) for t, s, b in layout)
+    month effects and then the 11 free interactions, the tested ones."""
     post = (years >= break_year).astype(float)
     if not post.any() or post.all():
         raise DataError(
@@ -404,9 +434,8 @@ def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
     exactly.
     """
     d = components.deviations
-    layout = tuple((a.dtype.str, a.shape, a.tobytes())
-                   for a in (components.years, components.months))
-    fit = ols_hc1(_shift_design(layout, break_year, include_year_effects), d)
+    fit = ols_hc1(_shift_design(components.years, components.months,
+                                break_year, include_year_effects), d)
 
     gamma_free = fit.coefficients[-22:-11]
     mu_free = fit.coefficients[-11:]

@@ -10,11 +10,13 @@ on the fixed-point equations of the map T:
   all. ``solve_with_endogenous_u`` is this solve at the configured ratio.
 
 T is piecewise smooth, with kinks only at the clamps on the cutoffs and at
-max(v, v_lo), so an element of the generalized Jacobian is read off the
-step's outputs. A cold solve starts at the steady state of the flat
-model, the same market with the annual survival spread evenly over the
-cycle, in closed form; an unknown u starts there on a warm start too.
-Steps are halved until the sup norm of G drops; where no cut does, the
+max(v, v_lo), so an element J of the generalized Jacobian is read off the
+step's outputs; ``_jacobian`` assembles it in place from templates built
+once per solve, each entry rounded as a term-by-term sum would round it,
+and ``_newton_direction`` only solves J dz = -G. A cold solve starts at
+the steady state of the flat model, the same market with the annual
+survival spread evenly over the cycle, in closed form; an unknown u
+starts there on a warm start too. Steps are halved until the sup norm of G drops; where no cut does, the
 damped step z += lam*G(z) is taken instead. No trial with u at or below
 the floor 1e-10 * params.u is evaluated, so only a damped step can reach
 it, and that is a collapse of u. A solve stops at
@@ -26,6 +28,7 @@ evaluation. Every map evaluation counts against ``max_iterations``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +42,7 @@ from .mapping import EquilibriumState, _prices, _step, compute_outputs
 
 _TOL = 1e-12              # stop at |G| <= _TOL * max(1, |z|), sup norms
 _FINISH_TOL = 1e-15       # a stepped solve above this takes one more full step
-_LINE_SEARCH_CUTS = 8     # step halvings tried before a damped fallback step
+_STEP_LENGTHS = tuple(0.5 ** k for k in range(8))   # tried before a damped step
 
 
 @dataclass
@@ -222,7 +225,8 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
         X, v = z[:n], z[n:2 * n]
         p = params.with_u(z[-1]) if endogenous else params
         X_new, v_new, eps = _step(X, v, p, coeffs)
-        u_eq = [ratio * _prices(X, v, eps, p, coeffs).mean() / 12.0] if endogenous else []
+        u_eq = ([ratio * (_prices(X, v, eps, p, coeffs).sum() / n) / 12.0]
+                if endogenous else [])
         g = np.concatenate((X_new, v_new, u_eq)) - z
         return g, eps, float(np.abs(g).max())
 
@@ -233,8 +237,8 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
     jac = None   # built at the first step; a warm start may need none
     while res > _TOL * max(1.0, np.abs(z).max()):
         jac = jac or _jacobian_blocks(params, coeffs, ratio)
-        dz = _newton_direction(z, eps, g, params, coeffs, jac)
-        for t in 0.5 ** np.arange(_LINE_SEARCH_CUTS if dz is not None else 0):
+        dz = _newton_direction(_jacobian(z, eps, jac), g)
+        for t in _STEP_LENGTHS if dz is not None else ():
             trial = z + t * dz
             if u_of(trial) > u_floor:
                 g_t, eps_t, res_t = evaluate(trial)
@@ -251,7 +255,7 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
     # Newton from a close start often meets the test at a few 1e-13; one
     # more full step takes the residual to round-off.
     if jac is not None and res > _FINISH_TOL * max(1.0, np.abs(z).max()):
-        dz = _newton_direction(z, eps, g, params, coeffs, jac)
+        dz = _newton_direction(_jacobian(z, eps, jac), g)
         if dz is not None and u_of(z + dz) > u_floor:
             g_t, eps_t, res_t = evaluate(z + dz)
             if res_t <= res:
@@ -259,52 +263,93 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
     return z, evals, g, eps
 
 
+@functools.cache
+def _index_tables(n: int, endogenous: bool) -> tuple:
+    """Read-only tables of n and the u mode: the months, the month ahead
+    and behind of each, and the flat positions, in the rows ``_jacobian``
+    stacks, that it adds to last (each X row's own X, which takes -1, and
+    own v, each v row's v of the month behind, each price row's own v)."""
+    N = 2 * n + endogenous
+    months = np.arange(n)
+    ahead, behind = (months + 1) % n, months - 1
+    own_v = n + months
+    rows = np.concatenate((months, np.arange((2 + endogenous) * n)))
+    cols = np.concatenate((months, own_v, own_v[behind], own_v)[:3 + endogenous])
+    tables = (months, ahead, behind, rows * N + cols, np.full(n, -1.0))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _jacobian_blocks(params: ModelParams, coeffs: AffineCoefficients,
                      ratio: float | None) -> tuple:
     """The parts of G's generalized Jacobian that do not depend on z.
 
-    Built once per solve: (ratio, d_v, d_match, d_raw, d_P, identity). Row m
-    of d_v, d_match and d_raw is the gradient, in the unknowns, of v_m, of
-    the match value beta X_{m+1} + u and of the raw cutoff
-    (beta X_{m+1} + u - D_m)/A_m. The u column and d_P, the z-free part of
-    the price gradients, exist only when ``ratio`` is given.
+    Built once per solve. Row m of d_match and d_raw is the gradient, in
+    the unknowns, of the match value beta X_{m+1} + u and of the raw cutoff
+    (beta X_{m+1} + u - D_m)/A_m; with ``ratio``, row m of d_P is that of
+    the z-free part of P_m. ``base`` stacks d_match for the X rows, -I for
+    the v rows and d_P for the price rows, and ``raw`` the raw-cutoff rows
+    that enter them: d_raw, d_raw of the month behind and d_raw.
     """
     n, beta, theta = params.period, params.beta, params.theta
-    N = 2 * n + (ratio is not None)
-    d_v = np.eye(n, N, n)
-    d_match = beta * np.eye(n, N)[(np.arange(n) + 1) % n]
-    d_P = None
-    if ratio is not None:
-        d_u = np.eye(1, N, N - 1)
-        d_match = d_match + d_u
-        d_P = theta * d_match + (1.0 - theta) / (1.0 - beta) * d_u
-    d_raw = (d_match - np.hstack((coeffs._D_matrix, np.zeros((n, N - n))))
-             ) / coeffs.A.values[:, None]
-    return ratio, d_v, d_match, d_raw, d_P, np.eye(N)
+    endogenous = ratio is not None
+    N, k = 2 * n + endogenous, 2 + endogenous
+    months, ahead, behind, positions, minus_ones = _index_tables(n, endogenous)
+    A = coeffs.A.values
+    d_match = np.zeros((n, N))
+    d_match[months, ahead] = beta
+    if endogenous:
+        d_match[:, -1] = 1.0
+    d_raw = d_match.copy()
+    d_raw[:, :n] -= coeffs._D_matrix
+    d_raw /= A[:, None]
+    base = np.concatenate((d_match, -np.eye(n, N, n), theta * d_match)[:k])
+    if endogenous:   # d_P = theta d_match + (1 - theta)/(1 - beta) d_u
+        base[2 * n:, -1] += (1.0 - theta) / (1.0 - beta)
+    return (n, ratio, base, np.concatenate((d_raw, d_raw[behind], d_raw)[:k]),
+            positions, minus_ones, behind, A, 0.5 * A, 0.5 * theta * A,
+            params.hazards.survival.values, coeffs.box.v_lo)
 
 
-def _newton_direction(z: np.ndarray, eps: np.ndarray, g: np.ndarray,
-                      params: ModelParams, coeffs: AffineCoefficients,
-                      jac: tuple) -> np.ndarray | None:
-    """Solve J dz = -g for an element J of G's generalized Jacobian at z.
+def _jacobian(z: np.ndarray, eps: np.ndarray, jac: tuple) -> np.ndarray:
+    """An element J of G's generalized Jacobian at z, whose evaluation gave
+    the clamped cutoffs ``eps``; ``jac`` comes from ``_jacobian_blocks``.
 
     The cutoff e_m follows its raw value where 0 < e_m < v_m, follows v_m
     where e_m = v_m and stays at 0 otherwise; max(v_m, v_lo) follows v_m
-    where v_m > v_lo. ``jac`` comes from ``_jacobian_blocks``. Returns None
-    when J is singular.
+    where v_m > v_lo. Each row is its ``base`` row plus a multiple of its
+    raw-cutoff row; the v terms and the -1 of an X row's own X are added
+    last. With u unknown, the u row is ratio/12 times the mean of the price
+    rows, less 1 on its diagonal.
     """
-    ratio, d_v, d_match, d_raw, d_P, identity = jac
-    n, A, v_lo = params.period, coeffs.A.values, coeffs.box.v_lo
+    n, ratio, base, raw, positions, minus_ones, behind, A, half_A, \
+        half_theta_A, phi, v_lo = jac
     v = z[n:2 * n]
+    inner = (eps > 0.0) & (eps < v)
+    at_v = eps == v
     gap, s = v - eps, np.maximum(v, v_lo)
-    d_eps = ((eps > 0.0) & (eps < v))[:, None] * d_raw + (eps == v)[:, None] * d_v
-    d_X_new = (d_match + (A * gap / s)[:, None] * (d_v - d_eps)
-               - (0.5 * A * gap * gap / (s * s) * (v > v_lo))[:, None] * d_v)
-    rows = [d_X_new, params.hazards.survival.values[:, None] * d_eps[np.arange(n) - 1]]
+    a = A * gap / s                  # 0 where e_m = v_m
+    b = half_A * gap * gap / (s * s) * (v > v_lo)
+    scales = [-a * inner, phi * inner[behind]]
+    terms = [minus_ones, a - b, phi * at_v[behind]]
     if ratio is not None:
-        d_P = d_P + (0.5 * params.theta * A)[:, None] * (d_v - d_eps)
-        rows.append(ratio / 12.0 * d_P.mean(axis=0))
+        scales.append(-half_theta_A * inner)
+        terms.append(half_theta_A * ~at_v)
+    J = raw * np.concatenate(scales)[:, None]
+    J += base
+    # Added, not assigned: at n = 1 a v row's month behind is its own -1.
+    J.flat[positions] += np.concatenate(terms)
+    if ratio is None:
+        return J
+    J[2 * n] = ratio / 12.0 * (J[2 * n:].sum(axis=0) / n)
+    J[2 * n, -1] -= 1.0
+    return J[:2 * n + 1]
+
+
+def _newton_direction(J: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """Solve J dz = -g; None when J is singular."""
     try:
-        return np.linalg.solve(np.vstack(rows) - identity, -g)
+        return np.linalg.solve(J, -g)
     except np.linalg.LinAlgError:
         return None

@@ -10,6 +10,9 @@ from .errors import DataError
 from .fixtures import DEFAULT_ANNUAL_RATE, DEFAULT_DELTA, DEFAULT_THETA
 from .solver import EquilibriumSolution, SolverConfig, solve_equilibrium, solve_with_endogenous_u
 
+# row k: the 0-based calendar months of the k-th season of SEASONS
+_SEASON_MONTHS = np.array(list(SEASONS.values())) - 1
+
 
 def solve_hazards(hazards: HazardProfile,
                   annual_rate: float = DEFAULT_ANNUAL_RATE,
@@ -56,10 +59,8 @@ def deviation_summary(solution: EquilibriumSolution) -> dict:
             "max": float(dev.max()),
             "amplitude": float(dev.max() - dev.min()),
             "peak_month_name": MONTH_NAMES[peak],
-            "season_means": {
-                season: float(np.mean([dev[m - 1] for m in ms]))
-                for season, ms in SEASONS.items()
-            },
+            "season_means": dict(zip(
+                SEASONS, dev[_SEASON_MONTHS].mean(axis=1).tolist())),
         }
 
     return {"P": describe(dev_P), "Q": describe(dev_Q)}

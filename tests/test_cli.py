@@ -245,6 +245,21 @@ class TestSolveCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["eta"] is None
 
+    def test_hazards_that_disagree_with_survival_are_refused(self, tmp_path,
+                                                             capsys):
+        """A ``hazard`` array that is not 1 - survival is an input error
+        naming the file and the key, not a solve of the survival alone."""
+        path = tmp_path / "hazards.json"
+        path.write_text(json.dumps({"hazard": [0.5] * 12,
+                                    "survival": [0.99] * 12,
+                                    "eta": 0.1, "kappa": 3.0}))
+        out = tmp_path / "sol"
+        assert run(["solve", "--hazards", path, "--u-fixed", 0.0014,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: 'hazard' must equal 1 - survival")
+        assert not out.exists()
+
     def test_warm_start_reaches_same_fixed_point_faster(self, tmp_path):
         first = tmp_path / "first"
         run(["solve", "--fixture", "sipp-pre", "--u-fixed", 0.0014,

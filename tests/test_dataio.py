@@ -263,6 +263,39 @@ class TestReadArraysJson:
         profile, eta = read_hazards_json(path)
         assert eta is None and profile.survival.values.tolist() == [0.99] * 12
 
+    @staticmethod
+    def calibrated_document():
+        shares, eta = shares_fixture("sipp-pre")
+        kappa = solve_kappa(shares, eta)
+        profile = HazardProfile.from_hazard(kappa * shares.shares.values)
+        return hazards_to_dict(profile, kappa, eta, shares, "x")
+
+    def test_restated_keys_of_a_calibrated_document_agree(self, tmp_path):
+        path = tmp_path / "h.json"
+        doc = self.calibrated_document()
+        for absent in (None, "hazard", "eta", "kappa", "shares"):
+            path.write_text(json.dumps({k: doc[k] for k in doc if k != absent}))
+            assert read_hazards_json(path)[0].survival.values.tolist() == \
+                doc["survival"]
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("hazard", lambda d: [h + 2e-12 for h in d["hazard"]], "'hazard'"),
+        ("eta", lambda d: d["eta"] + 2e-12, "'eta'"),
+        ("kappa", lambda d: d["kappa"] * (1 + 1e-9), "'kappa' * 'shares'"),
+        ("shares", lambda d: d["shares"][1:] + d["shares"][:1],
+         "'kappa' * 'shares'"),
+        ("kappa", lambda d: "abc", "'kappa' must be a number"),
+        ("hazard", lambda d: d["hazard"][:11], "'hazard' must be an array"),
+    ], ids=["hazard", "eta", "kappa", "shares", "kappa-text", "hazard-short"])
+    def test_restated_key_that_disagrees_is_named(self, tmp_path, key, value,
+                                                  named):
+        path = tmp_path / "h.json"
+        doc = self.calibrated_document()
+        path.write_text(json.dumps({**doc, key: value(doc)}))
+        pattern = f"^{re.escape(str(path))}: {re.escape(named)}"
+        with pytest.raises(DataError, match=pattern):
+            read_hazards_json(path)
+
     @pytest.mark.parametrize("eta", ["abc", 1.5, True, 0.0, None, [0.1]])
     def test_eta_must_be_a_number_in_the_unit_interval(self, tmp_path, eta):
         path = tmp_path / "h.json"
@@ -367,10 +400,12 @@ class TestWriters:
 
     def test_non_finite_floats_become_null_and_inf_strings(self, tmp_path):
         doc = {"nan": float("nan"), "inf": [float("inf"), -float("inf")],
-               "n": 3}
+               "n": 3, "np": [np.float64("nan"), np.float64("-inf"),
+                              np.float64(0.12345678)]}
         path = write_results(doc, tmp_path / "r.json")
-        assert json.loads(path.read_text()) == {"nan": None,
-                                                "inf": ["inf", "-inf"], "n": 3}
+        assert json.loads(path.read_text()) == {
+            "nan": None, "inf": ["inf", "-inf"], "n": 3,
+            "np": [None, "-inf", 0.123457]}
 
     def test_full_precision_round_trip(self, tmp_path):
         values = {"x": 0.1 + 0.2, "y": [1.0 / 3.0, 2.0 / 7.0]}

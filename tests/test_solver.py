@@ -53,6 +53,23 @@ def random_calibration(i):
     return shares, float(rng.uniform(0.07, 0.12))
 
 
+def residual(z, params, coeffs, ratio=None):
+    """(G(z), eps): T(X, v; u) - (X, v) and, when ``ratio`` is given, with
+    z = (X, v, u), the u equation ratio*mean(P)/12 - u (the price formula
+    restated here), and the clamped cutoffs of the evaluation."""
+    n = params.period
+    X, v = z[:n], z[n:2 * n]
+    if ratio is None:
+        X_new, v_new, eps = _step(X, v, params, coeffs)
+        return np.r_[X_new - X, v_new - v], eps
+    beta, theta, u = params.beta, params.theta, z[-1]
+    X_new, v_new, eps = _step(X, v, params.with_u(u), coeffs)
+    P = ((1.0 - theta) * u / (1.0 - beta)
+         + theta * (beta * np.roll(X, -1) + u)
+         + theta * 0.5 * coeffs.A.values * (v - eps))
+    return np.r_[X_new - X, v_new - v, ratio * P.mean() / 12.0 - u], eps
+
+
 def count_steps(monkeypatch):
     """Route solver._step through a counter; returns the list it fills."""
     calls = []
@@ -386,22 +403,12 @@ class TestNewtonEndogenousU:
     def check_direction(params, coeffs, ratio):
         """J dz = -g, with J dz taken by central differences of G along dz
         at random points of the box and, when ``ratio`` is given, u within
-        a factor 2 of the fixture's (the price formula restated here)."""
+        a factor 2 of the fixture's."""
         n = 12
-        beta, theta, A = params.beta, params.theta, coeffs.A.values
         jac = solver._jacobian_blocks(params, coeffs, ratio)
 
         def G(z):
-            if ratio is None:
-                X, v = z[:n], z[n:]
-                X_new, v_new, eps = _step(X, v, params, coeffs)
-                return np.r_[X_new - X, v_new - v], eps
-            X, v, u = z[:n], z[n:-1], z[-1]
-            X_new, v_new, eps = _step(X, v, params.with_u(u), coeffs)
-            P = ((1.0 - theta) * u / (1.0 - beta)
-                 + theta * (beta * np.roll(X, -1) + u)
-                 + theta * 0.5 * A * (v - eps))
-            return np.r_[X_new - X, v_new - v, ratio * P.mean() / 12.0 - u], eps
+            return residual(z, params, coeffs, ratio)
 
         rng = np.random.default_rng(12)
         box, h = coeffs.box, 1e-7
@@ -411,7 +418,7 @@ class TestNewtonEndogenousU:
             if ratio is not None:
                 z = np.r_[z, params.u * rng.uniform(0.5, 2.0)]
             g, eps = G(z)
-            dz = solver._newton_direction(z, eps, g, params, coeffs, jac)
+            dz = solver._newton_direction(solver._jacobian(z, eps, jac), g)
             J_dz = (G(z + h * dz)[0] - G(z - h * dz)[0]) / (2.0 * h)
             assert np.abs(J_dz + g).max() <= 1e-6 * np.abs(g).max()
 
@@ -454,17 +461,19 @@ class TestNewtonEndogenousU:
                                                      pre_params, pre_solution):
         """Where J is singular ``_newton_direction`` returns None, and the
         loop takes one damped step z += lam*G(z) and goes on from there."""
-        newton = solver._newton_direction
+        jacobian, newton = solver._jacobian, solver._newton_direction
         directions = []
 
-        def singular_first(z, eps, g, params, coeffs, jac):
-            if not directions:   # every block zero: J = 0 - 0
-                jac = (jac[0], *(np.zeros_like(b) for b in jac[1:4]), jac[4],
-                       np.zeros_like(jac[5]))
-            directions.append(newton(z, eps, g, params, coeffs, jac))
+        def singular_first(z, eps, jac):
+            J = jacobian(z, eps, jac)
+            return J if directions else np.zeros_like(J)
+
+        def recording(J, g):
+            directions.append(newton(J, g))
             return directions[-1]
 
-        monkeypatch.setattr(solver, "_newton_direction", singular_first)
+        monkeypatch.setattr(solver, "_jacobian", singular_first)
+        monkeypatch.setattr(solver, "_newton_direction", recording)
         calls = count_steps(monkeypatch)
         solution = solve_equilibrium(pre_params)
         assert directions[0] is None
@@ -490,6 +499,101 @@ class TestNewtonEndogenousU:
         with pytest.raises(ConvergenceError):
             solve_with_endogenous_u(pre_seeded_at_u1,
                                     SolverConfig(max_iterations=needed - 1))
+
+
+# clamp state: (raw cutoff in units of v_lo, v as a multiple of the raw cutoff)
+CLAMP_STATES = {"inner": (1.5, 2.0), "zero": (-1.0, -2.0), "at_v": (4.0, 0.5),
+                "low": (0.25, 2.0)}
+
+
+def clamped_point(params, coeffs, states, endogenous):
+    """z with month m's cutoff in clamp state ``states[m]``, every margin a
+    fifth of v_lo or more: 'inner' 0 < e < v with v > v_lo, 'zero' a raw
+    cutoff below 0, 'at_v' one above v with v > v_lo, 'low' 0 < e < v < v_lo.
+    X is solved from the raw cutoffs (beta X_{m+1} + u - D_m)/A_m."""
+    n, beta, u, v_lo = params.period, params.beta, params.u, coeffs.box.v_lo
+    A = coeffs.A.values
+    target, v_factor = np.array([CLAMP_STATES[s] for s in states]).T
+    X = np.linalg.solve(beta * np.roll(np.eye(n), 1, axis=1) - coeffs._D_matrix,
+                        A * v_lo * target - u)
+    raw = (beta * np.roll(X, -1) + u - coeffs.continuation_weights(X)) / A
+    v = v_factor * raw
+    z = np.r_[X, v, u] if endogenous else np.r_[X, v]
+    eps = residual(z, params, coeffs, DEFAULT_RENT_PRICE_RATIO
+                   if endogenous else None)[1]
+    margin = 0.2 * v_lo
+    for s, e, vm, r in zip(states, eps, v, raw):
+        assert {"inner": margin <= e <= vm - margin and vm >= v_lo + margin,
+                "zero": e == 0.0 and r <= -margin,
+                "at_v": e == vm and r >= vm + margin and vm >= v_lo + margin,
+                "low": margin <= e <= vm - margin and vm <= v_lo - margin}[s]
+    return z, eps
+
+
+def clamp_patterns(n):
+    """Every pattern of states at n <= 2; at n = 12 the four rotations of
+    the states, repeated."""
+    states = tuple(CLAMP_STATES)
+    if n <= 2:
+        return list(itertools.product(states, repeat=n))
+    return [(states[k:] + states[:k]) * (n // 4) for k in range(4)]
+
+
+class TestJacobianEntries:
+    """``_jacobian`` equals central differences of G column by column, with
+    every month's cutoff held inside one clamp state, in both u modes and
+    at n = 1, where a v row's month behind is the month itself."""
+
+    @pytest.mark.parametrize("endogenous", [False, True],
+                             ids=["fixed-u", "endogenous-u"])
+    @pytest.mark.parametrize("n", [1, 2, 12])
+    def test_matches_central_differences(self, beta_pair, n, endogenous):
+        phi = [0.9] if n == 1 else np.linspace(0.8, 0.95, n)
+        params = ModelParams(beta_hat=beta_pair[0], delta=0.025, theta=0.5,
+                             u=0.0014, hazards=HazardProfile.from_survival(phi))
+        coeffs = compute_affine_coefficients(params.hazards, params.beta,
+                                             params.u)
+        ratio = DEFAULT_RENT_PRICE_RATIO if endogenous else None
+        jac = solver._jacobian_blocks(params, coeffs, ratio)
+        h = 1e-6
+        for states in clamp_patterns(n):
+            z, eps = clamped_point(params, coeffs, states, endogenous)
+            J = solver._jacobian(z, eps, jac)
+            assert J.shape == (z.size, z.size)
+            for j in range(z.size):
+                step = np.zeros(z.size)
+                step[j] = h * max(1.0, abs(z[j]))
+                column = (residual(z + step, params, coeffs, ratio)[0]
+                          - residual(z - step, params, coeffs, ratio)[0]
+                          ) / (2.0 * step[j])
+                np.testing.assert_allclose(J[:, j], column, rtol=1e-6,
+                                           atol=1e-8, err_msg=f"{states} {j}")
+
+    @pytest.mark.parametrize("endogenous", [False, True],
+                             ids=["fixed-u", "endogenous-u"])
+    def test_one_month_warm_start_reaches_the_cold_answer(
+            self, monkeypatch, beta_pair, endogenous):
+        """A start off the flat point builds Jacobians at n = 1."""
+        params = ModelParams(beta_hat=beta_pair[0], delta=0.025, theta=0.5,
+                             u=0.0014,
+                             hazards=HazardProfile.from_survival([0.9]))
+        solve = solve_with_endogenous_u if endogenous else solve_equilibrium
+        cold = solve(params)
+        cold = cold[0] if endogenous else cold
+        built = []
+        jacobian = solver._jacobian
+        monkeypatch.setattr(solver, "_jacobian",
+                            lambda *args: built.append(None) or jacobian(*args))
+        warm = solve(params, SolverConfig(
+            max_iterations=50, initial_X=1.5 * cold.state.X.values,
+            initial_v=0.5 * cold.state.v.values))
+        warm = warm[0] if endogenous else warm
+        assert cold.iterations == 1 and len(built) >= 2
+        assert abs(warm.u - cold.u) <= 1e-12 * cold.u
+        for attr in ("X", "v", "epsilon"):
+            np.testing.assert_allclose(getattr(warm.state, attr).values,
+                                       getattr(cold.state, attr).values,
+                                       rtol=1e-12, atol=0.0)
 
 
 class TestOnePass:
