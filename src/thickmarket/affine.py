@@ -14,6 +14,7 @@ no Python loop over months.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,8 @@ from .core import HazardProfile, PeriodicSeries
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class Box:
-    """Coordinate bounds [X_lo, X_hi]^n x [v_lo, v_hi]^n for the map's domain."""
-
-    v_lo: float
-    v_hi: float
-    X_lo: float
-    X_hi: float
+# Coordinate bounds [X_lo, X_hi]^n x [v_lo, v_hi]^n for the map's domain.
+Box = namedtuple("Box", "v_lo v_hi X_lo X_hi")
 
 
 @dataclass(frozen=True)
@@ -37,22 +32,36 @@ class AffineCoefficients:
     """Slopes A_m, weight table w_{m,r}, and derived bounds.
 
     W[i, j] holds w_{m,r} for m = i+1 and r = j+1 (r = 1..n lags ahead).
-    Wstar is max_m sum_r w_{m,r}; lambda_bar is the damping threshold
-    (1-beta) / ((A_max/A_min)*(beta+Wstar)).
+    A solve reads only A, the D table and v_lo = 1 - max_m phi_m; the rest
+    is computed on first read. Wstar is max_m sum_r w_{m,r}; lambda_bar is
+    the damping threshold (1-beta) / ((A_max/A_min)*(beta+Wstar)).
     """
 
     A: PeriodicSeries
     W: np.ndarray
-    Wstar: float
-    A_min: float
-    A_max: float
-    lambda_bar: float
-    box: Box
+    v_lo: float
     _D_matrix: np.ndarray  # row m0: D = _D_matrix @ X with calendar indexing
+    _phi: np.ndarray
+    _beta: float
+    _u: float
 
     def continuation_weights(self, X: np.ndarray) -> np.ndarray:
         """D_m = sum_r w_{m,r} X_{m+r}, broadcasting over leading axes of X."""
         return X @ self._D_matrix.T
+
+    Wstar = functools.cached_property(lambda c: float(c.W.sum(axis=1).max()))
+    A_min = functools.cached_property(lambda c: float(c.A.values.min()))
+    A_max = functools.cached_property(lambda c: float(c.A.values.max()))
+    lambda_bar = functools.cached_property(
+        lambda c: (1.0 - c._beta) / ((c.A_max / c.A_min) * (c._beta + c.Wstar)))
+
+    @functools.cached_property
+    def box(self) -> Box:
+        beta = self._beta
+        v_hi = (1.0 - float(self._phi.min())) / self.v_lo
+        X_lo = self._u / (1.0 - beta)
+        X_hi = X_lo + self.A_max * v_hi / (2.0 * (1.0 - beta))
+        return Box(v_lo=self.v_lo, v_hi=v_hi, X_lo=X_lo, X_hi=X_hi)
 
 
 @functools.cache
@@ -72,7 +81,8 @@ def _calendar(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def compute_affine_coefficients(hazards: HazardProfile, beta: float,
                                 u: float) -> AffineCoefficients:
-    """Evaluate the closed forms for A, the weights w, and all bounds.
+    """Evaluate the closed forms for A and the weights w; the bounds follow
+    on first read.
 
     Parameters
     ----------
@@ -103,24 +113,10 @@ def compute_affine_coefficients(hazards: HazardProfile, beta: float,
     A = np.vecdot(prods, beta_pows[:n]) / denom
     W = beta_pows[1:] * prods * (1.0 - ahead) / denom
 
-    row_sums = W.sum(axis=1)
-    Wstar = float(row_sums.max())
-    A_min = float(A.min())
-    A_max = float(A.max())
-    lambda_bar = (1.0 - beta) / ((A_max / A_min) * (beta + Wstar))
-
-    v_lo = 1.0 - float(phi.max())
-    v_hi = (1.0 - float(phi.min())) / v_lo
-    X_lo = u / (1.0 - beta)
-    X_hi = X_lo + A_max * v_hi / (2.0 * (1.0 - beta))
-    box = Box(v_lo=v_lo, v_hi=v_hi, X_lo=X_lo, X_hi=X_hi)
-
     # Put the lag-indexed weights on calendar positions so that D = Dmat @ X
     # in one matvec: column (m0 + r) mod n gets w_{m, r}.
     Dmat = W.take(lag)
 
-    return AffineCoefficients(
-        A=PeriodicSeries(A), W=W, Wstar=Wstar,
-        A_min=A_min, A_max=A_max, lambda_bar=lambda_bar, box=box,
-        _D_matrix=Dmat,
-    )
+    return AffineCoefficients(A=PeriodicSeries.wrap(A), W=W,
+                              v_lo=1.0 - float(phi.max()), _D_matrix=Dmat,
+                              _phi=phi, _beta=beta, _u=u)

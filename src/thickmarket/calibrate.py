@@ -47,11 +47,6 @@ def normalize_shares(raw) -> MoveShares:
     return MoveShares(shares=PeriodicSeries(arr / total))
 
 
-def survival_product(shares: MoveShares, kappa: float) -> float:
-    """prod_m (1 - kappa * s_m), the implied annual survival probability."""
-    return float(np.prod(1.0 - kappa * shares.shares.values))
-
-
 def solve_kappa(shares: MoveShares, eta: float) -> float:
     """Find the unique kappa with prod(1 - kappa*s_m) = 1 - eta by Newton.
 

@@ -233,8 +233,8 @@ def cmd_solve(args):
         theta=args.theta, u_fixed=args.u_fixed, config=config)
 
     summary = deviation_summary(solution)
-    rows = [[m, summary["P"]["deviation"][m - 1], summary["Q"]["deviation"][m - 1]]
-            for m in range(1, solution.period + 1)]
+    rows = [[m, *pq] for m, pq in enumerate(
+        zip(summary["P"]["deviation"], summary["Q"]["deviation"]), start=1)]
     outputs = {"solution.json": equilibrium_to_dict(solution, label, eta),
                "deviations.csv": {"columns": ["month", "P_dev", "Q_dev"],
                                   "rows": rows},

@@ -28,36 +28,46 @@ SEASONS = {
 
 @dataclass(frozen=True)
 class PeriodicSeries:
-    """A vector of n real values indexed cyclically by month."""
+    """A vector of n real values indexed cyclically by month. It checks an
+    outside input; ``wrap`` holds a derived one read-only, unchecked."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise DomainError("a periodic series must be a 1-d vector")
-        if not np.all(np.isfinite(arr)):
+        arr = _vector(self.values)
+        if not np.isfinite(arr).all():
             raise DomainError("a periodic series must be finite everywhere")
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def wrap(cls, arr: np.ndarray) -> "PeriodicSeries":
+        """The series of a float vector this package made: no copy, no check."""
+        arr.flags.writeable = False
+        series = object.__new__(cls)
+        object.__setattr__(series, "values", arr)
+        return series
 
     @property
     def period(self) -> int:
         return self.values.size
 
-    def mean(self) -> float:
-        return float(self.values.mean())
+
+def _vector(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise DomainError("a periodic series must be a 1-d vector")
+    return arr
 
 
-def seasonal_deviation(series: PeriodicSeries) -> PeriodicSeries:
-    """Percentage deviation of each month from the cycle mean.
-
-    Returns 100*(x_m - xbar)/xbar, which sums to zero up to round-off.
-    Raises ``DomainError`` when the mean is zero.
+def seasonal_deviation(x: np.ndarray) -> np.ndarray:
+    """Percentage deviation of each month from the cycle mean, along the
+    last axis of x: 100*(x_m - xbar)/xbar, which sums to zero up to
+    round-off. Raises ``DomainError`` when a mean is zero.
     """
-    xbar = series.mean()
-    if xbar == 0.0:
+    xbar = x.sum(axis=-1, keepdims=True) / x.shape[-1]
+    if not xbar.all():
         raise DomainError("seasonal deviation is undefined for a zero-mean series")
-    return PeriodicSeries(100.0 * (series.values - xbar) / xbar)
+    return 100.0 * (x - xbar) / xbar
 
 
 @dataclass(frozen=True)
@@ -74,19 +84,21 @@ class HazardProfile:
 
     def __post_init__(self):
         phi = self.survival.values
-        if np.any(phi <= 0.0) or np.any(phi >= 1.0):
+        lo, hi = phi.min(), phi.max()
+        if not (lo > 0.0 and hi < 1.0):   # NaN fails this test too
+            PeriodicSeries(phi)   # a non-finite phi fails with its message
             raise DomainError(
                 "survival probabilities must lie strictly in (0, 1); "
-                f"got min={phi.min():.6g}, max={phi.max():.6g}")
-        object.__setattr__(self, "hazard", PeriodicSeries(1.0 - phi))
+                f"got min={lo:.6g}, max={hi:.6g}")
+        object.__setattr__(self, "hazard", PeriodicSeries.wrap(1.0 - phi))
 
     @classmethod
     def from_survival(cls, phi) -> "HazardProfile":
-        return cls(PeriodicSeries(np.asarray(phi, dtype=float)))
+        return cls(PeriodicSeries.wrap(_vector(phi).copy()))
 
     @classmethod
     def from_hazard(cls, h) -> "HazardProfile":
-        return cls(PeriodicSeries(1.0 - np.asarray(h, dtype=float)))
+        return cls(PeriodicSeries.wrap(_vector(1.0 - np.asarray(h, dtype=float))))
 
     @property
     def period(self) -> int:

@@ -31,26 +31,24 @@ class EquilibriumState:
     v: PeriodicSeries
     epsilon: PeriodicSeries
 
-    @property
-    def period(self) -> int:
-        return self.X.period
-
 
 def _step(X: np.ndarray, v: np.ndarray, params: ModelParams,
-          coeffs: AffineCoefficients) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw arrays in, raw arrays out; broadcasts over leading batch axes."""
+          coeffs: AffineCoefficients, u: float | None = None
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw arrays in, raw arrays out; broadcasts over leading batch axes.
+    ``u`` stands in for ``params.u`` when given, as with u unknown."""
     hazards = params.hazards
     phi = hazards.survival.values
     A = coeffs.A.values
 
     D = coeffs.continuation_weights(X)
-    match_value = params.beta * _ahead(X) + params.u
+    match_value = params.beta * _ahead(X) + (params.u if u is None else u)
     eps_bar = np.minimum(np.maximum((match_value - D) / A, 0.0), v)
 
     # hazard is stored as 1 - phi, so this is 1 - phi + phi*e_{m-1}.
     v_new = hazards.hazard.values + phi * _behind(eps_bar)
     gap = v - eps_bar
-    X_new = match_value + 0.5 * A * gap * gap / np.maximum(v, coeffs.box.v_lo)
+    X_new = match_value + 0.5 * A * gap * gap / np.maximum(v, coeffs.v_lo)
     return X_new, v_new, eps_bar
 
 
@@ -75,14 +73,16 @@ def compute_outputs(state: EquilibriumState, params: ModelParams,
     share of the expected surplus (A_m/2)(v_m - e_m).
     """
     X, v, eps = state.X.values, state.v.values, state.epsilon.values
-    Q = np.maximum(0.0, v - eps)
-    return PeriodicSeries(Q), PeriodicSeries(_prices(X, v, eps, params, coeffs))
+    return (PeriodicSeries.wrap(np.maximum(0.0, v - eps)),
+            PeriodicSeries.wrap(_prices(X, v, eps, params, coeffs)))
 
 
 def _prices(X: np.ndarray, v: np.ndarray, eps: np.ndarray,
-            params: ModelParams, coeffs: AffineCoefficients) -> np.ndarray:
-    """Raw-array prices P_m at (X, v) with clamped cutoffs eps."""
-    beta, u, theta = params.beta, params.u, params.theta
+            params: ModelParams, coeffs: AffineCoefficients,
+            u: float | None = None) -> np.ndarray:
+    """Raw-array prices P_m at (X, v) with cutoffs eps; ``u`` as in _step."""
+    beta, theta = params.beta, params.theta
+    u = params.u if u is None else u
     return ((1.0 - theta) * u / (1.0 - beta)
             + theta * (beta * _ahead(X) + u)
             + theta * 0.5 * coeffs.A.values * (v - eps))

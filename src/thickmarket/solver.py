@@ -1,29 +1,27 @@
 """Solver for the unique periodic equilibrium.
 
-``solve_equilibrium`` runs one loop, semismooth Newton (Qi & Sun 1993),
-on the fixed-point equations of the map T:
-
-- at a fixed service flow u, the 2n equations
-  G(X, v) = T(X, v; u) - (X, v);
-- with u pinned to a rent-to-price ratio times the mean price, u joins
-  the unknowns and the equation ratio*mean(P)/12 - u joins G, 2n+1 in
-  all. ``solve_with_endogenous_u`` is this solve at the configured ratio.
+``solve_equilibrium`` runs one loop, semismooth Newton (Qi & Sun 1993), on
+the fixed-point equations of the map T: at a fixed service flow u, the 2n
+equations G(X, v) = T(X, v; u) - (X, v); with u pinned to a rent-to-price
+ratio times the mean price (``solve_with_endogenous_u``), u joins the
+unknowns and ratio*mean(P)/12 - u joins G, 2n+1 in all.
 
 T is piecewise smooth, with kinks only at the clamps on the cutoffs and at
 max(v, v_lo), so an element J of the generalized Jacobian is read off the
 step's outputs; ``_jacobian`` assembles it in place from templates built
-once per solve, each entry rounded as a term-by-term sum would round it,
-and ``_newton_direction`` only solves J dz = -G. A cold solve starts at
-the steady state of the flat model, the same market with the annual
-survival spread evenly over the cycle, in closed form; an unknown u
-starts there on a warm start too. Steps are halved until the sup norm of G drops; where no cut does, the
-damped step z += lam*G(z) is taken instead. No trial with u at or below
-the floor 1e-10 * params.u is evaluated, so only a damped step can reach
-it, and that is a collapse of u. A solve stops at
-|G| <= 1e-12 * max(1, |z|) in sup norms; one that stepped to get there
-and is still above 1e-15 * max(1, |z|) takes one more full Newton
-step. The solution is the last iterate with the cutoffs of its
-evaluation. Every map evaluation counts against ``max_iterations``.
+once per solve, each entry rounded as a term-by-term sum would round it.
+A cold solve, and an unknown u on a warm start too, starts at the
+closed-form steady state of the flat model, the same market with the
+annual survival spread evenly over the cycle. Steps are halved until the
+sup norm of G drops; where no cut does, the damped step z += lam*G(z) is
+taken instead. No trial with u at or below the floor 1e-10 * params.u is
+evaluated, so only a damped step can reach it, and that is a collapse of
+u. A trial whose G is not finite is rejected; a start or damped step whose
+G is not finite ends the solve. A solve stops at |G| <= 1e-12 * max(1, |z|)
+in sup norms; one that stepped to get there and is still above
+1e-15 * max(1, |z|) takes one more full Newton step. The solution is the
+last iterate with the cutoffs and prices of its evaluation. Every map
+evaluation counts against ``max_iterations``.
 """
 
 from __future__ import annotations
@@ -74,10 +72,6 @@ class EquilibriumSolution:
     iterations: int
     final_residual: float
 
-    @property
-    def period(self) -> int:
-        return self.state.period
-
 
 def _initial_point(params: ModelParams, config: SolverConfig,
                    ratio: float | None = None) -> np.ndarray:
@@ -98,10 +92,13 @@ def _initial_point(params: ModelParams, config: SolverConfig,
     if X is None:
         X, hazards = np.full(n, X_bar), params.hazards
         v = hazards.hazard.values + hazards.survival.values * e_bar
-    X, v = np.asarray(X, dtype=float), np.asarray(v, dtype=float)
-    for name, a in (("initial_X", X), ("initial_v", v)):
-        if a.shape != (n,):
-            raise DomainError(f"{name} must have shape ({n},)")
+    else:
+        X, v = np.asarray(X, dtype=float), np.asarray(v, dtype=float)
+        for name, a in (("initial_X", X), ("initial_v", v)):
+            if a.shape != (n,):
+                raise DomainError(f"{name} must have shape ({n},)")
+            if not np.isfinite(a).all():
+                raise DomainError(f"{name} must be finite everywhere")
     return np.concatenate((X, v) if ratio is None else (X, v, [u]))
 
 
@@ -159,7 +156,8 @@ def solve_equilibrium(params: ModelParams, config: SolverConfig | None = None,
     price is u/(1 - beta) and the u equation has no isolated root, and
     unless 0 < ratio < 12*(1 - beta), as every price is at least
     u/(1 - beta); raises ``ConvergenceError`` when ``max_iterations`` map
-    evaluations do not reach the fixed point or u collapses toward zero.
+    evaluations do not reach the fixed point, u collapses toward zero or
+    an iterate's map evaluation or prices are not finite.
     """
     if ratio is not None:
         if params.theta == 0.0:
@@ -175,16 +173,19 @@ def solve_equilibrium(params: ModelParams, config: SolverConfig | None = None,
     config = config or SolverConfig()
     coeffs = compute_affine_coefficients(params.hazards, params.beta, params.u)
     n = params.period
-    z, evals, g, eps = _newton(_initial_point(params, config, ratio), params,
-                               coeffs, config, ratio)
-    if ratio is not None:
-        params = params.with_u(float(z[-1]))
-    state = EquilibriumState(PeriodicSeries(z[:n]), PeriodicSeries(z[n:2 * n]),
-                             PeriodicSeries(eps))
-    Q, P = compute_outputs(state, params, coeffs)
+    z, evals, g, eps, P = _newton(_initial_point(params, config, ratio),
+                                  params, coeffs, config, ratio)
+    wrap = PeriodicSeries.wrap
+    state = EquilibriumState(wrap(z[:n]), wrap(z[n:2 * n]), wrap(eps))
+    if P is None:   # at a fixed u no residual reads eps; P does
+        Q, P = compute_outputs(state, params, coeffs)
+        if not np.isfinite(P.values).all():
+            raise ConvergenceError("equilibrium solve ended at non-finite prices")
+    else:
+        Q, P = wrap(np.maximum(0.0, state.v.values - eps)), wrap(P)
     return EquilibriumSolution(
-        state=state, Q=Q, P=P, u=params.u, iterations=evals,
-        final_residual=float(np.abs(g[:2 * n]).max()))
+        state=state, Q=Q, P=P, u=params.u if ratio is None else float(z[-1]),
+        iterations=evals, final_residual=float(np.abs(g[:2 * n]).max()))
 
 
 def solve_with_endogenous_u(params: ModelParams,
@@ -199,41 +200,42 @@ def solve_with_endogenous_u(params: ModelParams,
 
 def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
             config: SolverConfig, ratio: float | None = None
-            ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """Drive G(z) to zero from z in at most ``max_iterations`` map evaluations.
+            ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Drive G(z) to zero from z as the module docstring sets out.
 
     z is (X, v) at the fixed u of ``params``, or (X, v, u) with the u
-    equation when ``ratio`` is given. Backtracks on the sup norm of G over
-    trials whose u is above the floor and falls back to z += lam*G(z),
-    which raises if it crosses the floor; once a step meets the test,
-    takes one more full Newton step while |G| is above 1e-15 * max(1, |z|).
-    Returns (z, evaluations, G(z), eps), where eps holds the clamped
-    cutoffs of the evaluation at the returned z.
+    equation when ``ratio`` is given. Returns (z, evaluations, G(z), eps,
+    P): the clamped cutoffs and, with u unknown, the prices of the
+    evaluation at the returned z; P is None at a fixed u.
     """
     n = params.period
     endogenous = ratio is not None
     u_floor = 1e-10 * params.u   # an endogenous u below this has collapsed
     evals, res = 0, np.inf
 
-    def evaluate(z):
+    def evaluate(z, tentative=False):
         nonlocal evals
         if evals == config.max_iterations:
             raise ConvergenceError(
                 f"equilibrium solve did not converge within {config.max_iterations} "
                 f"map evaluations (last residual {res:.3g})")
         evals += 1
-        X, v = z[:n], z[n:2 * n]
-        p = params.with_u(z[-1]) if endogenous else params
-        X_new, v_new, eps = _step(X, v, p, coeffs)
-        u_eq = ([ratio * (_prices(X, v, eps, p, coeffs).sum() / n) / 12.0]
-                if endogenous else [])
+        X, v, u = z[:n], z[n:2 * n], u_of(z)
+        X_new, v_new, eps = _step(X, v, params, coeffs, u)
+        P = _prices(X, v, eps, params, coeffs, u) if endogenous else None
+        u_eq = [ratio * (P.sum() / n) / 12.0] if endogenous else []
         g = np.concatenate((X_new, v_new, u_eq)) - z
-        return g, eps, float(np.abs(g).max())
+        r = float(np.abs(g).max())
+        if not (tentative or math.isfinite(r)):
+            raise ConvergenceError(
+                f"map evaluation {evals} of the equilibrium solve is not finite "
+                f"(residual {r:.3g}); no iterate can follow it")
+        return g, eps, P, r
 
     def u_of(z):
         return z[-1] if endogenous else params.u
 
-    g, eps, res = evaluate(z)
+    g, eps, P, res = evaluate(z)
     jac = None   # built at the first step; a warm start may need none
     while res > _TOL * max(1.0, np.abs(z).max()):
         jac = jac or _jacobian_blocks(params, coeffs, ratio)
@@ -241,9 +243,9 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
         for t in _STEP_LENGTHS if dz is not None else ():
             trial = z + t * dz
             if u_of(trial) > u_floor:
-                g_t, eps_t, res_t = evaluate(trial)
-                if res_t <= (1.0 - 1e-4 * t) * res:
-                    z, g, eps, res = trial, g_t, eps_t, res_t
+                found = evaluate(trial, tentative=True)
+                if found[-1] <= (1.0 - 1e-4 * t) * res:
+                    z, (g, eps, P, res) = trial, found
                     break
         else:
             z = z + config.lam * g
@@ -251,16 +253,16 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
                 raise ConvergenceError(
                     "service flow u collapsed toward zero; the rent-to-price "
                     "condition has no positive solution at these parameters")
-            g, eps, res = evaluate(z)
+            g, eps, P, res = evaluate(z)
     # Newton from a close start often meets the test at a few 1e-13; one
     # more full step takes the residual to round-off.
     if jac is not None and res > _FINISH_TOL * max(1.0, np.abs(z).max()):
         dz = _newton_direction(_jacobian(z, eps, jac), g)
         if dz is not None and u_of(z + dz) > u_floor:
-            g_t, eps_t, res_t = evaluate(z + dz)
-            if res_t <= res:
-                z, g, eps, res = z + dz, g_t, eps_t, res_t
-    return z, evals, g, eps
+            found = evaluate(z + dz, tentative=True)
+            if found[-1] <= res:
+                z, (g, eps, P, res) = z + dz, found
+    return z, evals, g, eps, P
 
 
 @functools.cache
@@ -309,7 +311,7 @@ def _jacobian_blocks(params: ModelParams, coeffs: AffineCoefficients,
         base[2 * n:, -1] += (1.0 - theta) / (1.0 - beta)
     return (n, ratio, base, np.concatenate((d_raw, d_raw[behind], d_raw)[:k]),
             positions, minus_ones, behind, A, 0.5 * A, 0.5 * theta * A,
-            params.hazards.survival.values, coeffs.box.v_lo)
+            params.hazards.survival.values, coeffs.v_lo)
 
 
 def _jacobian(z: np.ndarray, eps: np.ndarray, jac: tuple) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 
 from .calibrate import MoveShares, compose_beta, hazards_from_shares
 from .core import MONTH_NAMES, SEASONS, HazardProfile, ModelParams, seasonal_deviation
-from .errors import DataError
+from .errors import DataError, DomainError
 from .fixtures import DEFAULT_ANNUAL_RATE, DEFAULT_DELTA, DEFAULT_THETA
 from .solver import EquilibriumSolution, SolverConfig, solve_equilibrium, solve_with_endogenous_u
 
@@ -25,12 +25,16 @@ def solve_hazards(hazards: HazardProfile,
 
     With ``u_fixed`` unset, the service flow is pinned endogenously to the
     configured rent-to-price ratio; otherwise the equilibrium is solved
-    once at the given u. Returns (solution, u, params).
+    once at the given u, below 1, where some house still sells. Returns
+    (solution, u, params).
     """
     params = ModelParams(beta_hat=compose_beta(annual_rate), delta=delta,
                          theta=theta, u=1.0 if u_fixed is None else u_fixed,
                          hazards=hazards)
     if u_fixed is not None:
+        if u_fixed >= 1.0:
+            raise DomainError(f"--u-fixed {u_fixed:g} shuts the market: at a "
+                              "service flow of 1 or more no house sells")
         return solve_equilibrium(params, config), u_fixed, params
     solution, u = solve_with_endogenous_u(params, config)
     return solution, u, params.with_u(u)
@@ -45,25 +49,22 @@ def solve_calibration(shares: MoveShares, eta: float, **model
 
 def deviation_summary(solution: EquilibriumSolution) -> dict:
     """Seasonal deviations of P and Q over a 12-month cycle, with peak
-    months and season means."""
-    dev_P = seasonal_deviation(solution.P).values
-    dev_Q = seasonal_deviation(solution.Q).values
-
-    def describe(dev):
-        peak = int(np.argmax(dev))
-        return {
-            "deviation": dev.tolist(),
-            "peak_month": peak + 1,
-            "trough_month": int(np.argmin(dev)) + 1,
-            "min": float(dev.min()),
-            "max": float(dev.max()),
-            "amplitude": float(dev.max() - dev.min()),
-            "peak_month_name": MONTH_NAMES[peak],
-            "season_means": dict(zip(
-                SEASONS, dev[_SEASON_MONTHS].mean(axis=1).tolist())),
-        }
-
-    return {"P": describe(dev_P), "Q": describe(dev_Q)}
+    months and season means; row k of one 2 x 12 array is P, then Q."""
+    dev = seasonal_deviation(np.array((solution.P.values, solution.Q.values)))
+    lo, hi = dev.min(axis=1), dev.max(axis=1)
+    rows = zip("PQ", dev.tolist(), dev.argmax(axis=1).tolist(),
+               dev.argmin(axis=1).tolist(), lo.tolist(), hi.tolist(),
+               (hi - lo).tolist(), dev[:, _SEASON_MONTHS].mean(axis=2).tolist())
+    return {key: {
+        "deviation": row,
+        "peak_month": peak + 1,
+        "trough_month": trough + 1,
+        "min": low,
+        "max": high,
+        "amplitude": amplitude,
+        "peak_month_name": MONTH_NAMES[peak],
+        "season_means": dict(zip(SEASONS, season_means)),
+    } for key, row, peak, trough, low, high, amplitude, season_means in rows}
 
 
 def replicate_biannual(params: dict, config: SolverConfig | None = None) -> dict:
@@ -127,16 +128,10 @@ def compare_calibrations(solution_pre: EquilibriumSolution,
     per-month deltas and season-mean changes."""
     pre = deviation_summary(solution_pre)
     post = deviation_summary(solution_post)
-    out = {"pre": pre, "post": post, "delta": {}}
-    for key in ("P", "Q"):
-        dev_pre = np.asarray(pre[key]["deviation"])
-        dev_post = np.asarray(post[key]["deviation"])
-        out["delta"][key] = {
-            "per_month": (dev_post - dev_pre).tolist(),
-            "season_mean_changes": {
-                season: post[key]["season_means"][season]
-                - pre[key]["season_means"][season]
-                for season in SEASONS
-            },
-        }
-    return out
+    return {"pre": pre, "post": post, "delta": {key: {
+        "per_month": np.subtract(post[key]["deviation"],
+                                 pre[key]["deviation"]).tolist(),
+        "season_mean_changes": {
+            season: post[key]["season_means"][season]
+            - pre[key]["season_means"][season] for season in SEASONS},
+    } for key in ("P", "Q")}}

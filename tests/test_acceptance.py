@@ -23,7 +23,6 @@ from thickmarket import (
     solve_kappa,
     solve_with_endogenous_u,
 )
-from thickmarket.calibrate import survival_product
 from thickmarket.dataio import deflate_and_index, read_monthly_csv, to_panel
 from thickmarket.fixtures import (
     DEFAULT_DELTA,
@@ -104,8 +103,8 @@ class TestCriterion2:
         """Pre-2021 price deviation peaks in June; post-2021 in April."""
         sol_pre, _, t_pre = timed_sipp_solutions["pre"]
         sol_post, _, t_post = timed_sipp_solutions["post"]
-        peak_pre = int(np.argmax(seasonal_deviation(sol_pre.P).values)) + 1
-        peak_post = int(np.argmax(seasonal_deviation(sol_post.P).values)) + 1
+        peak_pre = int(np.argmax(seasonal_deviation(sol_pre.P.values))) + 1
+        peak_post = int(np.argmax(seasonal_deviation(sol_post.P.values))) + 1
         ok = (peak_pre == MONTH["Jun"] and peak_post == MONTH["Apr"]
               and t_pre < 30.0 and t_post < 30.0)
         assert report(
@@ -120,10 +119,10 @@ class TestCriterion3:
         """Price deviations in [-9, +10] containing [-4, +4]; volume >= 4x."""
         sol_pre, _, _ = timed_sipp_solutions["pre"]
         sol_post, _, _ = timed_sipp_solutions["post"]
-        dev_p_pre = seasonal_deviation(sol_pre.P).values
-        dev_p_post = seasonal_deviation(sol_post.P).values
-        dev_q_pre = seasonal_deviation(sol_pre.Q).values
-        dev_q_post = seasonal_deviation(sol_post.Q).values
+        dev_p_pre = seasonal_deviation(sol_pre.P.values)
+        dev_p_post = seasonal_deviation(sol_post.P.values)
+        dev_q_pre = seasonal_deviation(sol_pre.Q.values)
+        dev_q_post = seasonal_deviation(sol_post.Q.values)
 
         within = (dev_p_pre.min() >= -9.0 and dev_p_pre.max() <= 10.0
                   and dev_p_post.min() >= -9.0 and dev_p_post.max() <= 10.0)
@@ -151,8 +150,8 @@ class TestCriterion4:
         ok = True
         for label, pre_s, post_s in (("P", sol_pre.P, sol_post.P),
                                      ("Q", sol_pre.Q, sol_post.Q)):
-            d_pre = seasonal_deviation(pre_s).values
-            d_post = seasonal_deviation(post_s).values
+            d_pre = seasonal_deviation(pre_s.values)
+            d_post = seasonal_deviation(post_s.values)
             d_spring = d_post[spring].mean() - d_pre[spring].mean()
             d_summer = d_post[summer].mean() - d_pre[summer].mean()
             ok = ok and d_spring > 0.0 and d_summer < 0.0
@@ -275,8 +274,8 @@ class TestCriterion7:
         for shares, eta in (shares_fixture("sipp-pre"),
                             shares_fixture("sipp-post")):
             kappa = solve_kappa(shares, eta)
-            worst_resid = max(worst_resid,
-                              abs(survival_product(shares, kappa) - (1 - eta)))
+            product = np.prod(1.0 - kappa * shares.shares.values)
+            worst_resid = max(worst_resid, abs(product - (1 - eta)))
         ok = worst_closed < 1e-10 and worst_resid < 1e-12
         assert report(
             "criterion 7", ok,

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thickmarket import calibrate, cli
+from thickmarket import calibrate, cli, solver
 from thickmarket.cli import main
+from thickmarket.mapping import _step
 from thickmarket.calibrate import hazards_from_shares, solve_kappa
 from thickmarket.errors import DataError
 from thickmarket.fixtures import load_biannual_benchmark, shares_fixture
@@ -684,6 +685,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("u", [1, 2, 1e306])
+    def test_fixed_u_of_one_or_more_is_refused(self, tmp_path, capsys,
+                                               monkeypatch, u):
+        """A fixed u >= 1 shuts the market: exit 2 naming --u-fixed before
+        any map evaluation, with the error line alone on stderr (no
+        overflow warning, no zero-mean deviation error)."""
+        calls = []
+        monkeypatch.setattr(solver, "_step",
+                            lambda *args: calls.append(None) or _step(*args))
+        out = tmp_path / "out"
+        assert run(["solve", "--fixture", "sipp-pre", "--u-fixed", u,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --u-fixed ") and err.count("\n") == 1
+        assert "shuts the market" in err
+        assert calls == [] and not out.exists()
+
+    def test_non_finite_map_evaluation_exits_1(self, tmp_path, capsys,
+                                               monkeypatch):
+        """A solve that reaches a non-finite evaluation does not converge
+        (exit 1); it is not an input error and writes nothing."""
+        def poisoned(*args):
+            X_new, v_new, eps = _step(*args)
+            return X_new, v_new * np.nan, eps
+
+        monkeypatch.setattr(solver, "_step", poisoned)
+        out = tmp_path / "out"
+        assert run(["solve", "--fixture", "sipp-pre", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: map evaluation 1 of the equilibrium "
+                              "solve is not finite")
         assert not out.exists()
 
     def test_theta_zero_solves_at_fixed_u(self, tmp_path):

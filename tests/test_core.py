@@ -35,6 +35,25 @@ class TestHazardProfile:
         with pytest.raises(DomainError):
             HazardProfile.from_survival(np.array([0.5] * 11 + [0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", ["from_survival", "from_hazard"])
+    def test_rejects_non_finite_with_the_series_message(self, build, bad):
+        """The one min/max range test refuses NaN too, and a non-finite
+        input keeps the message a checked series gives it."""
+        values = np.full(12, 0.99 if build == "from_survival" else 0.01)
+        values[4] = bad
+        with pytest.raises(DomainError, match="finite everywhere"):
+            getattr(HazardProfile, build)(values)
+
+    def test_holds_read_only_copies(self):
+        phi = np.linspace(0.9, 0.99, 12)
+        hp = HazardProfile.from_survival(phi)
+        phi[0] = 0.5
+        assert hp.survival.values[0] == 0.9 and phi.flags.writeable
+        for series in (hp.survival, hp.hazard):
+            with pytest.raises(ValueError, match="read-only"):
+                series.values[0] = 0.5
+
     def test_phi_max_leaves_positive_floor(self):
         hp = HazardProfile.from_survival(np.linspace(0.9, 0.99, 12))
         assert 1.0 - hp.survival.values.max() > 0.0
@@ -65,19 +84,19 @@ class TestModelParams:
 
 class TestSeasonalDeviation:
     def test_constant_series_is_zero(self):
-        dev = seasonal_deviation(PeriodicSeries(np.full(12, 7.0)))
-        assert np.all(dev.values == 0.0)
+        dev = seasonal_deviation(np.full(12, 7.0))
+        assert np.all(dev == 0.0)
 
     def test_two_period_arithmetic(self):
-        dev = seasonal_deviation(PeriodicSeries(np.array([90.0, 110.0])))
-        assert np.allclose(dev.values, [-10.0, 10.0])
+        dev = seasonal_deviation(np.array([90.0, 110.0]))
+        assert np.allclose(dev, [-10.0, 10.0])
 
     def test_sums_to_zero(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(50, 150, 12)
-        dev = seasonal_deviation(PeriodicSeries(x))
-        assert abs(dev.values.sum()) < 1e-10
+        dev = seasonal_deviation(x)
+        assert abs(dev.sum()) < 1e-10
 
     def test_zero_mean_rejected(self):
         with pytest.raises(DomainError):
-            seasonal_deviation(PeriodicSeries(np.array([-1.0, 1.0])))
+            seasonal_deviation(np.array([-1.0, 1.0]))

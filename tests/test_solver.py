@@ -35,7 +35,12 @@ from thickmarket.fixtures import (
     load_biannual_benchmark,
 )
 from thickmarket.mapping import EquilibriumState, _step
-from thickmarket.workflows import replicate_biannual, solve_calibration
+from thickmarket.workflows import (
+    deviation_summary,
+    replicate_biannual,
+    solve_calibration,
+    solve_hazards,
+)
 
 
 def defect(X, v, params, coeffs):
@@ -316,7 +321,7 @@ class TestFixedPointIdentities:
 class TestEndogenousU:
     def test_rent_price_condition_holds(self, sipp_pre_endogenous):
         solution, u = sipp_pre_endogenous
-        target = 0.03 * solution.P.mean() / 12.0
+        target = 0.03 * solution.P.values.mean() / 12.0
         assert abs(u - target) / u < 1e-7
         assert u > 0.0
 
@@ -379,7 +384,7 @@ class TestNewtonEndogenousU:
                                                  params.u)
             assert defect(solution.state.X.values, solution.state.v.values,
                           params, coeffs) <= 1e-12
-            target = DEFAULT_RENT_PRICE_RATIO * solution.P.mean() / 12.0
+            target = DEFAULT_RENT_PRICE_RATIO * solution.P.values.mean() / 12.0
             assert abs(target - u) <= 1e-12
 
     def test_stepped_solves_end_at_round_off(self, newton_solves, pre_solution):
@@ -826,6 +831,130 @@ class TestStartRule:
             pre_seeded_at_u1.with_u(u_cold), config)
         assert u_other == u and other.iterations == warm.iterations
         assert np.array_equal(other.state.X.values, warm.state.X.values)
+
+
+class TestFiniteGuard:
+    """A non-finite map evaluation never comes back as an answer: a trial
+    with one is rejected, and the start or a damped step with one ends the
+    solve in ``ConvergenceError``."""
+
+    @pytest.mark.parametrize("endogenous", [False, True])
+    def test_non_finite_start_raises_at_once(self, monkeypatch, pre_params,
+                                             pre_seeded_at_u1, endogenous):
+        """Before the guard, a NaN residual at the start counted as
+        converged and came back as a one-evaluation solution."""
+        calls = []
+
+        def poisoned(*args):
+            calls.append(None)
+            X_new, v_new, eps = _step(*args)
+            return X_new * np.nan, v_new, eps
+
+        monkeypatch.setattr(solver, "_step", poisoned)
+        solve = solve_with_endogenous_u if endogenous else solve_equilibrium
+        with pytest.raises(ConvergenceError, match="evaluation 1 .* not finite"):
+            solve(pre_seeded_at_u1 if endogenous else pre_params)
+        assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(i=st.integers(0, 19), k=st.integers(1, 6), part=st.integers(0, 2),
+           month=st.integers(0, 11), endogenous=st.booleans(),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_injected_non_finite_value_raises_or_is_shed(
+            self, i, k, part, month, endogenous, bad):
+        """A NaN or inf put into X, v or eps of evaluation k either ends the
+        solve within one more evaluation or is shed on the way to the
+        clean answer; no non-finite residual or array is returned."""
+        shares, eta = random_calibration(i)
+        _, u, _ = solve_calibration(shares, eta)
+        model = {} if endogenous else {"u_fixed": u}
+        clean, u_clean, _ = solve_calibration(shares, eta, **model)
+        calls = []
+
+        def poisoned(*args):
+            out = _step(*args)   # fresh arrays
+            calls.append(None)
+            if len(calls) == k:
+                out[part][month] = bad
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_step", poisoned)
+            try:
+                solution, u_got, _ = solve_calibration(shares, eta, **model)
+            except ConvergenceError as exc:
+                assert "finite" in str(exc) and k <= len(calls) <= k + 1
+                return
+        assert solution.iterations == len(calls)
+        assert solution.final_residual <= stop_bound(solution)
+        assert abs(u_got - u_clean) <= 1e-10 * u_clean
+        for got, want in ((solution.state.X, clean.state.X),
+                          (solution.state.v, clean.state.v),
+                          (solution.state.epsilon, clean.state.epsilon),
+                          (solution.Q, clean.Q), (solution.P, clean.P)):
+            assert np.isfinite(got.values).all()
+            scale = max(1.0, np.abs(want.values).max())
+            assert np.abs(got.values - want.values).max() <= 1e-10 * scale
+
+
+class TestChecksAtTheEdge:
+    """Values are checked where they enter; what the solve derives from
+    them is held in plain read-only arrays and never checked again."""
+
+    LAZY = {"Wstar", "A_min", "A_max", "lambda_bar", "box"}
+
+    def test_eq_sweep_item_runs_no_series_or_finiteness_check(
+            self, monkeypatch):
+        """An eq-sweep item, a calibration, an endogenous-u solve and a
+        deviation summary, runs no ``PeriodicSeries`` check and no
+        ``np.isfinite`` (the solve's own guard tests one residual with
+        ``math.isfinite``), and computes none of the bounds that only
+        tests read."""
+        shares, eta = random_calibration(3)   # normalize_shares: the edge
+        checks, built = [], []
+        post_init, isfinite = PeriodicSeries.__post_init__, np.isfinite
+        build = solver.compute_affine_coefficients
+        monkeypatch.setattr(PeriodicSeries, "__post_init__", lambda self: (
+            checks.append("series"), post_init(self))[1])
+        monkeypatch.setattr(np, "isfinite", lambda *args: (
+            checks.append("isfinite"), isfinite(*args))[1])
+        monkeypatch.setattr(solver, "compute_affine_coefficients",
+                            lambda *args: built.append(build(*args)) or built[-1])
+        solution, _, _ = solve_calibration(shares, eta)
+        deviation_summary(solution)
+        assert checks == []
+        assert len(built) == 1 and not self.LAZY & vars(built[0]).keys()
+        PeriodicSeries(np.ones(3))   # the counters see a check
+        assert checks == ["series", "isfinite"]
+
+    def test_solved_arrays_are_read_only(self, sipp_pre_endogenous):
+        solution, _ = sipp_pre_endogenous
+        for series in (solution.state.X, solution.state.v,
+                       solution.state.epsilon, solution.Q, solution.P):
+            assert not series.values.flags.writeable
+
+    @pytest.mark.parametrize("u", [1.0, 2.0, 1e306])
+    def test_fixed_u_of_one_or_more_is_refused(self, monkeypatch,
+                                               pre_hazards, u):
+        """At u >= 1 no house sells; the refusal names the CLI flag and
+        comes before any map evaluation."""
+        calls = count_steps(monkeypatch)
+        with pytest.raises(DomainError, match="--u-fixed .* shuts the market"):
+            solve_hazards(pre_hazards, u_fixed=u)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("given", ["initial_X", "initial_v"])
+    def test_non_finite_warm_start_is_domain_error(self, monkeypatch,
+                                                   pre_params, given, bad):
+        calls = count_steps(monkeypatch)
+        start = {"initial_X": np.full(12, 0.3), "initial_v": np.full(12, 0.1)}
+        start[given][5] = bad
+        for solve in (solve_equilibrium, solve_with_endogenous_u):
+            with pytest.raises(DomainError, match=f"{given} must be finite"):
+                solve(pre_params, SolverConfig(**start))
+        assert calls == []
 
 
 def scipy_modules_after_import(module):
