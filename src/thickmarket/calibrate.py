@@ -39,6 +39,10 @@ class MoveShares:
 def normalize_shares(raw) -> MoveShares:
     """Normalize raw nonnegative monthly counts or percentages to shares."""
     arr = np.asarray(raw, dtype=float)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite))   # the first non-finite entry
+        raise DomainError(f"move shares must be finite; month {i + 1} is {arr.flat[i]}")
     if np.any(arr < 0.0):
         raise DomainError("move shares cannot contain negative entries")
     total = float(arr.sum())

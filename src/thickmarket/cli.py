@@ -37,6 +37,7 @@ from .dataio import (
     read_monthly_csv,
     read_shares_csv,
     to_panel,
+    write_in_place,
     write_results,
 )
 from .errors import ConvergenceError, DataError, DomainError
@@ -107,8 +108,8 @@ def _write_manifest(out_dir: Path, args, parameters: dict,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_in_place(out_dir / "manifest.json",
+                   json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _parse_years(spec: str) -> list[int]:

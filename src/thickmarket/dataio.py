@@ -15,6 +15,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,69 +46,75 @@ def naming(label):
 
 @dataclass(frozen=True)
 class RawSeries:
-    """A dated monthly series with strictly increasing, duplicate-free dates."""
+    """A monthly series whose int keys, 12*year + month - 1, strictly rise."""
 
-    dates: tuple[tuple[int, int], ...]   # (year, month) pairs
+    keys: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if len(self.dates) != values.size:
+        if self.keys.size != values.size:
             raise DataError("dates and values must have equal length")
-        for prev, cur in zip(self.dates, self.dates[1:]):
+        bad = np.flatnonzero(np.diff(self.keys) <= 0)
+        if bad.size:
+            prev, cur = self.dates[bad[0]:bad[0] + 2]
             if cur == prev:
                 raise DataError(f"duplicate observation for {cur[0]}-{cur[1]:02d}")
-            if cur < prev:
-                raise DataError(f"dates must be strictly increasing; "
-                                f"{cur} follows {prev}")
+            raise DataError(f"dates must be strictly increasing; {cur} follows {prev}")
         object.__setattr__(self, "values", values)
 
-
-def _parse_month(text: str, line_no: int) -> tuple[int, int]:
-    token = text.strip()
-    parts = token.split("-")
-    if len(parts) not in (2, 3):
-        raise DataError(f"line {line_no}: cannot parse date '{text}' "
-                        "(expected YYYY-MM or YYYY-MM-DD)")
-    try:
-        year, month = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise DataError(f"line {line_no}: cannot parse date '{text}'") from None
-    if not 1 <= month <= 12:
-        raise DataError(f"line {line_no}: month {month} out of range in '{text}'")
-    if not 1 <= year <= 9999:   # a calendar grid spans every year in between
-        raise DataError(f"line {line_no}: year {year} out of range in '{text}'")
-    return year, month
+    @property
+    def dates(self) -> tuple[tuple[int, int], ...]:
+        years, months = np.divmod(self.keys, 12)
+        return tuple(zip(years.tolist(), (months + 1).tolist()))
 
 
 def read_monthly_csv(path, value_column: str = "value",
                      date_column: str = "date") -> RawSeries:
-    """Parse a monthly CSV into a sorted, duplicate-checked series."""
-    rows: list[tuple[tuple[int, int], float]] = []
+    """Parse a monthly CSV into a sorted, duplicate-checked series; blank
+    lines are skipped, a missing cell is empty, errors name the line."""
+    keys, values = [], []
     with naming(path), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError("empty file, expected a CSV header")
-        missing = {date_column, value_column} - set(reader.fieldnames)
+        column = {name: i for i, name in enumerate(header)}   # the last one
+        missing = {date_column, value_column} - column.keys()
         if missing:
             raise DataError(f"header lacks column(s) {sorted(missing)}; "
-                            f"found {reader.fieldnames}")
-        for line_no, row in enumerate(reader, start=2):
-            date = _parse_month(row[date_column], line_no)
-            raw = (row[value_column] or "").strip()
-            if raw == "":
+                            f"found {header}")
+        at_date, at_value = column[date_column], column[value_column]
+        for row in filter(None, reader):
+            line_no, width = reader.line_num, len(row)
+            text = row[at_date] if at_date < width else ""
+            parts = text.strip().split("-")   # YYYY-MM or YYYY-MM-DD
+            if len(parts) not in (2, 3):
+                raise DataError(f"line {line_no}: cannot parse date '{text}' "
+                                "(expected YYYY-MM or YYYY-MM-DD)")
+            try:
+                year, month = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise DataError(f"line {line_no}: cannot parse date '{text}'") from None
+            if not 1 <= month <= 12:
+                raise DataError(f"line {line_no}: month {month} out of range in '{text}'")
+            if not 1 <= year <= 9999:   # a calendar grid spans every year in between
+                raise DataError(f"line {line_no}: year {year} out of range in '{text}'")
+            cell = row[at_value] if at_value < width else ""
+            if not (raw := cell.strip()):
                 continue
             try:
                 value = float(raw)
             except ValueError:
                 raise DataError(f"line {line_no}: cannot parse value "
-                                f"'{row[value_column]}'") from None
+                                f"'{cell}'") from None
             if not math.isfinite(value):
                 raise DataError(f"line {line_no}: non-finite value '{raw}'")
-            rows.append((date, value))
-        rows.sort(key=lambda r: r[0])
-        return RawSeries(dates=tuple(d for d, _ in rows),
-                         values=np.array([v for _, v in rows]))
+            keys.append(12 * year + month - 1)
+            values.append(value)
+        keys = np.array(keys, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        return RawSeries(keys=keys[order], values=np.array(values)[order])
 
 
 def read_shares_csv(path) -> MoveShares:
@@ -115,11 +122,12 @@ def read_shares_csv(path) -> MoveShares:
     name_to_month = {n.lower(): i + 1 for i, n in enumerate(MONTH_NAMES)}
     raw = np.full(12, np.nan)
     with naming(path), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                {"month", "share"} - set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or {"month", "share"} - set(header):
             raise DataError("expected header 'month,share'")
-        for line_no, row in enumerate(reader, start=2):
+        for row in filter(None, reader):
+            row, line_no = dict(zip(header, row + [None] * len(header))), reader.line_num
             token = (row["month"] or "").strip()   # None: a short row
             if token.isdigit():
                 month = int(token)
@@ -146,25 +154,23 @@ def read_shares_csv(path) -> MoveShares:
 
 
 def deflate_and_index(nominal: RawSeries, cpi: RawSeries) -> RawSeries:
-    """Deflate by a price index, which must cover every month of the
-    nominal series; the deflated values are returned unscaled."""
-    cpi_map = dict(zip(cpi.dates, cpi.values.tolist()))
-    real = []
-    for date, value in zip(nominal.dates, nominal.values.tolist()):
-        if date not in cpi_map:
-            raise DataError(f"deflator does not cover {date[0]}-{date[1]:02d}")
-        deflator = cpi_map[date]
-        if deflator == 0.0:
-            raise DataError(f"deflator is zero at {date[0]}-{date[1]:02d}")
-        real.append(value / deflator)
-    return RawSeries(dates=nominal.dates, values=np.array(real))
+    """Deflate, unscaled, by a price index that must cover every month of
+    the nominal series; an error names the first uncovered or zero month."""
+    at = np.searchsorted(cpi.keys, nominal.keys)
+    covered = np.append(cpi.keys, -1)[at] == nominal.keys
+    deflator = np.append(cpi.values, np.nan)[at]
+    bad = np.flatnonzero(~covered | (deflator == 0.0))
+    if bad.size:
+        year, month = nominal.dates[bad[0]]
+        what = "does not cover" if not covered[bad[0]] else "is zero at"
+        raise DataError(f"deflator {what} {year}-{month:02d}")
+    return RawSeries(keys=nominal.keys, values=nominal.values / deflator)
 
 
 def to_panel(series: RawSeries) -> MonthlyPanel:
     """Reshape a dated series into (year, month, value) observations."""
-    years = np.array([d[0] for d in series.dates], dtype=int)
-    months = np.array([d[1] for d in series.dates], dtype=int)
-    return MonthlyPanel(years=years, months=months, values=series.values)
+    years, months = np.divmod(series.keys, 12)
+    return MonthlyPanel(years=years, months=months + 1, values=series.values)
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +223,18 @@ def write_results(results, path, full_precision: bool = False) -> Path:
         raise DataError(f"{path}: unknown output format "
                         "(suffix must be .json, .csv or .txt)")
     try:
-        path.write_text(text, encoding="utf-8")
+        write_in_place(path, text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
     return path
+
+
+def write_in_place(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path``, then cut it to length: on ext4
+    an O_TRUNC open of a non-empty file costs writeback (DECISIONS.md §11)."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
 
 
 def _fmt_cell(value, full_precision: bool) -> str:

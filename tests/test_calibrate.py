@@ -51,16 +51,16 @@ class TestNormalizeShares:
         with pytest.raises(DomainError):
             normalize_shares(np.zeros(12))
 
-    # an infinite entry divides inf by inf before the series check refuses it
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("bad, message", [
-        (np.nan, "positive sum"), (np.inf, "finite everywhere")])
-    def test_non_finite_entry_rejected(self, bad, message):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
         """Shares are checked where they enter, so nothing downstream of
-        ``normalize_shares`` checks them again."""
+        ``normalize_shares`` checks them again; the first non-finite entry
+        is named before any other check runs."""
         raw = np.ones(12)
         raw[7] = bad
-        with pytest.raises(DomainError, match=message):
+        raw[9] = -1.0
+        with pytest.raises(DomainError,
+                           match=f"^move shares must be finite; month 8 is {bad}$"):
             normalize_shares(raw)
 
 

@@ -591,6 +591,14 @@ class TestShiftTestCommand:
                     "--out", tmp_path / "st"]) == 2
         assert "line 6: non-finite value" in capsys.readouterr().err
 
+    def test_row_without_a_date_is_input_error(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("value,date\n100,2019-01\n101\n")
+        assert run(["shift-test", "--data", panel, "--out", tmp_path / "st"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {panel}: line 3: cannot parse date '' "
+            "(expected YYYY-MM or YYYY-MM-DD)\n")
+
     def test_centered_mode_runs(self, tmp_path):
         rng = np.random.default_rng(46)
         panel = make_shift_panel(tmp_path / "panel.csv", rng)

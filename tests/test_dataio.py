@@ -1,11 +1,17 @@
 """CSV ingestion, deflation, writers, fixture integrity."""
 
+import csv
 import hashlib
+import io
 import json
+import math
+import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thickmarket.dataio import (
     RawSeries,
@@ -18,6 +24,7 @@ from thickmarket.dataio import (
     read_monthly_csv,
     read_shares_csv,
     to_panel,
+    write_in_place,
     write_results,
 )
 from thickmarket.calibrate import solve_kappa
@@ -41,6 +48,12 @@ def month_range(start, end):
         if m == 13:
             y, m = y + 1, 1
     return out
+
+
+def series(dates, values):
+    """A RawSeries of (year, month) pairs, keyed 12*year + month - 1."""
+    keys = np.array([12 * y + m - 1 for y, m in dates], dtype=np.int64)
+    return RawSeries(keys=keys, values=np.asarray(values, float))
 
 
 class TestReadMonthlyCsv:
@@ -127,6 +140,150 @@ class TestReadMonthlyCsv:
         with pytest.raises(DataError, match="line 3: non-finite value"):
             read_monthly_csv(p)
 
+    def test_row_without_a_date_cell_is_named(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("value,date\n100,2019-01\n101\n")
+        pattern = (f"^{re.escape(str(p))}: line 3: cannot parse date '' "
+                   r"\(expected YYYY-MM or YYYY-MM-DD\)$")
+        with pytest.raises(DataError, match=pattern):
+            read_monthly_csv(p)
+
+    def test_errors_name_the_physical_line_after_blank_lines(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text('date,value\n2019-01,1\n\n2019-02,"2\n"\n2019-13,2\n')
+        with pytest.raises(DataError, match="line 6: month 13 out of range"):
+            read_monthly_csv(p)
+
+
+def dictreader_series(path, value_column="value", date_column="date"):
+    """``read_monthly_csv`` restated on ``csv.DictReader`` and a sort of
+    (date, value) pairs: a missing cell reads as empty and an error names
+    the physical line a row ends on. Returns (dates, values)."""
+    rows = []
+    with naming(path), open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, restval="")
+        if reader.fieldnames is None:
+            raise DataError("empty file, expected a CSV header")
+        missing = {date_column, value_column} - set(reader.fieldnames)
+        if missing:
+            raise DataError(f"header lacks column(s) {sorted(missing)}; "
+                            f"found {reader.fieldnames}")
+        for row in reader:
+            line, text = reader.reader.line_num, row[date_column]
+            parts = text.strip().split("-")
+            if len(parts) not in (2, 3):
+                raise DataError(f"line {line}: cannot parse date '{text}' "
+                                "(expected YYYY-MM or YYYY-MM-DD)")
+            try:
+                year, month = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise DataError(f"line {line}: cannot parse date '{text}'") from None
+            if not 1 <= month <= 12:
+                raise DataError(f"line {line}: month {month} out of range in '{text}'")
+            if not 1 <= year <= 9999:
+                raise DataError(f"line {line}: year {year} out of range in '{text}'")
+            raw = row[value_column].strip()
+            if raw == "":
+                continue
+            try:
+                value = float(raw)
+            except ValueError:
+                raise DataError(f"line {line}: cannot parse value "
+                                f"'{row[value_column]}'") from None
+            if not math.isfinite(value):
+                raise DataError(f"line {line}: non-finite value '{raw}'")
+            rows.append(((year, month), value))
+        rows.sort(key=lambda r: r[0])
+        for (prev, _), (cur, _) in zip(rows, rows[1:]):
+            if cur == prev:
+                raise DataError(f"duplicate observation for {cur[0]}-{cur[1]:02d}")
+    return tuple(d for d, _ in rows), [v for _, v in rows]
+
+
+VALID_DATES = st.builds("{}-{:02d}{}".format, st.integers(2018, 2019),
+                        st.integers(1, 12), st.sampled_from(["", "-01", "-28"]))
+VALID_VALUES = st.sampled_from(["", " "]) | st.floats(-1e3, 1e3).map(repr)
+DATE_CELLS = VALID_DATES | st.sampled_from(
+    ["", " ", "2019", "2019-13", "0-01", "x-01", " 2019-02 ", "2019-1-1-1",
+     "2019-03\n", "2019,04"])
+VALUE_CELLS = VALID_VALUES | st.sampled_from(
+    ["abc", "nan", "-inf", " 7 ", "1,5", "2\n", '"3"'])
+
+
+@st.composite
+def monthly_csvs(draw):
+    """CSV text and its date and value column names. Half the documents
+    draw only valid dates and blank or finite values; one in ten lacks a
+    column, one row in five is cut short or runs long."""
+    date_column, value_column = draw(st.sampled_from(
+        [("date", "value"), ("period", "price")]))
+    extra = draw(st.lists(st.sampled_from(["note", date_column, value_column]),
+                          max_size=2))
+    header = draw(st.permutations([date_column, value_column] + extra))
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from([date_column, value_column])))
+    clean = draw(st.booleans())
+    dates, values = (VALID_DATES, VALID_VALUES) if clean else (DATE_CELLS,
+                                                               VALUE_CELLS)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        cells = [draw(dates) if name == date_column else
+                 draw(values) if name == value_column else "n" for name in header]
+        if draw(st.integers(0, 4)) == 0:
+            cells = (cells + ["extra"])[:draw(st.integers(0, len(cells) + 1))]
+        rows.append(cells)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n", quoting=draw(
+        st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue(), date_column, value_column
+
+
+def outcome(read, path, value_column, date_column):
+    """(dates, values) of a read, or the message of its DataError."""
+    try:
+        result = read(path, value_column=value_column, date_column=date_column)
+    except DataError as exc:
+        return str(exc)
+    if isinstance(result, RawSeries):   # the restatement returns the pair
+        result = result.dates, result.values.tolist()
+    return result
+
+
+class TestReaderRestatement:
+    def test_reader_matches_dictreader_restatement(self, tmp_path):
+        """Blank lines, quoted cells, short and long rows, unsorted and
+        repeated dates, custom and repeated column names and blank values
+        give the same series or the same error message; both outcomes
+        occur often."""
+        path, seen = tmp_path / "restated.csv", {str: 0, tuple: 0}
+
+        @settings(derandomize=True, max_examples=150, deadline=None)
+        @given(document=monthly_csvs())
+        def check(document):
+            text, date_column, value_column = document
+            path.write_text(text)
+            args = (path, value_column, date_column)
+            result = outcome(read_monthly_csv, *args)
+            assert result == outcome(dictreader_series, *args)
+            seen[type(result)] += 1
+
+        check()
+        assert min(seen.values()) >= 30, seen
+
+    def test_every_feature_in_one_document(self, tmp_path):
+        """A repeated column means its last occurrence; a blank line, a
+        short row and a blank value drop out; quoted cells and long rows
+        read as written; the rows come back sorted."""
+        path = tmp_path / "s.csv"
+        path.write_text('period,price,note,price\n2019-02,9,n,"1.5"\n\n'
+                        '2018-12,1,n\n"2019-01-28",x,n,2,extra\n'
+                        '2019-03,,n," 4 "\n')
+        args = (path, "price", "period")
+        assert outcome(read_monthly_csv, *args) == outcome(dictreader_series, *args) \
+            == (((2019, 1), (2019, 2), (2019, 3)), [2.0, 1.5, 4.0])
+
 
 class TestReadSharesCsv:
     def test_month_names(self, tmp_path):
@@ -171,6 +328,18 @@ class TestReadSharesCsv:
         path = write_csv(tmp_path / "m.csv", rows, header="month,share")
         pattern = f"^{re.escape(str(path))}: {message}$"
         with pytest.raises(DataError, match=pattern):
+            read_shares_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("month,share\n1,1\n\n13,1\n", "line 4: unknown month '13'"),
+        ("month,share\n\n\n1,1\n2\n", "line 5: cannot parse share 'None'"),
+        ("share,month\n1,1\n1\n", "line 3: unknown month 'None'"),
+        ("month,share,month\n1,1\n", "line 2: unknown month 'None'"),
+    ], ids=["after-blank-line", "short-row", "no-month-cell", "last-month-column"])
+    def test_errors_name_the_physical_line(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}$"):
             read_shares_csv(path)
 
 
@@ -307,7 +476,7 @@ class TestReadArraysJson:
 
 class TestDeflation:
     def _series(self, dates, values):
-        return RawSeries(dates=tuple(dates), values=np.asarray(values, float))
+        return series(dates, values)
 
     def test_self_deflation_is_flat_one(self):
         dates = month_range((2019, 1), (2019, 12))
@@ -353,24 +522,57 @@ class TestDeflation:
                               self._series(dates, cpi))
 
 
+    @pytest.mark.parametrize("gap, zero, message", [
+        ((2019, 9), (2019, 4), "deflator is zero at 2019-04"),
+        ((2019, 3), (2019, 9), "deflator does not cover 2019-03"),
+        (None, (2019, 12), "deflator is zero at 2019-12"),
+        ((2019, 1), None, "deflator does not cover 2019-01"),
+    ])
+    def test_first_bad_month_in_date_order_is_named(self, gap, zero, message):
+        dates = month_range((2019, 1), (2019, 12))
+        cpi = {d: 0.0 if d == zero else 2.0
+               for d in month_range((2018, 6), (2020, 6)) if d != gap}
+        with pytest.raises(DataError, match=f"^{message}$"):
+            deflate_and_index(series(dates, np.ones(12)),
+                              series(cpi.keys(), list(cpi.values())))
+
+    def test_empty_deflator_covers_nothing(self):
+        with pytest.raises(DataError, match="^deflator does not cover 2019-01$"):
+            deflate_and_index(series([(2019, 1)], [1.0]), series((), []))
+
+
+class TestRawSeries:
+    @pytest.mark.parametrize("dates, message", [
+        ([(2019, 1), (2019, 3), (2019, 3)], "^duplicate observation for 2019-03$"),
+        ([(2019, 3), (2019, 1)],
+         r"^dates must be strictly increasing; \(2019, 1\) follows \(2019, 3\)$"),
+    ])
+    def test_dates_must_rise(self, dates, message):
+        with pytest.raises(DataError, match=message):
+            series(dates, np.ones(len(dates)))
+
+    def test_dates_and_values_must_pair(self):
+        with pytest.raises(DataError, match="equal length"):
+            series([(2019, 1)], [1.0, 2.0])
+
+
 class TestToPanel:
     def test_one_complete_year(self):
         dates = month_range((2020, 1), (2020, 12))
-        panel = to_panel(RawSeries(dates=tuple(dates), values=np.arange(12.0)))
+        panel = to_panel(series(dates, np.arange(12.0)))
         years, counts = np.unique(panel.years, return_counts=True)
         assert (years.tolist(), counts.tolist()) == ([2020], [12])
 
     def test_partial_edge_years_flagged(self):
         dates = month_range((2008, 2), (2025, 6))
-        panel = to_panel(RawSeries(dates=tuple(dates),
-                                   values=np.arange(float(len(dates)))))
+        panel = to_panel(series(dates, np.arange(float(len(dates)))))
         years, n = np.unique(panel.years, return_counts=True)
         counts = dict(zip(years.tolist(), n.tolist()))
         assert sorted(y for y, c in counts.items() if c < 12) == [2008, 2025]
         assert (counts[2008], counts[2025]) == (11, 6)
 
     def test_empty_series(self):
-        panel = to_panel(RawSeries(dates=(), values=np.array([])))
+        panel = to_panel(series((), []))
         assert panel.years.size == 0
 
 
@@ -434,6 +636,43 @@ class TestWriters:
         with pytest.raises(DataError, match="suffix must be .json, .csv or .txt"):
             write_results({"x": 1.0}, tmp_path / "r.yaml")
         assert not (tmp_path / "r.yaml").exists()
+
+
+class TestWriteInPlace:
+    """Outputs are rewritten in place, then cut to length, not truncated
+    at open; the bytes are those ``Path.write_text`` wrote."""
+
+    TEXTS = ["", "a\n", '{\n  "source": "Zürich – 2021"\n}\n', "x" * 70_000]
+
+    @pytest.mark.parametrize("text", TEXTS, ids=["empty", "line", "utf8", "large"])
+    def test_bytes_equal_path_write_text(self, tmp_path, text):
+        (tmp_path / "old").write_text(text, encoding="utf-8")
+        write_in_place(tmp_path / "new", text)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+    def test_shorter_text_leaves_no_stale_tail(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_in_place(path, "a much longer document\n" * 50)
+        write_in_place(path, "short\n")
+        assert path.read_bytes() == b"short\n"
+
+    def test_absent_file_is_created_under_the_umask(self, tmp_path):
+        (tmp_path / "old").write_text("x")
+        write_in_place(tmp_path / "new", "x")
+        modes = [os.stat(tmp_path / n).st_mode for n in ("old", "new")]
+        assert modes[0] == modes[1]
+
+    def test_symlinked_output_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old,longer,content\n")
+        link.symlink_to(target)
+        write_results({"columns": ["a"], "rows": [[1]]}, link)
+        assert link.is_symlink() and target.read_text() == "a\n1\n"
+
+    def test_unwritable_output_is_named(self, tmp_path):
+        (tmp_path / "r.json").mkdir()
+        with pytest.raises(DataError, match=f"^cannot write {re.escape(str(tmp_path))}"):
+            write_results({"x": 1.0}, tmp_path / "r.json")
 
 
 class TestFixtureIntegrity:
