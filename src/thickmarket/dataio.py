@@ -118,34 +118,39 @@ def read_monthly_csv(path, value_column: str = "value",
 
 
 def read_shares_csv(path) -> MoveShares:
-    """Read a 12-row month,share table (months 1..12 or Jan..Dec names)."""
+    """Read a 12-row month,share table (months 1..12 or Jan..Dec names);
+    blank lines are skipped, a missing cell is empty, errors name the line."""
     name_to_month = {n.lower(): i + 1 for i, n in enumerate(MONTH_NAMES)}
     raw = np.full(12, np.nan)
     with naming(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or {"month", "share"} - set(header):
+        column = {name: i for i, name in enumerate(header or ())}   # the last one
+        if {"month", "share"} - column.keys():
             raise DataError("expected header 'month,share'")
+        at_month, at_share = column["month"], column["share"]
         for row in filter(None, reader):
-            row, line_no = dict(zip(header, row + [None] * len(header))), reader.line_num
-            token = (row["month"] or "").strip()   # None: a short row
+            line_no, width = reader.line_num, len(row)
+            text = row[at_month] if at_month < width else ""
+            token = text.strip()
             if token.isdigit():
                 month = int(token)
             else:
                 month = name_to_month.get(token[:3].lower(), 0)
             if not 1 <= month <= 12:
-                raise DataError(f"line {line_no}: unknown month '{row['month']}'")
+                raise DataError(f"line {line_no}: unknown month '{text}'")
             if not np.isnan(raw[month - 1]):
-                raise DataError(f"line {line_no}: duplicate month '{row['month']}'")
+                raise DataError(f"line {line_no}: duplicate month '{text}'")
+            cell = row[at_share] if at_share < width else ""
             try:
-                share = float(row["share"])
-            except (TypeError, ValueError):   # TypeError: a row without share
+                share = float(cell)
+            except ValueError:
                 raise DataError(f"line {line_no}: cannot parse share "
-                                f"'{row['share']}'") from None
+                                f"'{cell}'") from None
             if not (math.isfinite(share) and share > 0.0):
                 raise DataError(
                     f"line {line_no}: share for {MONTH_NAMES[month - 1]} "
-                    f"must be positive and finite, got '{row['share']}'")
+                    f"must be positive and finite, got '{cell}'")
             raw[month - 1] = share
         if np.any(np.isnan(raw)):
             missing = [MONTH_NAMES[i] for i in range(12) if np.isnan(raw[i])]

@@ -12,14 +12,18 @@ Every statistic is whole-array numpy with no Python loop over years or
 candidates. Year means, seasonal cells and the Chow scan's per-(year,
 month) sums are ``np.bincount``s on one calendar index, so no step
 depends on row order. Least squares fits each response against a design
-factored once into thin Q, R^-1 and L = R^-1[tested] Q', the rows of the
-pseudo-inverse for the coefficients a test reads; the covariance is the
-HC1 block of those coefficients only, and the shift regression keeps its
-last design's factor for the next panel. The p-values are F and t tails,
-regularized incomplete beta functions computed here with ``math``, one
-scalar at a time, and the dependent columns of a rank-deficient design
-are named from the null space of its own R, so the battery needs no
-scipy.
+factored once into thin Q, R^-1, its distinct rows (a group index per
+row and Q at the first row of each group) and L = R^-1[tested] Q' over
+the distinct rows, the rows of the pseudo-inverse for the coefficients a
+test reads. Q'y runs over every row; the fitted values and the HC1 meat,
+L diag(per-group sums of e^2) L', run over the distinct rows, which a
+design without year effects has 24 of, however long the panel. The
+covariance is the HC1 block of the tested coefficients only, and the
+shift regression keeps its last design's factor for the next panel. The
+p-values are F and t tails, regularized incomplete beta functions
+computed here with ``math``, one scalar at a time, and the dependent
+columns of a rank-deficient design are named from the null space of its
+own R, so the battery needs no scipy.
 """
 
 from __future__ import annotations
@@ -44,20 +48,23 @@ class MonthlyPanel:
     values: np.ndarray
 
     def __post_init__(self):
-        years = np.asarray(self.years, dtype=int)
-        months = np.asarray(self.months, dtype=int)
-        values = np.asarray(self.values, dtype=float)
+        # Copies: the panel never shares an array with its caller.
+        years = np.array(self.years, dtype=int)
+        months = np.array(self.months, dtype=int)
+        values = np.array(self.values, dtype=float)
         if not (years.shape == months.shape == values.shape) or years.ndim != 1:
             raise DataError("years, months, and values must be equal-length vectors")
-        if np.any((months < 1) | (months > 12)):
+        if months.min(initial=1) < 1 or months.max(initial=12) > 12:
             raise DataError("months must lie in 1..12")
         t = _calendar_index(years, months)[1]
-        order = np.argsort(t, kind="stable")
-        if np.any(np.diff(t[order]) == 0):
-            raise DataError("duplicate (year, month) observations in panel")
-        object.__setattr__(self, "years", years[order])
-        object.__setattr__(self, "months", months[order])
-        object.__setattr__(self, "values", values[order])
+        if not (t[1:] > t[:-1]).all():   # a sorted panel is kept as it is
+            order = np.argsort(t, kind="stable")
+            if np.any(np.diff(t[order]) == 0):
+                raise DataError("duplicate (year, month) observations in panel")
+            years, months, values = years[order], months[order], values[order]
+        object.__setattr__(self, "years", years)
+        object.__setattr__(self, "months", months)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -104,10 +111,14 @@ class ShiftRegressionFit:
 
 @dataclass(frozen=True)
 class LeastSquaresDesign:
-    """A factored design X = QR: read-only thin Q (n-by-k), R^-1 and
-    L = R^-1[tested] Q', the rows of the pseudo-inverse that give the
-    tested coefficients (t-by-n)."""
+    """A factored design X = QR, all read-only: thin Q (n-by-k); the G
+    distinct rows of X as ``group`` (row i is distinct row group[i]) and
+    ``q_rows`` (G-by-k, Q at the first row of each); R^-1; and
+    L = R^-1[tested] q_rows', the rows of the pseudo-inverse that give the
+    tested coefficients, one column per distinct row (t-by-G)."""
     q: np.ndarray
+    q_rows: np.ndarray
+    group: np.ndarray
     r_inv: np.ndarray
     L: np.ndarray
 
@@ -205,9 +216,10 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
 
 def factor_design(design: np.ndarray, names: tuple[str, ...] | None = None, *,
                   tested: np.ndarray) -> LeastSquaresDesign:
-    """Read-only thin Q, R^-1 and L = R^-1[tested] Q' of an (n, k) design,
-    n > k, for the coefficient positions ``tested``; raises
-    ``RankDeficientError`` naming the dependent columns of a singular one."""
+    """Read-only thin Q, distinct rows, R^-1 and L = R^-1[tested] q_rows' of
+    an (n, k) design, n > k, for the coefficient positions ``tested``;
+    raises ``RankDeficientError`` naming the dependent columns of a
+    singular one."""
     X = np.asarray(design, dtype=float)
     if X.ndim != 2:
         raise DomainError("design must be (n, k) and response length n")
@@ -240,19 +252,31 @@ def factor_design(design: np.ndarray, names: tuple[str, ...] | None = None, *,
             f"design matrix is rank deficient (rank {rank} of {k}); "
             f"dependent columns: {sorted(labels[j] for j in dependent)}")
 
+    # Rows are grouped only when their bytes are equal; groups are numbered
+    # in order of first occurrence, so a design without repeated rows has
+    # group = arange(n) and keeps Q itself as q_rows.
+    rows = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * k))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    group = np.argsort(order)[inverse]
+    q_rows = Q if order.size == n else Q[first[order]]
+
     r_inv = np.linalg.inv(R)
-    L = r_inv[tested] @ Q.T
-    Q.flags.writeable = r_inv.flags.writeable = L.flags.writeable = False
-    return LeastSquaresDesign(q=Q, r_inv=r_inv, L=L)
+    L = r_inv[tested] @ q_rows.T
+    for array in (Q, q_rows, group, r_inv, L):
+        array.flags.writeable = False
+    return LeastSquaresDesign(q=Q, q_rows=q_rows, group=group, r_inv=r_inv, L=L)
 
 
 def ols_hc1(design: LeastSquaresDesign, response: np.ndarray) -> OLSResult:
     """OLS and the HC1 covariance of the tested coefficients from a factored
-    X = QR: beta = R^-1 Q'y, e = y - Q Q'y and
-    HC1 = (n/(n-k)) (L diag(e^2)) L', the tested block of
-    (n/(n-k)) R^-1 Q' diag(e^2) Q R^-T. One general matrix product forms
-    it faster at these shapes than the symmetric rank update
-    (L diag(e))(L diag(e))'."""
+    X = QR: beta = R^-1 Q'y over all n rows, fitted values q_rows Q'y per
+    distinct row, e = y - (q_rows Q'y)[group], w_g the sum of e^2 over the
+    rows of group g, and HC1 = (n/(n-k)) (L diag(w)) L', the tested block
+    of (n/(n-k)) R^-1 Q' diag(e^2) Q R^-T, as equal rows of X have equal
+    rows of Q. Without repeated rows w = e^2 exactly. One general matrix
+    product forms it faster at these shapes than the symmetric rank update
+    (L diag(sqrt w))(L diag(sqrt w))'."""
     Q, r_inv = design.q, design.r_inv
     y = np.asarray(response, dtype=float)
     n, k = Q.shape
@@ -260,9 +284,10 @@ def ols_hc1(design: LeastSquaresDesign, response: np.ndarray) -> OLSResult:
         raise DomainError("design must be (n, k) and response length n")
     qty = Q.T @ y
     beta = r_inv @ qty
-    resid = y - Q @ qty
+    resid = y - (design.q_rows @ qty)[design.group]
     rss = float(resid @ resid)
-    cov = (n / (n - k)) * ((design.L * resid ** 2) @ design.L.T)
+    w = np.bincount(design.group, resid ** 2)   # every group has a row
+    cov = (n / (n - k)) * ((design.L * w) @ design.L.T)
     return OLSResult(coefficients=beta, cov_hc1=cov, df_resid=n - k, rss=rss)
 
 

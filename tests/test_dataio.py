@@ -332,9 +332,9 @@ class TestReadSharesCsv:
 
     @pytest.mark.parametrize("text, message", [
         ("month,share\n1,1\n\n13,1\n", "line 4: unknown month '13'"),
-        ("month,share\n\n\n1,1\n2\n", "line 5: cannot parse share 'None'"),
-        ("share,month\n1,1\n1\n", "line 3: unknown month 'None'"),
-        ("month,share,month\n1,1\n", "line 2: unknown month 'None'"),
+        ("month,share\n\n\n1,1\n2\n", "line 5: cannot parse share ''"),
+        ("share,month\n1,1\n1\n", "line 3: unknown month ''"),
+        ("month,share,month\n1,1\n", "line 2: unknown month ''"),
     ], ids=["after-blank-line", "short-row", "no-month-cell", "last-month-column"])
     def test_errors_name_the_physical_line(self, tmp_path, text, message):
         path = tmp_path / "m.csv"

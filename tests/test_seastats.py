@@ -67,20 +67,36 @@ def crafted_fit(mu_free, V, rss=1.0) -> ShiftRegressionFit:
 
 class TestMonthlyPanel:
     def test_duplicate_rejected(self):
-        with pytest.raises(DataError, match="duplicate"):
-            panel_of([(2020, 1, 1.0), (2020, 1, 2.0)])
-        with pytest.raises(DataError, match="duplicate"):
-            panel_of([(2020, 1, 1.0), (2021, 1, 2.0), (2020, 1, 3.0)])
+        """Whether the rows come sorted or not."""
+        for rows in ([(2020, 1, 1.0), (2020, 1, 2.0)],
+                     [(2019, 12, 0.5), (2020, 1, 1.0), (2020, 1, 2.0), (2020, 2, 3.0)],
+                     [(2020, 1, 1.0), (2021, 1, 2.0), (2020, 1, 3.0)]):
+            with pytest.raises(DataError,
+                               match="^duplicate \\(year, month\\) observations in panel$"):
+                panel_of(rows)
 
     def test_month_range_enforced(self):
-        with pytest.raises(DataError):
-            panel_of([(2020, 13, 1.0)])
+        for month in (0, 13):
+            with pytest.raises(DataError, match="^months must lie in 1..12$"):
+                panel_of([(2020, 1, 1.0), (2020, month, 1.0)])
 
     def test_sorted_storage(self):
         p = panel_of([(2021, 2, 1.0), (2020, 5, 2.0),
                                        (2021, 1, 3.0)])
         assert p.years.tolist() == [2020, 2021, 2021]
         assert p.months.tolist() == [5, 1, 2]
+        assert p.values.tolist() == [2.0, 3.0, 1.0]
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1]],
+                             ids=["sorted", "unsorted"])
+    def test_panel_owns_its_arrays(self, order):
+        years, months = np.array([2020, 2020, 2021])[order], np.array([11, 12, 1])[order]
+        values = np.array([1.0, 2.0, 3.0])[order]
+        p = MonthlyPanel(years, months, values)
+        years[:], months[:], values[:] = 1999, 6, -1.0
+        assert p.years.tolist() == [2020, 2020, 2021]
+        assert p.months.tolist() == [11, 12, 1]
+        assert p.values.tolist() == [1.0, 2.0, 3.0]
 
 
 class TestAnnualMeanDeviation:
@@ -411,9 +427,11 @@ class TestFactorReuse:
         fit_seasonal_shift(comp, 2019)
         design = self.last_design
         assert design.L.shape == (11, comp.years.size)
-        for array in (design.q, design.r_inv, design.L):
+        for array in (design.q, design.q_rows, design.r_inv, design.L):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            design.group[0] = 1
         fit_seasonal_shift(comp, 2019)
         assert len(factor_calls) == 1
 
@@ -435,11 +453,14 @@ class TestFactorReuse:
 
 class TestFactoredDesign:
     def test_factor_is_read_only(self):
-        design = factor_design(np.random.default_rng(32).standard_normal((9, 3)),
-                               tested=np.array([2, 0]))
-        for array in (design.q, design.r_inv, design.L):
+        X = np.random.default_rng(32).standard_normal((9, 3))
+        design = factor_design(np.vstack([X, X]), tested=np.array([2, 0]))
+        assert design.q_rows.shape == (9, 3) and design.L.shape == (2, 9)
+        for array in (design.q, design.q_rows, design.r_inv, design.L):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            design.group[0] = 1
 
 
 def assert_tails_match(got, ref):
