@@ -254,12 +254,12 @@ def factor_design(design: np.ndarray, names: tuple[str, ...] | None = None, *,
 
     # Rows are grouped only when their bytes are equal; groups are numbered
     # in order of first occurrence, so a design without repeated rows has
-    # group = arange(n) and keeps Q itself as q_rows.
+    # group = arange(n) and q_rows equal to Q.
     rows = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * k))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     order = np.argsort(first)
     group = np.argsort(order)[inverse]
-    q_rows = Q if order.size == n else Q[first[order]]
+    q_rows = Q[first[order]]
 
     r_inv = np.linalg.inv(R)
     L = r_inv[tested] @ q_rows.T
