@@ -52,13 +52,14 @@ from .fixtures import (
 )
 from .seastats import (
     annual_mean_deviation,
+    break_scan_report,
     centered_mean_deviation,
     chow_scan,
-    directional_contrast,
     fit_seasonal_shift,
-    joint_F_test,
-    seasonal_delta,
+    shift_report,
 )
+# Called only by the reports; named here for the benchmark's hooks (ROADMAP item 10).
+from .seastats import directional_contrast, joint_F_test, seasonal_delta  # noqa: F401
 from .solver import SolverConfig
 from .workflows import (
     compare_calibrations,
@@ -287,6 +288,8 @@ def _load_components(args):
     if centered and min_months != MIN_MONTHS:
         raise DataError("--min-months does not apply with --mode centered12: "
                         "only annual mode drops short years")
+    if min_months < 1:
+        raise DataError(f"--min-months {min_months} must be at least 1")
     label = args.data
     series = read_monthly_csv(args.data, value_column=args.value_column,
                               date_column=args.date_column)
@@ -310,34 +313,19 @@ def cmd_shift_test(args):
     with naming(label):
         fit = fit_seasonal_shift(components, args.break_year,
                                  include_year_effects=not args.no_year_effects)
-        joint = joint_F_test(fit)
-        contrast = directional_contrast(fit)
-        deltas = seasonal_delta(components, args.break_year)
-
-    report = {
-        "break_year": args.break_year,
-        "n_obs": fit.n_obs,
-        "joint_F": {"F": joint.statistic, "p": joint.p_value,
-                    "df": [joint.df_numerator, joint.df_denominator]},
-        "directional_contrast": {"t": contrast.statistic,
-                                 "p_one_sided": contrast.p_value,
-                                 "df": contrast.df_denominator},
-        "seasonal_delta": deltas,
-        "month_effects": fit.gamma.tolist(),
-        "month_post_interactions": fit.mu.tolist(),
-    }
-    table = {
-        "columns": ["F", "p", "t", "p1"]
-                   + [season[:3] + "_delta" for season in deltas],
-        "rows": [[joint.statistic, joint.p_value, contrast.statistic,
-                  contrast.p_value, *deltas.values()]],
-    }
-    outputs = {"shift_test.json": report, "shift_test.txt": table}
-    print(f"joint F = {joint.statistic:.3g} (p = {joint.p_value:.3g}); "
-          f"contrast t = {contrast.statistic:.3g} (p1 = {contrast.p_value:.3g})")
+        report = shift_report(fit, components, args.break_year)
+    joint, contrast = report["joint_F"], report["directional_contrast"]
+    deltas = report["seasonal_delta"]
+    stats = [joint["F"], joint["p"], contrast["t"], contrast["p_one_sided"]]
+    table = {"columns": ["F", "p", "t", "p1"]
+                        + [season[:3] + "_delta" for season in deltas],
+             "rows": [[*stats, *deltas.values()]]}
+    print("joint F = {:.3g} (p = {:.3g}); contrast t = {:.3g} (p1 = {:.3g})"
+          .format(*stats))
     print("seasonal deltas (pp): "
           + ", ".join(f"{season} {x:+.2f}" for season, x in deltas.items()))
-    return outputs, {"break_year": args.break_year, "mode": args.mode}
+    return ({"shift_test.json": report, "shift_test.txt": table},
+            {"break_year": args.break_year, "mode": args.mode})
 
 
 def cmd_break_scan(args):
@@ -347,21 +335,15 @@ def cmd_break_scan(args):
     components, label = _load_components(args)
     with naming(label):
         scan = chow_scan(components, range(args.from_year, args.to_year + 1))
-    rows = [[e.year, e.F, e.p_value] for e in scan.entries]
-    report = {
-        "candidates": [{"year": e.year, "F": e.F, "p": e.p_value}
-                       for e in scan.entries],
-        "skipped": [{"year": y, "reason": r} for y, r in scan.skipped],
-    }
-    if scan.entries:
-        report["max_F_year"] = scan.best().year
-    outputs = {"break_scan.json": report,
-               "break_scan.txt": {"columns": ["year", "F", "p"], "rows": rows}}
-    for e in scan.entries:
-        print(f"  {e.year}: F = {e.F:.3g} (p = {e.p_value:.3g})")
-    for year, reason in scan.skipped:
-        print(f"  {year}: skipped ({reason})")
-    return outputs, {"from_year": args.from_year, "to_year": args.to_year}
+    report = break_scan_report(scan)
+    rows = [[c["year"], c["F"], c["p"]] for c in report["candidates"]]
+    for year, F, p in rows:
+        print(f"  {year}: F = {F:.3g} (p = {p:.3g})")
+    for s in report["skipped"]:
+        print(f"  {s['year']}: skipped ({s['reason']})")
+    return ({"break_scan.json": report,
+             "break_scan.txt": {"columns": ["year", "F", "p"], "rows": rows}},
+            {"from_year": args.from_year, "to_year": args.to_year})
 
 
 def cmd_replicate_nt(args):

@@ -622,3 +622,39 @@ def chow_scan(components: SeasonalComponents, candidate_years,
             entries.append(ChowScanEntry(year=year, F=f,
                                          p_value=_f_tail(q, df_denom, f)))
     return ChowScanResult(entries=tuple(entries), skipped=tuple(skipped))
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+def shift_report(fit: ShiftRegressionFit, components: SeasonalComponents,
+                 break_year: int) -> dict:
+    """The shift-test document of a fit: the joint F, the directional
+    contrast, the seasonal deltas of ``components`` around ``break_year``,
+    and the month effects and interactions."""
+    joint = joint_F_test(fit)
+    contrast = directional_contrast(fit)
+    return {
+        "break_year": break_year,
+        "n_obs": fit.n_obs,
+        "joint_F": {"F": joint.statistic, "p": joint.p_value,
+                    "df": [joint.df_numerator, joint.df_denominator]},
+        "directional_contrast": {"t": contrast.statistic,
+                                 "p_one_sided": contrast.p_value,
+                                 "df": contrast.df_denominator},
+        "seasonal_delta": seasonal_delta(components, break_year),
+        "month_effects": fit.gamma.tolist(),
+        "month_post_interactions": fit.mu.tolist(),
+    }
+
+
+def break_scan_report(scan: ChowScanResult) -> dict:
+    """The break-scan document: each candidate's F and p, each skipped year
+    with its reason, and the year of the largest F when one was tested."""
+    report = {"candidates": [{"year": e.year, "F": e.F, "p": e.p_value}
+                             for e in scan.entries],
+              "skipped": [{"year": y, "reason": r} for y, r in scan.skipped]}
+    if scan.entries:
+        report["max_F_year"] = scan.best().year
+    return report

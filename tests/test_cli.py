@@ -14,8 +14,16 @@ from thickmarket import calibrate, cli, solver
 from thickmarket.cli import main
 from thickmarket.mapping import _step
 from thickmarket.calibrate import hazards_from_shares, solve_kappa
+from thickmarket.dataio import read_monthly_csv, round6, to_panel
 from thickmarket.errors import DataError
 from thickmarket.fixtures import load_biannual_benchmark, shares_fixture
+from thickmarket.seastats import (
+    annual_mean_deviation,
+    break_scan_report,
+    chow_scan,
+    fit_seasonal_shift,
+    shift_report,
+)
 
 PARSER = cli._build_parser()
 SUBPARSERS = next(a for a in PARSER._actions
@@ -655,6 +663,38 @@ class TestBreakScanCommand:
         assert all(c["F"] < 2.5 for c in doc["candidates"])
 
 
+@pytest.mark.parametrize("noise, shift, scan_years, joint_F, has_max", [
+    (0.4, 2.0, (2014, 2023), None, True),
+    (0.0, 2.0, (2014, 2023), "inf", True),
+    (0.0, 0.0, (2014, 2023), 0.0, True),
+    (0.4, 2.0, (2001, 2009), None, False),
+], ids=["noisy", "noise-free-shift", "noise-free-null", "all-skipped"])
+def test_reports_are_the_written_documents(tmp_path, noise, shift, scan_years,
+                                           joint_F, has_max):
+    """round6 of seastats' shift and break-scan reports, built from the
+    panel the CLI reads, is the JSON the CLI writes; a noise-free panel
+    writes its F as 0 or "inf", and a scan with every candidate skipped
+    names no max_F_year."""
+    panel = make_shift_panel(tmp_path / "panel.csv", np.random.default_rng(58),
+                             shift=shift, noise=noise)
+    first, last = scan_years
+    assert run(["shift-test", "--data", panel, "--out", tmp_path / "st"]) == 0
+    assert run(["break-scan", "--data", panel, "--from-year", first,
+                "--to-year", last, "--out", tmp_path / "bs"]) == 0
+    shift_doc = json.loads((tmp_path / "st" / "shift_test.json").read_text())
+    scan_doc = json.loads((tmp_path / "bs" / "break_scan.json").read_text())
+
+    components = annual_mean_deviation(to_panel(read_monthly_csv(panel)),
+                                       cli.MIN_MONTHS)
+    fit = fit_seasonal_shift(components, 2021)
+    assert round6(shift_report(fit, components, 2021)) == shift_doc
+    scan = chow_scan(components, range(first, last + 1))
+    assert round6(break_scan_report(scan)) == scan_doc
+    if joint_F is not None:
+        assert shift_doc["joint_F"]["F"] == joint_F
+    assert ("max_F_year" in scan_doc) is has_max
+
+
 class TestReplicateBenchmark:
     def test_bundled_fixture_validates(self, tmp_path):
         out = tmp_path / "nt"
@@ -838,6 +878,10 @@ class TestExitCodes:
           "2015,1-3000000", "--eta", 0.1], "'1-3000000' leaves 1-9999"),
         (["shift-test", "--data", "{panel}", "--min-months", 13],
          "--min-months"),
+        (["shift-test", "--data", "{panel}", "--min-months", 0],
+         "--min-months 0"),
+        (["shift-test", "--data", "{panel}", "--min-months", -3],
+         "--min-months -3"),
         (["solve", "--hazards", "{hazards}", "--u-fixed", 0.0014], "{hazards}"),
         (["replicate-nt", "--params", "{params}"], "{params}"),
         (["break-scan", "--data", "{panel}", "--from-year", 2023,
@@ -847,7 +891,8 @@ class TestExitCodes:
         (["break-scan", "--data", "{panel}", "--from-year", 0,
           "--to-year", 2015], "--from-year 0 and --to-year 2015"),
     ], ids=["trend-years", "trend-range", "open-range", "reversed-range",
-            "no-years", "repeated-year", "huge-range", "min-months", "hazards",
+            "no-years", "repeated-year", "huge-range", "min-months",
+            "min-months-zero", "min-months-negative", "hazards",
             "params", "falling-scan", "huge-scan", "scan-from-year-zero"])
     def test_ill_typed_input_is_input_error(self, tmp_path, capsys, argv,
                                             named):
@@ -1055,6 +1100,15 @@ class TestExitCodes:
         assert not out.exists()
 
 
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this package's source."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
 REFUSE_SCIPY = """
 import json, sys
 
@@ -1098,13 +1152,8 @@ def test_every_command_runs_without_scipy(tmp_path):
             ["rerun", out / "shift-test" / "manifest.json",
              "--out", out / "rerun"]]]
 
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     blocked, open_ = tmp_path / "blocked", tmp_path / "open"
-    proc = subprocess.run(
-        [sys.executable, "-c", REFUSE_SCIPY, json.dumps(argvs(blocked))],
-        env=env, capture_output=True, text=True)
+    proc = run_python(REFUSE_SCIPY, json.dumps(argvs(blocked)))
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [main(argv) for argv in argvs(open_)]
@@ -1119,3 +1168,16 @@ def test_every_command_runs_without_scipy(tmp_path):
                              if p.name != "manifest.json")
     for name in written:
         assert (open_ / name).read_bytes() == (blocked / name).read_bytes()
+
+
+def test_workflows_imports_no_battery_io_or_cli():
+    """The solver's pipelines load neither the seasonality battery, the
+    file readers and writers nor the CLI, so a process that only solves
+    (the benchmark's eq-sweep) pays for none of their imports."""
+    proc = run_python("import json, sys, thickmarket.workflows; "
+                      "print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "thickmarket.workflows" in loaded
+    assert not loaded & {"thickmarket.seastats", "thickmarket.dataio",
+                         "thickmarket.cli"}
