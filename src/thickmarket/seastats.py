@@ -11,26 +11,34 @@ date is not an artifact of the chosen split.
 Every statistic is whole-array numpy with no Python loop over years or
 candidates. Year means, seasonal cells and the Chow scan's per-(year,
 month) sums are ``np.bincount``s on one calendar index, so no step
-depends on row order. Least squares fits each response against a design
-factored once into thin Q, R^-1, its distinct rows (a group index per
-row and Q at the first row of each group) and L = R^-1[tested] Q' over
-the distinct rows, the rows of the pseudo-inverse for the coefficients a
-test reads. Q'y runs over every row; the fitted values and the HC1 meat,
-L diag(per-group sums of e^2) L', run over the distinct rows, which a
-design without year effects has 24 of, however long the panel. The
-covariance is the HC1 block of the tested coefficients only, and the
-shift regression keeps its last design's factor for the next panel. The
-p-values are F and t tails, regularized incomplete beta functions
-computed here with ``math``, one scalar at a time, and the dependent
-columns of a rank-deficient design are named from the null space of its
-own R, so the battery needs no scipy.
+depends on row order. What depends only on where the rows fall lives in
+one read-only calendar layout per (years, months): the index, the
+per-year and per-month counts, the Chow scan's prefix count table, the
+kept rows, and the last candidate set and break year read. A one-entry
+cache hands the same layout to every panel of that shape, so a panel
+costs only the sums weighted by its own response. Least squares fits
+each response against a design factored once into thin Q, R^-1, its
+distinct rows (a group index per row and Q at the first row of each
+group) and L = R^-1[tested] Q' over the distinct rows, the rows of the
+pseudo-inverse for the coefficients a test reads. Q'y runs over every
+row; the fitted values and the HC1 meat, L diag(per-group sums of e^2)
+L', run over the distinct rows, which a design without year effects has
+24 of, however long the panel. The covariance is the HC1 block of the
+tested coefficients only, and the shift regression keeps its last
+design's factor for the next panel. The p-values are F and t tails,
+regularized incomplete beta functions computed here with ``math``, one
+scalar at a time, and the dependent columns of a rank-deficient design
+are named from the null space of its own R, so the battery needs no
+scipy.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,40 +49,58 @@ from .errors import DataError, DomainError, RankDeficientError
 
 @dataclass(frozen=True)
 class MonthlyPanel:
-    """Observations keyed by (year, month), at most one per key."""
+    """Observations keyed by (year, month), at most one per key, sorted by
+    date. ``years`` and ``months`` are the read-only arrays of ``layout``,
+    the panel's calendar layout."""
 
     years: np.ndarray
     months: np.ndarray
     values: np.ndarray
+    layout: _CalendarLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Copies: the panel never shares an array with its caller.
-        years = np.array(self.years, dtype=int)
-        months = np.array(self.months, dtype=int)
+        # The layout holds copies of years and months, and values is
+        # copied: the panel never shares an array with its caller.
+        years = np.asarray(self.years, dtype=int)
+        months = np.asarray(self.months, dtype=int)
         values = np.array(self.values, dtype=float)
         if not (years.shape == months.shape == values.shape) or years.ndim != 1:
             raise DataError("years, months, and values must be equal-length vectors")
-        if months.min(initial=1) < 1 or months.max(initial=12) > 12:
+        layout = _calendar_layout(years, months)
+        if not layout.months_in_range:
             raise DataError("months must lie in 1..12")
-        t = _calendar_index(years, months)[1]
-        if not (t[1:] > t[:-1]).all():   # a sorted panel is kept as it is
-            order = np.argsort(t, kind="stable")
-            if np.any(np.diff(t[order]) == 0):
-                raise DataError("duplicate (year, month) observations in panel")
-            years, months, values = years[order], months[order], values[order]
-        object.__setattr__(self, "years", years)
-        object.__setattr__(self, "months", months)
+        if not layout.is_sorted:   # a sorted panel is kept as it is
+            order, layout = layout.by_date
+            values = values[order]
+        object.__setattr__(self, "years", layout.years)
+        object.__setattr__(self, "months", layout.months)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "layout", layout)
 
 
 @dataclass(frozen=True)
 class SeasonalComponents:
-    """Within-year percentage deviations d_{m,T}, one per observation."""
+    """Within-year percentage deviations d_{m,T}, one per observation.
+
+    ``years`` and ``months`` are the read-only arrays of ``layout``, the
+    calendar layout of the rows. Components built without the layout of
+    their arrays (so also by ``dataclasses.replace`` with new years or
+    months) fetch it through the layout cache, which keeps their dtype."""
 
     years: np.ndarray
     months: np.ndarray
     deviations: np.ndarray
     dropped_years: tuple[int, ...] = ()
+    layout: _CalendarLayout | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        layout = self.layout
+        if layout is None or not (layout.years is self.years
+                                  and layout.months is self.months):
+            layout = _calendar_layout(np.asarray(self.years), np.asarray(self.months))
+        object.__setattr__(self, "years", layout.years)
+        object.__setattr__(self, "months", layout.months)
+        object.__setattr__(self, "layout", layout)
 
 
 @dataclass(frozen=True)
@@ -150,14 +176,209 @@ class ChowScanResult:
 
 
 # ---------------------------------------------------------------------------
+# calendar layouts
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, a new array no caller holds, made read-only."""
+    array.flags.writeable = False
+    return array
+
+
+# The years and months of every layout, by id: read-only arrays of which
+# seastats keeps no writable view, so a cache may hold one as it is and
+# test it by identity.
+_LAYOUT_ARRAYS = weakref.WeakValueDictionary()
+
+
+def _own(array: np.ndarray) -> np.ndarray:
+    """``array`` itself when it belongs to a layout, else a read-only copy."""
+    if _LAYOUT_ARRAYS.get(id(array)) is array:
+        return array
+    return _read_only(array.copy())
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+
+class _LastLayoutCache:
+    """``lru_cache(maxsize=1)`` for ``build(years, months, *key)``. The
+    arrays are tested first by identity with the cache's own read-only
+    ones, then by dtype and value: on a 2,400-row layout the value test
+    takes about half the time of hashing the bytes. A miss builds from a
+    layout's arrays as they are and from read-only copies of any others,
+    so the design of a layout's components hits by identity; a build that
+    raises caches nothing."""
+
+    def __init__(self, build):
+        self.build = build
+        self.cache_clear()
+
+    def cache_clear(self):
+        self.last, self.hits, self.misses = None, 0, 0
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses)
+
+    def __call__(self, years, months, *key):
+        last = self.last
+        if last is not None and key == last[2] and all(
+                a is b or (a.dtype == b.dtype and np.array_equal(a, b))
+                for a, b in zip((years, months), last)):
+            self.hits += 1
+            return last[3]
+        self.misses += 1
+        years, months = _own(years), _own(months)
+        value = self.build(years, months, *key)
+        self.last = years, months, key, value
+        return value
+
+
+# Position in SEASONS of each month 1..12 (-1 at the unused entry 0).
+_SEASON_OF_MONTH = np.array([-1] + [k for m in range(1, 13) for k, months
+                                    in enumerate(SEASONS.values()) if m in months])
+
+
+_ChowPlan = namedtuple("_ChowPlan", "years before pre_div post_div weights notes")
+
+
+class _CalendarLayout:
+    """What the battery reads from where the rows fall, not from a response.
+
+    ``years`` and ``months`` are read-only arrays no caller holds, ``first``
+    is the earliest year (0 without rows) and t = 12 (year - first) +
+    month - 1, so t // 12 is a row per calendar year. The tables are
+    computed on first read, and three one-entry memos keep what
+    ``annual_mean_deviation``, ``chow_scan`` and ``seasonal_delta`` last
+    derived from the layout alone. Every array is read-only."""
+
+    def __init__(self, years: np.ndarray, months: np.ndarray):
+        self.years, self.months = years, months
+        for array in (years, months):
+            _LAYOUT_ARRAYS[id(array)] = array
+        self.first = int(years.min()) if years.size else 0
+        self.t = _read_only(12 * (years - self.first) + months - 1)
+        self._kept = self._plan = self._cells = None
+
+    @cached_property
+    def months_in_range(self) -> bool:
+        return bool(self.months.min(initial=1) >= 1
+                    and self.months.max(initial=12) <= 12)
+
+    @cached_property
+    def is_sorted(self) -> bool:
+        return bool((self.t[1:] > self.t[:-1]).all())
+
+    @cached_property
+    def by_date(self):
+        """(order, layout): the stable order that sorts the rows by date and
+        the layout of the sorted rows; a repeated (year, month) raises."""
+        order = np.argsort(self.t, kind="stable")
+        if np.any(np.diff(self.t[order]) == 0):
+            raise DataError("duplicate (year, month) observations in panel")
+        layout = _CalendarLayout(_read_only(self.years[order]),
+                                 _read_only(self.months[order]))
+        return _read_only(order), layout
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        return _read_only(self.t // 12)
+
+    @cached_property
+    def year_counts(self) -> np.ndarray:
+        return _read_only(np.bincount(self.row))
+
+    @cached_property
+    def year_divisor(self) -> np.ndarray:
+        """Rows per calendar year, floored at 1 to divide a sum by."""
+        return _read_only(np.maximum(self.year_counts, 1))
+
+    @cached_property
+    def month_divisor(self) -> np.ndarray:
+        """Rows per month at index 1..12, floored at 1 to divide a sum by."""
+        return _read_only(np.maximum(np.bincount(self.months, minlength=13), 1))
+
+    @cached_property
+    def n_years(self) -> int:
+        return int(self.t.max(initial=-1)) // 12 + 1
+
+    @cached_property
+    def prefix_counts(self) -> np.ndarray:
+        """(n_years + 1)-by-12: row j counts each month's rows in the first
+        j calendar years."""
+        count = np.zeros((self.n_years + 1, 12), dtype=int)
+        count[1:] = np.bincount(self.t, minlength=self.n_years * 12).reshape(-1, 12)
+        return _read_only(count.cumsum(axis=0))
+
+    def kept(self, min_months: int):
+        """(kept, mask, sub-layout, rows, dropped) for the years with at
+        least ``min_months`` rows: ``kept`` per calendar year, ``mask`` per
+        row (None when every row is kept, and the sub-layout is then this
+        one), the calendar-year row of each kept row, and the years with
+        some but too few rows. The memo holds None for this layout, so a
+        layout is no reference cycle and is freed as soon as it is
+        dropped."""
+        if self._kept is None or self._kept[0] != min_months:
+            counts = self.year_counts
+            kept = counts >= min_months
+            mask = kept[self.row]
+            if mask.all():
+                mask, sub, rows = None, None, self.row
+            else:
+                sub = _CalendarLayout(_read_only(self.years[mask]),
+                                      _read_only(self.months[mask]))
+                mask, rows = _read_only(mask), _read_only(self.row[mask])
+            dropped = self.first + np.flatnonzero((counts > 0) & ~kept)
+            self._kept = min_months, (_read_only(kept), mask, sub, rows,
+                                      tuple(dropped.tolist()))
+        kept, mask, sub, rows, dropped = self._kept[1]
+        return kept, mask, self if sub is None else sub, rows, dropped
+
+    def chow_plan(self, candidate_years, min_side_obs: int) -> _ChowPlan:
+        """Each candidate year's prefix-table row ``before``, the per-month
+        side counts floored at 1 (``pre_div``, ``post_div``), the weights
+        n_pre n_post / n of each month's between-sides square, and the
+        note of a skipped candidate (None for a tested one). The key holds
+        the type of ``min_side_obs`` too, as the notes print it."""
+        key = (tuple(int(y) for y in candidate_years), min_side_obs,
+               type(min_side_obs))
+        if self._plan is None or self._plan[0] != key:
+            count = self.prefix_counts
+            candidates = np.array(key[0], dtype=int)
+            before = np.clip(candidates - self.first, 0, self.n_years)
+            n_pre_m = count[before]
+            n_post_m = count[-1] - n_pre_m
+            n_pre = n_pre_m.sum(axis=1)
+            n = self.years.size
+            notes = []
+            for side_obs in np.minimum(n_pre, n - n_pre).tolist():
+                if side_obs < min_side_obs:
+                    notes.append(f"only {side_obs} "
+                                 f"observations on one side (need {min_side_obs})")
+                elif n - 24 < 1:
+                    notes.append(f"no residual degrees of freedom ({n} "
+                                 "observations for 24 parameters)")
+                else:
+                    notes.append(None)
+            weights = n_pre_m * n_post_m / self.month_divisor[1:]
+            arrays = (before, np.maximum(n_pre_m, 1), np.maximum(n_post_m, 1), weights)
+            self._plan = key, _ChowPlan(key[0], *map(_read_only, arrays), tuple(notes))
+        return self._plan[1]
+
+    def season_cells(self, break_year):
+        """(cell, n): 4 post + season of each row, and the 2-by-4 counts."""
+        if self._cells is None or self._cells[0] != break_year:
+            cell = 4 * (self.years >= break_year) + _SEASON_OF_MONTH[self.months]
+            n = np.bincount(cell, minlength=8).reshape(2, 4)
+            self._cells = break_year, (_read_only(cell), _read_only(n))
+        return self._cells[1]
+
+
+_calendar_layout = _LastLayoutCache(_CalendarLayout)
+
+
+# ---------------------------------------------------------------------------
 # seasonal components
-
-
-def _calendar_index(years: np.ndarray, months: np.ndarray) -> tuple[int, np.ndarray]:
-    """(first, t): t = 12 (year - first) + month - 1, where ``first`` is the
-    earliest year (0 without rows), so t // 12 is a row per calendar year."""
-    first = int(years.min()) if years.size else 0
-    return first, 12 * (years - first) + months - 1
 
 
 def annual_mean_deviation(panel: MonthlyPanel,
@@ -168,22 +389,19 @@ def annual_mean_deviation(panel: MonthlyPanel,
     observations are dropped and reported in ``dropped_years``. A retained
     year with zero mean is an error (the deviation would divide by zero).
     """
-    first, t = _calendar_index(panel.years, panel.months)
-    row = t // 12
-    counts = np.bincount(row)
-    means = np.bincount(row, weights=panel.values) / np.maximum(counts, 1)
-    kept = counts >= max(min_months_per_year, 1)
+    layout = panel.layout
+    kept, mask, sub, rows, dropped = layout.kept(max(min_months_per_year, 1))
+    means = np.bincount(layout.row, weights=panel.values) / layout.year_divisor
     zero = kept & (means == 0.0)
     if zero.any():
-        raise DataError(f"year {first + int(np.argmax(zero))} has zero mean; "
+        raise DataError(f"year {layout.first + int(np.argmax(zero))} has zero mean; "
                         "deviations are undefined")
 
-    mask = kept[row]
-    mean = means[row[mask]]
-    d = 100.0 * (panel.values[mask] - mean) / mean
-    dropped = first + np.flatnonzero((counts > 0) & ~kept)
-    return SeasonalComponents(years=panel.years[mask], months=panel.months[mask],
-                              deviations=d, dropped_years=tuple(dropped.tolist()))
+    values = panel.values if mask is None else panel.values[mask]
+    mean = means[rows]
+    d = 100.0 * (values - mean) / mean
+    return SeasonalComponents(years=sub.years, months=sub.months, deviations=d,
+                              dropped_years=dropped, layout=sub)
 
 
 def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
@@ -193,10 +411,10 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
     weights on both endpoints), which annihilates any 12-periodic cycle;
     months without a complete window (boundaries, gaps) are omitted.
     """
-    first, t = _calendar_index(panel.years, panel.months)
+    layout = panel.layout
     # at least one 13-month window; windows over the NaN padding are dropped
-    grid = np.full(max(int(t.max(initial=0)) + 1, 13), np.nan)
-    grid[t] = panel.values
+    grid = np.full(max(int(layout.t.max(initial=0)) + 1, 13), np.nan)
+    grid[layout.t] = panel.values
 
     weights = np.ones(13)
     weights[0] = weights[12] = 0.5
@@ -206,8 +424,10 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
     if np.any(gbar == 0.0):
         raise DataError("centred rolling mean is zero; deviation undefined")
     t = pos + 6
-    return SeasonalComponents(years=first + t // 12, months=t % 12 + 1,
-                              deviations=100.0 * (grid[pos + 6] - gbar) / gbar)
+    kept = _CalendarLayout(_read_only(layout.first + t // 12), _read_only(t % 12 + 1))
+    return SeasonalComponents(years=kept.years, months=kept.months,
+                              deviations=100.0 * (grid[pos + 6] - gbar) / gbar,
+                              layout=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -372,38 +592,6 @@ def _t_tail(df: int, t: float) -> float:
 # shift regression and tests
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses")
-
-
-class _LastLayoutCache:
-    """``lru_cache(maxsize=1)`` for ``build(years, months, *key)``, with the
-    arrays compared by dtype and value with copies of the last ones instead
-    of hashed: on a 2,400-row layout that takes about half the time of
-    hashing their bytes. A build that raises caches nothing."""
-
-    def __init__(self, build):
-        self.build = build
-        self.cache_clear()
-
-    def cache_clear(self):
-        self.last, self.hits, self.misses = None, 0, 0
-
-    def cache_info(self):
-        return _CacheInfo(self.hits, self.misses)
-
-    def __call__(self, years, months, *key):
-        last = self.last
-        if last is not None and key == last[2] and all(
-                a.dtype == b.dtype and np.array_equal(a, b)
-                for a, b in zip((years, months), last)):
-            self.hits += 1
-            return last[3]
-        self.misses += 1
-        design = self.build(years, months, *key)
-        self.last = years.copy(), months.copy(), key, design
-        return design
-
-
 @_LastLayoutCache
 def _shift_design(years, months, break_year, include_year_effects):
     """Read-only factored shift design whose last 22 columns are the 11 free
@@ -459,7 +647,8 @@ def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
     exactly.
     """
     d = components.deviations
-    fit = ols_hc1(_shift_design(components.years, components.months,
+    layout = components.layout
+    fit = ols_hc1(_shift_design(layout.years, layout.months,
                                 break_year, include_year_effects), d)
 
     gamma_free = fit.coefficients[-22:-11]
@@ -534,22 +723,16 @@ def directional_contrast(fit: ShiftRegressionFit) -> TestReport:
                       df_denominator=fit.df_resid)
 
 
-# Position in SEASONS of each month 1..12 (-1 at the unused entry 0).
-_SEASON_OF_MONTH = np.array([-1] + [k for m in range(1, 13) for k, months
-                                    in enumerate(SEASONS.values()) if m in months])
-
-
 def seasonal_delta(components: SeasonalComponents,
                    break_year: int) -> dict[str, float]:
     """Post-minus-pre change in the average deviation for each season,
     keyed by season in ``SEASONS`` order."""
-    cell = 4 * (components.years >= break_year) + _SEASON_OF_MONTH[components.months]
-    n = np.bincount(cell, minlength=8).reshape(2, 4)
-    total = np.bincount(cell, weights=components.deviations, minlength=8).reshape(2, 4)
+    cell, n = components.layout.season_cells(break_year)
     empty = (n == 0).any(axis=0)
     if empty.any():
         raise DataError(f"no observations for season '{list(SEASONS)[empty.argmax()]}'"
                         f" on one side of {break_year}")
+    total = np.bincount(cell, weights=components.deviations, minlength=8).reshape(2, 4)
     mean_pre, mean_post = total / n
     return dict(zip(SEASONS, (mean_post - mean_pre).tolist()))
 
@@ -565,34 +748,28 @@ def chow_scan(components: SeasonalComponents, candidate_years,
     side, or none of the n - 24 residual degrees of freedom, are skipped
     with a note.
     """
+    layout = components.layout
     d = components.deviations
-    months = components.months
+    months = layout.months
     n = d.size
 
-    month_n = np.bincount(months, minlength=13)
-    month_mean = np.bincount(months, weights=d, minlength=13) / np.maximum(month_n, 1)
+    month_mean = np.bincount(months, weights=d, minlength=13) / layout.month_divisor
     e = d - month_mean[months]
     rss_restricted = float(e @ e)
 
-    # Row j of the prefix tables covers the first j calendar years.
-    first, t = _calendar_index(components.years, months)
-    n_years = int(t.max(initial=-1)) // 12 + 1
-    count = np.zeros((n_years + 1, 12), dtype=int)
+    # Row j of the prefix table covers the first j calendar years.
+    n_years = layout.n_years
     total = np.zeros((n_years + 1, 12))
-    count[1:] = np.bincount(t, minlength=n_years * 12).reshape(-1, 12)
-    total[1:] = np.bincount(t, weights=e, minlength=n_years * 12).reshape(-1, 12)
-    count, total = count.cumsum(axis=0), total.cumsum(axis=0)
+    total[1:] = np.bincount(layout.t, weights=e, minlength=n_years * 12).reshape(-1, 12)
+    total = total.cumsum(axis=0)
 
-    candidates = np.array([int(y) for y in candidate_years], dtype=int)
-    before = np.clip(candidates - first, 0, n_years)
-    n_pre_m, s_pre = count[before], total[before]
-    n_post_m, s_post = count[-1] - n_pre_m, total[-1] - s_pre
-    n_pre = n_pre_m.sum(axis=1)
-    n_post = n - n_pre
+    plan = layout.chow_plan(candidate_years, min_side_obs)
+    s_pre = total[plan.before]
+    s_post = total[-1] - s_pre
     # RSS_r - RSS_u is the between-sides sum of squares of each month, so
     # the drop is a sum of nonnegative terms rather than a difference.
-    gap = s_pre / np.maximum(n_pre_m, 1) - s_post / np.maximum(n_post_m, 1)
-    drop = (n_pre_m * n_post_m / np.maximum(month_n[1:], 1) * gap ** 2).sum(axis=1)
+    gap = s_pre / plan.pre_div - s_post / plan.post_div
+    drop = (plan.weights * gap ** 2).sum(axis=1)
     rss_u = rss_restricted - drop
 
     # Sums of squares at round-off level count as zero. A drop within the
@@ -603,25 +780,17 @@ def chow_scan(components: SeasonalComponents, candidate_years,
     roundoff = n * (1e-10 * scale) ** 2
     q = 12
     df_denom = n - 24
-    F = np.full(candidates.size, np.inf)
+    F = np.full(len(plan.years), np.inf)
     fits = (df_denom > 0) & (rss_u > max(roundoff, 1e-12 * rss_restricted))
     F[fits] = (drop[fits] / q) / (rss_u[fits] / df_denom)
     F[drop <= roundoff] = 0.0
 
-    entries = []
-    skipped = []
-    for year, side_obs, f in zip(candidates.tolist(),
-                                 np.minimum(n_pre, n_post).tolist(), F.tolist()):
-        if side_obs < min_side_obs:
-            skipped.append((year, f"only {side_obs} "
-                                  f"observations on one side (need {min_side_obs})"))
-        elif df_denom < 1:
-            skipped.append((year, f"no residual degrees of freedom ({n} "
-                                  "observations for 24 parameters)"))
-        else:
-            entries.append(ChowScanEntry(year=year, F=f,
-                                         p_value=_f_tail(q, df_denom, f)))
-    return ChowScanResult(entries=tuple(entries), skipped=tuple(skipped))
+    entries = tuple(ChowScanEntry(year=year, F=f, p_value=_f_tail(q, df_denom, f))
+                    for year, f, note in zip(plan.years, F.tolist(), plan.notes)
+                    if note is None)
+    skipped = tuple((year, note) for year, note in zip(plan.years, plan.notes)
+                    if note is not None)
+    return ChowScanResult(entries=entries, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +820,11 @@ def shift_report(fit: ShiftRegressionFit, components: SeasonalComponents,
 
 def break_scan_report(scan: ChowScanResult) -> dict:
     """The break-scan document: each candidate's F and p, each skipped year
-    with its reason, and the year of the largest F when one was tested."""
+    with its reason, and the year of the largest F when some tested
+    candidate's F is positive (a scan whose every F is 0 shows no break)."""
     report = {"candidates": [{"year": e.year, "F": e.F, "p": e.p_value}
                              for e in scan.entries],
               "skipped": [{"year": y, "reason": r} for y, r in scan.skipped]}
-    if scan.entries:
+    if any(e.F > 0.0 for e in scan.entries):
         report["max_F_year"] = scan.best().year
     return report

@@ -666,15 +666,16 @@ class TestBreakScanCommand:
 @pytest.mark.parametrize("noise, shift, scan_years, joint_F, has_max", [
     (0.4, 2.0, (2014, 2023), None, True),
     (0.0, 2.0, (2014, 2023), "inf", True),
-    (0.0, 0.0, (2014, 2023), 0.0, True),
+    (0.0, 0.0, (2014, 2023), 0.0, False),
     (0.4, 2.0, (2001, 2009), None, False),
 ], ids=["noisy", "noise-free-shift", "noise-free-null", "all-skipped"])
 def test_reports_are_the_written_documents(tmp_path, noise, shift, scan_years,
                                            joint_F, has_max):
     """round6 of seastats' shift and break-scan reports, built from the
     panel the CLI reads, is the JSON the CLI writes; a noise-free panel
-    writes its F as 0 or "inf", and a scan with every candidate skipped
-    names no max_F_year."""
+    writes its F as 0 or "inf", and a scan with every candidate skipped,
+    or with every tested candidate's F at 0 (a noise-free panel without a
+    shift), names no max_F_year."""
     panel = make_shift_panel(tmp_path / "panel.csv", np.random.default_rng(58),
                              shift=shift, noise=noise)
     first, last = scan_years

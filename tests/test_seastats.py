@@ -1,6 +1,9 @@
 """Components, robust regression, shift tests, Chow scan."""
 
 import ast
+import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -93,10 +96,75 @@ class TestMonthlyPanel:
         years, months = np.array([2020, 2020, 2021])[order], np.array([11, 12, 1])[order]
         values = np.array([1.0, 2.0, 3.0])[order]
         p = MonthlyPanel(years, months, values)
+        for mine, theirs in zip((p.years, p.months, p.values), (years, months, values)):
+            assert not np.shares_memory(mine, theirs)
         years[:], months[:], values[:] = 1999, 6, -1.0
         assert p.years.tolist() == [2020, 2020, 2021]
         assert p.months.tolist() == [11, 12, 1]
         assert p.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_years_and_months_are_read_only(self):
+        p = panel_of([(2020, 11, 1.0), (2020, 12, 2.0), (2021, 1, 3.0)])
+        for array in (p.years, p.months):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    @pytest.mark.parametrize("mutate", [
+        lambda years, months, values: years.__iadd__(1),
+        lambda years, months, values: months.__setitem__(slice(0, 12), MONTHS[::-1]),
+        lambda years, months, values: values.__imul__(2.0),
+    ], ids=["years", "months", "values"])
+    def test_writes_into_caller_arrays_reach_no_panel(self, mutate):
+        """A panel and its layout keep their own copies: after the caller's
+        arrays are written to, the first panel is unchanged, and a panel
+        built from the written arrays gives the components and scan of a
+        panel built from fresh copies of them on a cold cache."""
+        rng = np.random.default_rng(35)
+        years = np.repeat(np.arange(2010, 2020), 12)
+        months = np.tile(MONTHS, 10)
+        values = 100.0 + SEASONAL[months - 1] + rng.standard_normal(years.size)
+        first = MonthlyPanel(years, months, values)
+        before = [a.copy() for a in (first.years, first.months, first.values)]
+
+        def battery(panel):
+            comp = annual_mean_deviation(panel)
+            scan = chow_scan(comp, range(2011, 2020), 13)
+            return (comp.years.tolist(), comp.months.tolist(),
+                    comp.deviations.tolist(), repr(scan))
+
+        battery(first)
+        mutate(years, months, values)
+        later = battery(MonthlyPanel(years, months, values))
+        for got, ref in zip((first.years, first.months, first.values), before):
+            np.testing.assert_array_equal(got, ref)
+        seastats._calendar_layout.cache_clear()
+        assert later == battery(MonthlyPanel(years.copy(), months.copy(),
+                                             values.copy()))
+
+    @pytest.mark.parametrize("rows", [
+        [(y, m, 100.0 + m) for y in range(2010, 2016) for m in MONTHS][::-1],
+        [(y, m, 100.0 + m) for y in range(2010, 2016) for m in MONTHS]
+        + [(2016, 1, 100.0)],
+    ], ids=["unsorted", "short-year-dropped"])
+    def test_layouts_are_freed_without_the_cycle_collector(self, rows):
+        """A layout and the layouts its memos hold form no reference cycle:
+        once the caches let go of them, they are freed by reference
+        counting, so panels of ever new shapes do not pile up between
+        collections."""
+        panel = panel_of(rows)
+        comp = annual_mean_deviation(panel)
+        chow_scan(comp, range(2011, 2016), 13)
+        seasonal_delta(comp, 2013)
+        fit_seasonal_shift(comp, 2013, include_year_effects=False)
+        held = [weakref.ref(layout) for layout in (panel.layout, comp.layout)]
+        gc.disable()
+        try:
+            seastats._calendar_layout.cache_clear()
+            seastats._shift_design.cache_clear()
+            del panel, comp
+            assert [ref() for ref in held] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestAnnualMeanDeviation:
@@ -626,6 +694,21 @@ class TestSeasonalDelta:
         with pytest.raises(DataError):
             seasonal_delta(comp, 2021)
 
+    def test_replaced_years_get_their_own_layout(self):
+        """``dataclasses.replace`` with new years does not keep the old
+        years' layout: the deltas and the scan are those of components
+        built from the new years."""
+        rng = np.random.default_rng(36)
+        comp = components_from({y: SEASONAL + rng.standard_normal(12)
+                                for y in range(2010, 2020)})
+        seasonal_delta(comp, 2015)
+        moved = dataclasses.replace(comp, years=comp.years + 5)
+        fresh = SeasonalComponents(years=comp.years + 5, months=comp.months,
+                                   deviations=comp.deviations)
+        assert moved.layout.first == 2015
+        assert seasonal_delta(moved, 2020) == seasonal_delta(fresh, 2020)
+        assert chow_scan(moved, range(2016, 2024)) == chow_scan(fresh, range(2016, 2024))
+
 
 class TestChowScan:
     def test_stable_profile_no_noise_gives_zero(self):
@@ -689,3 +772,11 @@ class TestChowScan:
         skipped_years = [y for y, _ in scan.skipped]
         assert 2011 in skipped_years
         assert all("observations" in note for _, note in scan.skipped)
+
+    def test_skip_note_prints_min_side_obs_as_given(self):
+        """The note of a skipped candidate prints ``min_side_obs`` as it
+        was passed, also when an equal value of another type came first."""
+        comp = components_from({y: SEASONAL for y in range(2010, 2016)})
+        notes = [chow_scan(comp, [2011], side).skipped[0][1] for side in (24, 24.0)]
+        assert notes == ["only 12 observations on one side (need 24)",
+                         "only 12 observations on one side (need 24.0)"]

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy import stats as sps
 
+from thickmarket import seastats
 from thickmarket.core import SEASONS
 from thickmarket.errors import DataError, DomainError, RankDeficientError
 from thickmarket.seastats import (
@@ -602,3 +603,112 @@ def test_null_shift_panels_hold_their_accuracy():
         dt.append(abs(directional_contrast(fit).statistic - t_ref))
     assert max(dt) <= 3e-13
     assert max(dF) <= 3e-13
+
+
+# ---------------------------------------------------------------------------
+# the layout cache and the layout's memos change no answer
+
+
+OTHER_YEARS = np.repeat(np.arange(1960, 1972), 12)
+OTHER_MONTHS = np.tile(np.arange(1, 13), 12)
+OTHER_VALUES = 100.0 + np.sin(np.arange(OTHER_YEARS.size))
+
+
+def outcome(call, *args):
+    """repr of what ``call`` returns, or its error's type and message. repr
+    round-trips a float, so equal outcomes are equal bits."""
+    try:
+        return repr(call(*args))
+    except (DataError, DomainError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def battery_answers(years, months, values, min_months, centered, year_effects,
+                    before, fresh=False):
+    """Every answer of the battery on one panel, in order, with ``before``
+    run ahead of each call: the components (in annual mode at two
+    thresholds, the first again last), then for them and for components
+    built directly from copies of their arrays, the shift report, four Chow
+    scans over two candidate sets and two ``min_side_obs``, and three
+    seasonal deltas over two break years. With ``fresh``, every call gets
+    components built anew from the panel's arrays, so no layout memo it
+    reads was filled by an earlier call."""
+    def components(threshold=min_months):
+        before()
+        panel = MonthlyPanel(years, months, values)
+        before()
+        if centered:
+            return centered_mean_deviation(panel)
+        return annual_mean_deviation(panel, threshold)
+
+    def direct(comp):
+        return SeasonalComponents(years=comp.years.copy(), months=comp.months.copy(),
+                                  deviations=comp.deviations.copy())
+
+    other = 12 if min_months == 1 else 1
+    thresholds = [min_months] if centered else [min_months, other, min_months]
+    built = components()
+    answers = []
+    for threshold in thresholds:
+        # A panel of the same layout finds the layout and its memo warm.
+        comp = built if threshold == min_months and not fresh \
+            else components(threshold)
+        answers.append(repr((comp.years.tolist(), comp.months.tolist(),
+                             comp.deviations.tolist(), comp.dropped_years)))
+    built = built, direct(built)
+    for which in (0, 1):
+        sample_years = np.unique(built[which].years).tolist() or [2000]
+        lo, hi = sample_years[0], sample_years[-1]
+        break_year = sample_years[len(sample_years) // 2]
+        wide, narrow = range(lo - 2, hi + 3), range(lo + 1, hi)
+        calls = [lambda c: shift_report(fit_seasonal_shift(c, break_year, year_effects),
+                                        c, break_year)]
+        calls += [lambda c, cand=cand, side=side: chow_scan(c, cand, side)
+                  for cand, side in ((wide, 13), (wide, 20), (narrow, 13), (wide, 13))]
+        calls += [lambda c, year=year: seasonal_delta(c, year)
+                  for year in (break_year, hi, break_year)]
+        for call in calls:
+            c = built[which]
+            if fresh:
+                c = components()
+                c = direct(c) if which else c
+            before()
+            answers.append(outcome(call, c))
+    return answers
+
+
+def clear_caches():
+    seastats._calendar_layout.cache_clear()
+    seastats._shift_design.cache_clear()
+
+
+@PROPERTY
+@given(layout=layouts(min_years=3), seed=SEEDS, min_months=st.integers(1, 12),
+       centered=st.booleans(), year_effects=st.booleans())
+def test_layout_cache_changes_no_answer(layout, seed, min_months, centered,
+                                        year_effects):
+    """Shuffled panels with gaps and short years, in both deviation modes
+    and both year-effect settings, give the same bits on a warm cache (the
+    battery rerun on the same layout), with the caches cleared before
+    every call, and with another layout's panel and fit run before every
+    call, so that each lookup misses. The reference runs every call on
+    components built anew after clearing the caches."""
+    years, months = layout
+    rng = np.random.default_rng(seed)
+    years, months, values = shuffled(rng, years, months,
+                                     rng.uniform(50.0, 150.0, years.size))
+
+    def other_fit():
+        other = annual_mean_deviation(MonthlyPanel(OTHER_YEARS, OTHER_MONTHS,
+                                                   OTHER_VALUES))
+        fit_seasonal_shift(other, 1966, year_effects)
+
+    def run(before, fresh=False):
+        return battery_answers(years, months, values, min_months, centered,
+                               year_effects, before, fresh)
+
+    reference = run(clear_caches, fresh=True)
+    assert run(lambda: None) == reference
+    assert run(lambda: None) == reference   # the same layout, warm
+    assert run(clear_caches) == reference
+    assert run(other_fit) == reference
