@@ -11,21 +11,19 @@ date is not an artifact of the chosen split.
 Every statistic is whole-array numpy with no Python loop over years or
 candidates. Year means, seasonal cells and the Chow scan's per-(year,
 month) sums are ``np.bincount``s on one calendar index, so no step
-depends on row order. What depends only on where the rows fall lives in
-one read-only calendar layout per (years, months): the index, the
-per-year and per-month counts, the Chow scan's prefix count table, the
-kept rows, and the last candidate set and break year read. A one-entry
-cache hands the same layout to every panel of that shape, so a panel
-costs only the sums weighted by its own response. Least squares fits
-each response against a design factored once into thin Q, R^-1, its
-distinct rows (a group index per row and Q at the first row of each
-group) and L = R^-1[tested] Q' over the distinct rows, the rows of the
-pseudo-inverse for the coefficients a test reads. Q'y runs over every
-row; the fitted values and the HC1 meat, L diag(per-group sums of e^2)
-L', run over the distinct rows, which a design without year effects has
-24 of, however long the panel. The covariance is the HC1 block of the
-tested coefficients only, and the shift regression keeps its last
-design's factor for the next panel. The p-values are F and t tails,
+depends on row order. All that depends only on where the rows fall lives
+in one read-only calendar layout per (years, months): the index, the
+counts and, in one-entry memos, the kept and centred rows, the Chow
+candidates, the season cells and the factored shift design. The last
+layout built is handed to every panel of that shape, so a panel costs
+only the sums weighted by its own response. The design is factored into
+thin Q, R^-1, its distinct rows (a group index per row and Q at the
+first row of each group) and L = R^-1[tested] Q' over the distinct rows,
+the rows of the pseudo-inverse for the coefficients a test reads. Q'y
+runs over every row; the fitted values and the HC1 meat, L diag(per-group
+sums of e^2) L', run over the distinct rows, which a design without year
+effects has 24 of, however long the panel. The covariance is the HC1
+block of the tested coefficients only. The p-values are F and t tails,
 regularized incomplete beta functions computed here with ``math``, one
 scalar at a time, and the dependent columns of a rank-deficient design
 are named from the null space of its own R, so the battery needs no
@@ -35,10 +33,9 @@ scipy.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -61,8 +58,8 @@ class MonthlyPanel:
     def __post_init__(self):
         # The layout holds copies of years and months, and values is
         # copied: the panel never shares an array with its caller.
-        years = np.asarray(self.years, dtype=int)
-        months = np.asarray(self.months, dtype=int)
+        years, months = (_integers(np.asarray(a)).astype(int, copy=False)
+                         for a in (self.years, self.months))
         values = np.array(self.values, dtype=float)
         if not (years.shape == months.shape == values.shape) or years.ndim != 1:
             raise DataError("years, months, and values must be equal-length vectors")
@@ -85,7 +82,7 @@ class SeasonalComponents:
     ``years`` and ``months`` are the read-only arrays of ``layout``, the
     calendar layout of the rows. Components built without the layout of
     their arrays (so also by ``dataclasses.replace`` with new years or
-    months) fetch it through the layout cache, which keeps their dtype."""
+    months) look it up, which keeps an integer dtype."""
 
     years: np.ndarray
     months: np.ndarray
@@ -185,53 +182,17 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# The years and months of every layout, by id: read-only arrays of which
-# seastats keeps no writable view, so a cache may hold one as it is and
-# test it by identity.
-_LAYOUT_ARRAYS = weakref.WeakValueDictionary()
-
-
-def _own(array: np.ndarray) -> np.ndarray:
-    """``array`` itself when it belongs to a layout, else a read-only copy."""
-    if _LAYOUT_ARRAYS.get(id(array)) is array:
-        return array
-    return _read_only(array.copy())
-
-
-_CacheInfo = namedtuple("CacheInfo", "hits misses")
-
-
-class _LastLayoutCache:
-    """``lru_cache(maxsize=1)`` for ``build(years, months, *key)``. The
-    arrays are tested first by identity with the cache's own read-only
-    ones, then by dtype and value: on a 2,400-row layout the value test
-    takes about half the time of hashing the bytes. A miss builds from a
-    layout's arrays as they are and from read-only copies of any others,
-    so the design of a layout's components hits by identity; a build that
-    raises caches nothing."""
-
-    def __init__(self, build):
-        self.build = build
-        self.cache_clear()
-
-    def cache_clear(self):
-        self.last, self.hits, self.misses = None, 0, 0
-
-    def cache_info(self):
-        return _CacheInfo(self.hits, self.misses)
-
-    def __call__(self, years, months, *key):
-        last = self.last
-        if last is not None and key == last[2] and all(
-                a is b or (a.dtype == b.dtype and np.array_equal(a, b))
-                for a, b in zip((years, months), last)):
-            self.hits += 1
-            return last[3]
-        self.misses += 1
-        years, months = _own(years), _own(months)
-        value = self.build(years, months, *key)
-        self.last = years, months, key, value
-        return value
+def _memo(build):
+    """A one-entry memo on the layout ``build`` takes first, keyed by its
+    other arguments (compared with ==): the layout keeps the answer for
+    the last key, and a build that raises keeps nothing."""
+    @wraps(build)
+    def memo(layout, *key):
+        last = layout._memos.get(build)
+        if last is None or last[0] != key:
+            last = layout._memos[build] = key, build(layout, *key)
+        return last[1]
+    return memo
 
 
 # Position in SEASONS of each month 1..12 (-1 at the unused entry 0).
@@ -248,17 +209,16 @@ class _CalendarLayout:
     ``years`` and ``months`` are read-only arrays no caller holds, ``first``
     is the earliest year (0 without rows) and t = 12 (year - first) +
     month - 1, so t // 12 is a row per calendar year. The tables are
-    computed on first read, and three one-entry memos keep what
-    ``annual_mean_deviation``, ``chow_scan`` and ``seasonal_delta`` last
-    derived from the layout alone. Every array is read-only."""
+    computed on first read, and one-entry memos (``_memo``) keep what the
+    battery last derived from the layout alone: the kept rows, the
+    complete centred windows, the Chow candidates, the season cells and
+    the factored shift design. Every array is read-only."""
 
     def __init__(self, years: np.ndarray, months: np.ndarray):
         self.years, self.months = years, months
-        for array in (years, months):
-            _LAYOUT_ARRAYS[id(array)] = array
         self.first = int(years.min()) if years.size else 0
         self.t = _read_only(12 * (years - self.first) + months - 1)
-        self._kept = self._plan = self._cells = None
+        self._memos = {}
 
     @cached_property
     def months_in_range(self) -> bool:
@@ -310,71 +270,100 @@ class _CalendarLayout:
         count[1:] = np.bincount(self.t, minlength=self.n_years * 12).reshape(-1, 12)
         return _read_only(count.cumsum(axis=0))
 
+    @_memo
     def kept(self, min_months: int):
         """(kept, mask, sub-layout, rows, dropped) for the years with at
         least ``min_months`` rows: ``kept`` per calendar year, ``mask`` per
-        row (None when every row is kept, and the sub-layout is then this
-        one), the calendar-year row of each kept row, and the years with
-        some but too few rows. The memo holds None for this layout, so a
-        layout is no reference cycle and is freed as soon as it is
-        dropped."""
-        if self._kept is None or self._kept[0] != min_months:
-            counts = self.year_counts
-            kept = counts >= min_months
-            mask = kept[self.row]
-            if mask.all():
-                mask, sub, rows = None, None, self.row
-            else:
-                sub = _CalendarLayout(_read_only(self.years[mask]),
-                                      _read_only(self.months[mask]))
-                mask, rows = _read_only(mask), _read_only(self.row[mask])
-            dropped = self.first + np.flatnonzero((counts > 0) & ~kept)
-            self._kept = min_months, (_read_only(kept), mask, sub, rows,
-                                      tuple(dropped.tolist()))
-        kept, mask, sub, rows, dropped = self._kept[1]
-        return kept, mask, self if sub is None else sub, rows, dropped
+        row and the layout of the kept rows (both None when every row is
+        kept: the memo then holds no reference to this layout, so a layout
+        is no reference cycle), the calendar-year row of each kept row,
+        and the years with some but too few rows."""
+        counts = self.year_counts
+        kept = counts >= min_months
+        mask = kept[self.row]
+        if mask.all():
+            mask, sub, rows = None, None, self.row
+        else:
+            sub = _CalendarLayout(_read_only(self.years[mask]),
+                                  _read_only(self.months[mask]))
+            mask, rows = _read_only(mask), _read_only(self.row[mask])
+        dropped = self.first + np.flatnonzero((counts > 0) & ~kept)
+        return _read_only(kept), mask, sub, rows, tuple(dropped.tolist())
 
-    def chow_plan(self, candidate_years, min_side_obs: int) -> _ChowPlan:
+    @_memo
+    def chow_plan(self, years, min_side_obs, side_obs_type) -> _ChowPlan:
         """Each candidate year's prefix-table row ``before``, the per-month
         side counts floored at 1 (``pre_div``, ``post_div``), the weights
         n_pre n_post / n of each month's between-sides square, and the
         note of a skipped candidate (None for a tested one). The key holds
-        the type of ``min_side_obs`` too, as the notes print it."""
-        key = (tuple(int(y) for y in candidate_years), min_side_obs,
-               type(min_side_obs))
-        if self._plan is None or self._plan[0] != key:
-            count = self.prefix_counts
-            candidates = np.array(key[0], dtype=int)
-            before = np.clip(candidates - self.first, 0, self.n_years)
-            n_pre_m = count[before]
-            n_post_m = count[-1] - n_pre_m
-            n_pre = n_pre_m.sum(axis=1)
-            n = self.years.size
-            notes = []
-            for side_obs in np.minimum(n_pre, n - n_pre).tolist():
-                if side_obs < min_side_obs:
-                    notes.append(f"only {side_obs} "
-                                 f"observations on one side (need {min_side_obs})")
-                elif n - 24 < 1:
-                    notes.append(f"no residual degrees of freedom ({n} "
-                                 "observations for 24 parameters)")
-                else:
-                    notes.append(None)
-            weights = n_pre_m * n_post_m / self.month_divisor[1:]
-            arrays = (before, np.maximum(n_pre_m, 1), np.maximum(n_post_m, 1), weights)
-            self._plan = key, _ChowPlan(key[0], *map(_read_only, arrays), tuple(notes))
-        return self._plan[1]
+        ``type(min_side_obs)`` too, as the notes print ``min_side_obs``."""
+        count = self.prefix_counts
+        candidates = np.array(years, dtype=int)
+        before = np.clip(candidates - self.first, 0, self.n_years)
+        n_pre_m = count[before]
+        n_post_m = count[-1] - n_pre_m
+        n_pre = n_pre_m.sum(axis=1)
+        n = self.years.size
+        notes = []
+        for side_obs in np.minimum(n_pre, n - n_pre).tolist():
+            if side_obs < min_side_obs:
+                notes.append(f"only {side_obs} "
+                             f"observations on one side (need {min_side_obs})")
+            elif n - 24 < 1:
+                notes.append(f"no residual degrees of freedom ({n} "
+                             "observations for 24 parameters)")
+            else:
+                notes.append(None)
+        weights = n_pre_m * n_post_m / self.month_divisor[1:]
+        arrays = (before, np.maximum(n_pre_m, 1), np.maximum(n_post_m, 1), weights)
+        return _ChowPlan(years, *map(_read_only, arrays), tuple(notes))
 
+    @_memo
     def season_cells(self, break_year):
         """(cell, n): 4 post + season of each row, and the 2-by-4 counts."""
-        if self._cells is None or self._cells[0] != break_year:
-            cell = 4 * (self.years >= break_year) + _SEASON_OF_MONTH[self.months]
-            n = np.bincount(cell, minlength=8).reshape(2, 4)
-            self._cells = break_year, (_read_only(cell), _read_only(n))
-        return self._cells[1]
+        cell = 4 * (self.years >= break_year) + _SEASON_OF_MONTH[self.months]
+        n = np.bincount(cell, minlength=8).reshape(2, 4)
+        return _read_only(cell), _read_only(n)
+
+    @_memo
+    def window_centres(self, positions: bytes):
+        """The layout of the rows at the centres of the complete 13-month
+        windows that start at ``positions`` (the bytes of an intp array)."""
+        t = np.frombuffer(positions, dtype=np.intp) + 6
+        return _CalendarLayout(_read_only(self.first + t // 12), _read_only(t % 12 + 1))
 
 
-_calendar_layout = _LastLayoutCache(_CalendarLayout)
+_last_layout = None   # the layout built last
+
+
+def _calendar_layout(years: np.ndarray, months: np.ndarray) -> _CalendarLayout:
+    """The layout of ``years`` and ``months``: the last one built when they
+    are its read-only arrays or have their dtype and values (on 2,400 rows
+    the value test takes about half the time of hashing the bytes), else a
+    new one over read-only copies. Non-integer arrays are taken as int
+    when every value is whole, and are a ``DataError`` naming one that is
+    not."""
+    global _last_layout
+    years, months = _integers(years), _integers(months)
+    last = _last_layout
+    if last is not None and all(
+            a is b or (a.dtype == b.dtype and np.array_equal(a, b))
+            for a, b in ((years, last.years), (months, last.months))):
+        return last
+    _last_layout = _CalendarLayout(_read_only(years.copy()), _read_only(months.copy()))
+    return _last_layout
+
+
+def _integers(array: np.ndarray) -> np.ndarray:
+    """``array`` when its kind is integer, else its values as int."""
+    if array.dtype.kind in "iu":
+        return array
+    with np.errstate(invalid="ignore"):
+        whole = array.astype(int)
+    bad = np.flatnonzero(whole != np.asarray(array, dtype=float))
+    if bad.size:
+        raise DataError(f"years and months must be whole numbers, not {array[bad[0]]}")
+    return whole
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +380,7 @@ def annual_mean_deviation(panel: MonthlyPanel,
     """
     layout = panel.layout
     kept, mask, sub, rows, dropped = layout.kept(max(min_months_per_year, 1))
+    sub = layout if sub is None else sub
     means = np.bincount(layout.row, weights=panel.values) / layout.year_divisor
     zero = kept & (means == 0.0)
     if zero.any():
@@ -423,8 +413,7 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
     gbar = np.vecdot(windows[pos], weights) / 12.0
     if np.any(gbar == 0.0):
         raise DataError("centred rolling mean is zero; deviation undefined")
-    t = pos + 6
-    kept = _CalendarLayout(_read_only(layout.first + t // 12), _read_only(t % 12 + 1))
+    kept = layout.window_centres(pos.tobytes())
     return SeasonalComponents(years=kept.years, months=kept.months,
                               deviations=100.0 * (grid[pos + 6] - gbar) / gbar,
                               layout=kept)
@@ -592,10 +581,11 @@ def _t_tail(df: int, t: float) -> float:
 # shift regression and tests
 
 
-@_LastLayoutCache
-def _shift_design(years, months, break_year, include_year_effects):
-    """Read-only factored shift design whose last 22 columns are the 11 free
-    month effects and then the 11 free interactions, the tested ones."""
+@_memo
+def _shift_design(layout, break_year, include_year_effects):
+    """Read-only factored shift design of a layout; the last 22 columns are
+    the 11 free month effects, then the 11 free (tested) interactions."""
+    years, months = layout.years, layout.months
     post = (years >= break_year).astype(float)
     if not post.any() or post.all():
         raise DataError(
@@ -647,9 +637,7 @@ def fit_seasonal_shift(components: SeasonalComponents, break_year: int,
     exactly.
     """
     d = components.deviations
-    layout = components.layout
-    fit = ols_hc1(_shift_design(layout.years, layout.months,
-                                break_year, include_year_effects), d)
+    fit = ols_hc1(_shift_design(components.layout, break_year, include_year_effects), d)
 
     gamma_free = fit.coefficients[-22:-11]
     mu_free = fit.coefficients[-11:]
@@ -763,7 +751,8 @@ def chow_scan(components: SeasonalComponents, candidate_years,
     total[1:] = np.bincount(layout.t, weights=e, minlength=n_years * 12).reshape(-1, 12)
     total = total.cumsum(axis=0)
 
-    plan = layout.chow_plan(candidate_years, min_side_obs)
+    plan = layout.chow_plan(tuple(int(y) for y in candidate_years), min_side_obs,
+                            type(min_side_obs))
     s_pre = total[plan.before]
     s_post = total[-1] - s_pre
     # RSS_r - RSS_u is the between-sides sum of squares of each month, so

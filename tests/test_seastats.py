@@ -114,7 +114,7 @@ class TestMonthlyPanel:
         lambda years, months, values: months.__setitem__(slice(0, 12), MONTHS[::-1]),
         lambda years, months, values: values.__imul__(2.0),
     ], ids=["years", "months", "values"])
-    def test_writes_into_caller_arrays_reach_no_panel(self, mutate):
+    def test_writes_into_caller_arrays_reach_no_panel(self, mutate, monkeypatch):
         """A panel and its layout keep their own copies: after the caller's
         arrays are written to, the first panel is unchanged, and a panel
         built from the written arrays gives the components and scan of a
@@ -137,7 +137,7 @@ class TestMonthlyPanel:
         later = battery(MonthlyPanel(years, months, values))
         for got, ref in zip((first.years, first.months, first.values), before):
             np.testing.assert_array_equal(got, ref)
-        seastats._calendar_layout.cache_clear()
+        monkeypatch.setattr(seastats, "_last_layout", None)
         assert later == battery(MonthlyPanel(years.copy(), months.copy(),
                                              values.copy()))
 
@@ -146,25 +146,61 @@ class TestMonthlyPanel:
         [(y, m, 100.0 + m) for y in range(2010, 2016) for m in MONTHS]
         + [(2016, 1, 100.0)],
     ], ids=["unsorted", "short-year-dropped"])
-    def test_layouts_are_freed_without_the_cycle_collector(self, rows):
-        """A layout and the layouts its memos hold form no reference cycle:
-        once the caches let go of them, they are freed by reference
-        counting, so panels of ever new shapes do not pile up between
-        collections."""
+    def test_layouts_are_freed_without_the_cycle_collector(self, rows, monkeypatch):
+        """A layout, the layouts its memos hold and its factored design form
+        no reference cycle: once the layout slot lets go of them, they are
+        freed by reference counting, so panels of ever new shapes do not
+        pile up between collections."""
+        monkeypatch.setattr(seastats, "_last_layout", None)
         panel = panel_of(rows)
         comp = annual_mean_deviation(panel)
         chow_scan(comp, range(2011, 2016), 13)
         seasonal_delta(comp, 2013)
         fit_seasonal_shift(comp, 2013, include_year_effects=False)
-        held = [weakref.ref(layout) for layout in (panel.layout, comp.layout)]
+        design = seastats._shift_design(comp.layout, 2013, False)
+        held = [weakref.ref(obj) for obj in (panel.layout, comp.layout, design)]
         gc.disable()
         try:
-            seastats._calendar_layout.cache_clear()
-            seastats._shift_design.cache_clear()
-            del panel, comp
-            assert [ref() for ref in held] == [None, None]
+            # not monkeypatch, which would keep the layout it replaces
+            seastats._last_layout = None
+            del panel, comp, design
+            assert [ref() for ref in held] == [None, None, None]
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("years, months, bad", [
+        ([2020.9, 2021.0], [1, 2], "2020.9"),
+        ([2020, 2021], [1.7, 2.0], "1.7"),
+        ([2020, 2021], [1.0, np.nan], "nan"),
+    ], ids=["year", "month", "nan-month"])
+    def test_non_whole_years_or_months_rejected(self, years, months, bad):
+        """Not truncated: a panel or components naming a year or month that
+        is not a whole number is a DataError naming the value."""
+        years, months = np.array(years), np.array(months)
+        with pytest.raises(DataError, match=f"whole numbers, not {bad}$"):
+            MonthlyPanel(years, months, np.ones(2))
+        with pytest.raises(DataError, match=f"whole numbers, not {bad}$"):
+            SeasonalComponents(years=years, months=months, deviations=np.ones(2))
+
+    def test_whole_float_years_and_months_are_taken_as_int(self):
+        """Panels and components of whole float years and months give the
+        bits of integer ones."""
+        rng = np.random.default_rng(36)
+        years = np.repeat(np.arange(2012, 2024), 12)
+        months = np.tile(MONTHS, 12)
+        values = 100.0 + SEASONAL[months - 1] + rng.standard_normal(years.size)
+
+        def battery(comp):
+            fit = fit_seasonal_shift(comp, 2019)
+            return repr((comp.years.dtype, comp.months.dtype, comp.deviations.tolist(),
+                         seastats.shift_report(fit, comp, 2019),
+                         chow_scan(comp, range(2014, 2022), 13)))
+
+        as_float = years.astype(float), months.astype(float)
+        for build in (lambda y, m: annual_mean_deviation(MonthlyPanel(y, m, values)),
+                      lambda y, m: SeasonalComponents(years=y, months=m,
+                                                      deviations=values.copy())):
+            assert battery(build(*as_float)) == battery(build(years, months))
 
 
 class TestAnnualMeanDeviation:
@@ -247,6 +283,34 @@ class TestRollingMeanDeviation:
         panel = full_panel({2010: np.arange(1.0, 13.0)})
         comp = centered_mean_deviation(panel)
         assert comp.deviations.size == 0
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["clean", "nan"])
+    def test_nan_panel_on_a_shared_layout(self, order, monkeypatch):
+        """Two panels on one layout, one with a NaN that drops the windows
+        over it, give in either order what each gives on a cold slot."""
+        rng = np.random.default_rng(37)
+        years = np.repeat(np.arange(2012, 2024), 12)
+        months = np.tile(MONTHS, 12)
+        clean = 100.0 + SEASONAL[months - 1] + rng.standard_normal(years.size)
+        holed = clean.copy()
+        holed[60] = np.nan
+
+        def battery(values):
+            comp = centered_mean_deviation(MonthlyPanel(years, months, values))
+            fit = fit_seasonal_shift(comp, 2019, include_year_effects=False)
+            return repr((comp.years.tolist(), comp.months.tolist(),
+                         comp.deviations.tolist(),
+                         seastats.shift_report(fit, comp, 2019),
+                         chow_scan(comp, range(2014, 2022), 13)))
+
+        cold = []
+        for values in (clean, holed):
+            monkeypatch.setattr(seastats, "_last_layout", None)
+            cold.append(battery(values))
+        assert cold[0] != cold[1]
+        monkeypatch.setattr(seastats, "_last_layout", None)
+        warm = {i: battery((clean, holed)[i]) for i in order}
+        assert [warm[0], warm[1]] == cold
 
 
 class TestOlsHc1:
@@ -447,10 +511,9 @@ class TestFactorReuse:
             self.last_design = factor_design(*args, **kwargs)
             return self.last_design
 
-        seastats._shift_design.cache_clear()
+        monkeypatch.setattr(seastats, "_last_layout", None)
         monkeypatch.setattr(seastats, "factor_design", counting)
-        yield calls
-        seastats._shift_design.cache_clear()
+        return calls
 
     @staticmethod
     def noisy(years, months, seed):
@@ -517,6 +580,45 @@ class TestFactorReuse:
         after = fit_seasonal_shift(good, 2019)
         np.testing.assert_array_equal(after.cov, first.cov)
         assert len(factor_calls) == 3
+
+    def test_a_failed_build_keeps_the_last_design(self, factor_calls):
+        """A design build that raises, on a month with one observation on a
+        side or on a rank-deficient design, leaves the layout's last
+        design in its memo."""
+        years = np.repeat(np.arange(2012, 2024), 12)
+        months = np.tile(MONTHS, 12)
+        keep = (months != 5) | (years < 2020)   # no May from 2020 on
+        comp = self.noisy(years[keep], months[keep], 12)
+        first = fit_seasonal_shift(comp, 2018)
+        with pytest.raises(DataError, match="May has a single observation from 2019"):
+            fit_seasonal_shift(comp, 2019)
+        with pytest.raises(RankDeficientError):
+            fit_seasonal_shift(comp, 2020)
+        again = fit_seasonal_shift(comp, 2018)
+        np.testing.assert_array_equal(again.cov, first.cov)
+        assert len(factor_calls) == 2   # 2018, then the rank-deficient 2020
+
+    def test_alternating_layouts_keep_their_designs(self, factor_calls):
+        """Each layout keeps its own design, so two live layouts fit in
+        turn over six fits factor two designs."""
+        years = np.repeat(np.arange(2012, 2024), 12)
+        months = np.tile(MONTHS, 12)
+        comps = [self.noisy(years, months, 9), self.noisy(years + 1, months, 10)]
+        for i in range(6):
+            self.fit_and_check(comps[i % 2], 2019)
+        assert len(factor_calls) == 2
+
+    def test_repeated_centred_fits_factor_once(self, factor_calls):
+        """Panels of one layout get the centred rows of its memo, so the
+        fits of their centred components share one design."""
+        rng = np.random.default_rng(11)
+        years = np.repeat(np.arange(2012, 2024), 12)
+        months = np.tile(MONTHS, 12)
+        for _ in range(3):
+            values = 100.0 + SEASONAL[months - 1] + rng.standard_normal(years.size)
+            panel = MonthlyPanel(years, months, values)
+            self.fit_and_check(centered_mean_deviation(panel), 2019)
+        assert len(factor_calls) == 1
 
 
 class TestFactoredDesign:

@@ -626,7 +626,8 @@ def outcome(call, *args):
 def battery_answers(years, months, values, min_months, centered, year_effects,
                     before, fresh=False):
     """Every answer of the battery on one panel, in order, with ``before``
-    run ahead of each call: the components (in annual mode at two
+    run ahead of each call and given the components the call reads (None
+    ahead of building them): the components (in annual mode at two
     thresholds, the first again last), then for them and for components
     built directly from copies of their arrays, the shift report, four Chow
     scans over two candidate sets and two ``min_side_obs``, and three
@@ -634,9 +635,9 @@ def battery_answers(years, months, values, min_months, centered, year_effects,
     components built anew from the panel's arrays, so no layout memo it
     reads was filled by an earlier call."""
     def components(threshold=min_months):
-        before()
+        before(None)
         panel = MonthlyPanel(years, months, values)
-        before()
+        before(None)
         if centered:
             return centered_mean_deviation(panel)
         return annual_mean_deviation(panel, threshold)
@@ -672,14 +673,9 @@ def battery_answers(years, months, values, min_months, centered, year_effects,
             if fresh:
                 c = components()
                 c = direct(c) if which else c
-            before()
+            before(c)
             answers.append(outcome(call, c))
     return answers
-
-
-def clear_caches():
-    seastats._calendar_layout.cache_clear()
-    seastats._shift_design.cache_clear()
 
 
 @PROPERTY
@@ -689,26 +685,41 @@ def test_layout_cache_changes_no_answer(layout, seed, min_months, centered,
                                         year_effects):
     """Shuffled panels with gaps and short years, in both deviation modes
     and both year-effect settings, give the same bits on a warm cache (the
-    battery rerun on the same layout), with the caches cleared before
-    every call, and with another layout's panel and fit run before every
-    call, so that each lookup misses. The reference runs every call on
-    components built anew after clearing the caches."""
+    battery rerun on the same layout), with the layout slot cleared before
+    every call, with another layout's panel and fit run before every call,
+    so that each layout lookup misses, and with the call's components fit
+    at the other year-effect setting before every call, so that each
+    design lookup misses (a layout keeps its design, so another layout's
+    fit leaves it warm). The reference runs every call on components
+    built anew after clearing the layout slot."""
     years, months = layout
     rng = np.random.default_rng(seed)
     years, months, values = shuffled(rng, years, months,
                                      rng.uniform(50.0, 150.0, years.size))
 
-    def other_fit():
+    def other_fit(comp):
         other = annual_mean_deviation(MonthlyPanel(OTHER_YEARS, OTHER_MONTHS,
                                                    OTHER_VALUES))
         fit_seasonal_shift(other, 1966, year_effects)
+
+    def other_design(comp):
+        # at the break year the battery's shift fit of comp uses
+        if comp is not None:
+            sample_years = np.unique(comp.years).tolist() or [2000]
+            outcome(fit_seasonal_shift, comp, sample_years[len(sample_years) // 2],
+                    not year_effects)
 
     def run(before, fresh=False):
         return battery_answers(years, months, values, min_months, centered,
                                year_effects, before, fresh)
 
-    reference = run(clear_caches, fresh=True)
-    assert run(lambda: None) == reference
-    assert run(lambda: None) == reference   # the same layout, warm
-    assert run(clear_caches) == reference
-    assert run(other_fit) == reference
+    with pytest.MonkeyPatch.context() as patch:
+        def clear_slot(comp):
+            patch.setattr(seastats, "_last_layout", None)
+
+        reference = run(clear_slot, fresh=True)
+        assert run(lambda comp: None) == reference
+        assert run(lambda comp: None) == reference   # the same layout, warm
+        assert run(clear_slot) == reference
+        assert run(other_fit) == reference
+        assert run(other_design) == reference
