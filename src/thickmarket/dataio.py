@@ -160,16 +160,22 @@ def read_shares_csv(path) -> MoveShares:
 
 def deflate_and_index(nominal: RawSeries, cpi: RawSeries) -> RawSeries:
     """Deflate, unscaled, by a price index that must cover every month of
-    the nominal series; an error names the first uncovered or zero month."""
+    the nominal series; an error names the first month that the index does
+    not cover, is zero at, or gives a deflated value that is not finite."""
     at = np.searchsorted(cpi.keys, nominal.keys)
     covered = np.append(cpi.keys, -1)[at] == nominal.keys
     deflator = np.append(cpi.values, np.nan)[at]
-    bad = np.flatnonzero(~covered | (deflator == 0.0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = nominal.values / deflator
+    bad = np.flatnonzero(~covered | ~np.isfinite(values))
     if bad.size:
-        year, month = nominal.dates[bad[0]]
-        what = "does not cover" if not covered[bad[0]] else "is zero at"
-        raise DataError(f"deflator {what} {year}-{month:02d}")
-    return RawSeries(keys=nominal.keys, values=nominal.values / deflator)
+        i = bad[0]
+        year, month = nominal.dates[i]
+        what = ("deflator does not cover" if not covered[i] else
+                "deflator is zero at" if deflator[i] == 0.0 else
+                "deflated value is not finite at")
+        raise DataError(f"{what} {year}-{month:02d}")
+    return RawSeries(keys=nominal.keys, values=values)
 
 
 def to_panel(series: RawSeries) -> MonthlyPanel:

@@ -56,16 +56,12 @@ class MonthlyPanel:
     layout: _CalendarLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # The layout holds copies of years and months, and values is
+        # The layout holds int copies of years and months, and values is
         # copied: the panel never shares an array with its caller.
-        years, months = (_integers(np.asarray(a)).astype(int, copy=False)
-                         for a in (self.years, self.months))
+        layout = _calendar_layout(np.asarray(self.years), np.asarray(self.months))
         values = np.array(self.values, dtype=float)
-        if not (years.shape == months.shape == values.shape) or years.ndim != 1:
-            raise DataError("years, months, and values must be equal-length vectors")
-        layout = _calendar_layout(years, months)
-        if not layout.months_in_range:
-            raise DataError("months must lie in 1..12")
+        if values.shape != layout.years.shape:
+            raise DataError("values must be a vector as long as years and months")
         if not layout.is_sorted:   # a sorted panel is kept as it is
             order, layout = layout.by_date
             values = values[order]
@@ -79,10 +75,10 @@ class MonthlyPanel:
 class SeasonalComponents:
     """Within-year percentage deviations d_{m,T}, one per observation.
 
-    ``years`` and ``months`` are the read-only arrays of ``layout``, the
-    calendar layout of the rows. Components built without the layout of
-    their arrays (so also by ``dataclasses.replace`` with new years or
-    months) look it up, which keeps an integer dtype."""
+    ``years`` and ``months`` are the read-only int arrays of ``layout``.
+    Components built without the layout of their arrays (so also by
+    ``dataclasses.replace`` with new years or months) look it up, which
+    checks them as a panel's; the deviations are finite floats, one a row."""
 
     years: np.ndarray
     months: np.ndarray
@@ -95,8 +91,15 @@ class SeasonalComponents:
         if layout is None or not (layout.years is self.years
                                   and layout.months is self.months):
             layout = _calendar_layout(np.asarray(self.years), np.asarray(self.months))
+        d = np.asarray(self.deviations, dtype=float)
+        if d.shape != layout.years.shape:
+            raise DataError("deviations must be a vector as long as years and months")
+        if not np.isfinite(d).all():
+            i = int(np.argmin(np.isfinite(d)))
+            raise DataError(f"deviation at {layout.years[i]}-{layout.months[i]:02d} is {d[i]}")
         object.__setattr__(self, "years", layout.years)
         object.__setattr__(self, "months", layout.months)
+        object.__setattr__(self, "deviations", d)
         object.__setattr__(self, "layout", layout)
 
 
@@ -206,7 +209,7 @@ _ChowPlan = namedtuple("_ChowPlan", "years before pre_div post_div weights notes
 class _CalendarLayout:
     """What the battery reads from where the rows fall, not from a response.
 
-    ``years`` and ``months`` are read-only arrays no caller holds, ``first``
+    ``years`` and ``months`` are read-only int arrays no caller holds, ``first``
     is the earliest year (0 without rows) and t = 12 (year - first) +
     month - 1, so t // 12 is a row per calendar year. The tables are
     computed on first read, and one-entry memos (``_memo``) keep what the
@@ -219,11 +222,6 @@ class _CalendarLayout:
         self.first = int(years.min()) if years.size else 0
         self.t = _read_only(12 * (years - self.first) + months - 1)
         self._memos = {}
-
-    @cached_property
-    def months_in_range(self) -> bool:
-        return bool(self.months.min(initial=1) >= 1
-                    and self.months.max(initial=12) <= 12)
 
     @cached_property
     def is_sorted(self) -> bool:
@@ -262,14 +260,6 @@ class _CalendarLayout:
     def n_years(self) -> int:
         return int(self.t.max(initial=-1)) // 12 + 1
 
-    @cached_property
-    def prefix_counts(self) -> np.ndarray:
-        """(n_years + 1)-by-12: row j counts each month's rows in the first
-        j calendar years."""
-        count = np.zeros((self.n_years + 1, 12), dtype=int)
-        count[1:] = np.bincount(self.t, minlength=self.n_years * 12).reshape(-1, 12)
-        return _read_only(count.cumsum(axis=0))
-
     @_memo
     def kept(self, min_months: int):
         """(kept, mask, sub-layout, rows, dropped) for the years with at
@@ -297,7 +287,10 @@ class _CalendarLayout:
         n_pre n_post / n of each month's between-sides square, and the
         note of a skipped candidate (None for a tested one). The key holds
         ``type(min_side_obs)`` too, as the notes print ``min_side_obs``."""
-        count = self.prefix_counts
+        # Row j counts each month's rows in the first j calendar years.
+        count = np.zeros((self.n_years + 1, 12), dtype=int)
+        count[1:] = np.bincount(self.t, minlength=self.n_years * 12).reshape(-1, 12)
+        count = count.cumsum(axis=0)
         candidates = np.array(years, dtype=int)
         before = np.clip(candidates - self.first, 0, self.n_years)
         n_pre_m = count[before]
@@ -338,31 +331,32 @@ _last_layout = None   # the layout built last
 
 def _calendar_layout(years: np.ndarray, months: np.ndarray) -> _CalendarLayout:
     """The layout of ``years`` and ``months``: the last one built when they
-    are its read-only arrays or have their dtype and values (on 2,400 rows
-    the value test takes about half the time of hashing the bytes), else a
-    new one over read-only copies. Non-integer arrays are taken as int
-    when every value is whole, and are a ``DataError`` naming one that is
-    not."""
+    are its arrays or equal them in value, in any dtype (on 2,400 rows the
+    value test takes about half the time of hashing the bytes), else a new
+    one over int copies, which are checked first: two 1-d arrays of one
+    length, of whole numbers, months in 1..12, or a ``DataError``."""
     global _last_layout
-    years, months = _integers(years), _integers(months)
     last = _last_layout
-    if last is not None and all(
-            a is b or (a.dtype == b.dtype and np.array_equal(a, b))
-            for a, b in ((years, last.years), (months, last.months))):
+    if last is not None and all(a is b or np.array_equal(a, b) for a, b in
+                                ((years, last.years), (months, last.months))):
         return last
-    _last_layout = _CalendarLayout(_read_only(years.copy()), _read_only(months.copy()))
+    if years.ndim != 1 or years.shape != months.shape:
+        raise DataError("years and months must be equal-length vectors")
+    years, months = map(_read_only, _integers(np.stack((years, months))))
+    if months.min(initial=1) < 1 or months.max(initial=12) > 12:
+        raise DataError("months must lie in 1..12")
+    _last_layout = _CalendarLayout(years, months)
     return _last_layout
 
 
 def _integers(array: np.ndarray) -> np.ndarray:
-    """``array`` when its kind is integer, else its values as int."""
-    if array.dtype.kind in "iu":
-        return array
+    """The values of ``array`` as a new int array; a ``DataError`` names
+    one that is not a whole number."""
     with np.errstate(invalid="ignore"):
         whole = array.astype(int)
     bad = np.flatnonzero(whole != np.asarray(array, dtype=float))
     if bad.size:
-        raise DataError(f"years and months must be whole numbers, not {array[bad[0]]}")
+        raise DataError(f"years and months must be whole numbers, not {array.flat[bad[0]]}")
     return whole
 
 
@@ -376,7 +370,9 @@ def annual_mean_deviation(panel: MonthlyPanel,
 
     Years with at least one but fewer than ``min_months_per_year``
     observations are dropped and reported in ``dropped_years``. A retained
-    year with zero mean is an error (the deviation would divide by zero).
+    year with zero mean is an error (the deviation would divide by zero),
+    as is a deviation that is not finite (from a NaN or inf value, or one
+    so large that the deviation overflows).
     """
     layout = panel.layout
     kept, mask, sub, rows, dropped = layout.kept(max(min_months_per_year, 1))
@@ -389,7 +385,8 @@ def annual_mean_deviation(panel: MonthlyPanel,
 
     values = panel.values if mask is None else panel.values[mask]
     mean = means[rows]
-    d = 100.0 * (values - mean) / mean
+    with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
+        d = 100.0 * (values - mean) / mean
     return SeasonalComponents(years=sub.years, months=sub.months, deviations=d,
                               dropped_years=dropped, layout=sub)
 
@@ -399,7 +396,9 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
 
     The mean is the 2x12 centred moving average (a 13-term window with half
     weights on both endpoints), which annihilates any 12-periodic cycle;
-    months without a complete window (boundaries, gaps) are omitted.
+    months without a complete window (boundaries, gaps, NaN values) are
+    omitted. A deviation that is not finite (from an inf value, or one so
+    large that the mean or the deviation overflows) is an error.
     """
     layout = panel.layout
     # at least one 13-month window; windows over the NaN padding are dropped
@@ -410,12 +409,13 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
     weights[0] = weights[12] = 0.5
     windows = sliding_window_view(grid, 13)
     pos = np.flatnonzero(~np.isnan(windows).any(axis=1))
-    gbar = np.vecdot(windows[pos], weights) / 12.0
-    if np.any(gbar == 0.0):
-        raise DataError("centred rolling mean is zero; deviation undefined")
+    with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
+        gbar = np.vecdot(windows[pos], weights) / 12.0
+        if np.any(gbar == 0.0):
+            raise DataError("centred rolling mean is zero; deviation undefined")
+        d = 100.0 * (grid[pos + 6] - gbar) / gbar
     kept = layout.window_centres(pos.tobytes())
-    return SeasonalComponents(years=kept.years, months=kept.months,
-                              deviations=100.0 * (grid[pos + 6] - gbar) / gbar,
+    return SeasonalComponents(years=kept.years, months=kept.months, deviations=d,
                               layout=kept)
 
 

@@ -10,6 +10,8 @@ from thickmarket import (
     DomainError,
     HazardProfile,
     ModelParams,
+    MoveShares,
+    PeriodicSeries,
     compose_beta,
     hazards_from_shares,
     normalize_shares,
@@ -62,6 +64,21 @@ class TestNormalizeShares:
         with pytest.raises(DomainError,
                            match=f"^move shares must be finite; month 8 is {bad}$"):
             normalize_shares(raw)
+
+
+class TestMoveShares:
+    """Shares built directly, not through ``normalize_shares``."""
+
+    def test_negative_share_rejected(self):
+        shares = np.full(12, 0.1)
+        shares[0], shares[1] = 0.6, -0.6   # the sum stays 1
+        assert abs(shares.sum() - 1.0) < 1e-12
+        with pytest.raises(DomainError, match="^move shares must be nonnegative$"):
+            MoveShares(PeriodicSeries(shares))
+
+    def test_shares_not_summing_to_one_rejected(self):
+        with pytest.raises(DomainError, match="^move shares must sum to 1, got 1.2$"):
+            MoveShares(PeriodicSeries(np.full(12, 0.1)))
 
 
 class TestSolveKappa:

@@ -566,6 +566,32 @@ class TestShiftTestCommand:
                 f"error: {panel} deflated by {cpi}: {message}\n")
             assert not (tmp_path / command).exists()
 
+    @pytest.mark.parametrize("command", ["shift-test", "break-scan"])
+    @pytest.mark.parametrize("bad_file, cell, message", [
+        ("cpi", "1e-320", "deflated value is not finite at 2015-03"),
+        ("panel", "1e308", "deviation at 2015-01 is -inf"),
+    ], ids=["subnormal-cpi", "huge-price"])
+    def test_non_finite_data_is_refused(self, tmp_path, capsys, command,
+                                        bad_file, cell, message):
+        """A cell that passes the reader, being finite and non-zero, but
+        overflows the deflated series or the deviations is an input error,
+        not a report of F = inf or nan."""
+        files = {"panel": make_shift_panel(tmp_path / "panel.csv",
+                                           np.random.default_rng(58)),
+                 "cpi": tmp_path / "cpi.csv"}
+        files["cpi"].write_text("date,value\n" + "".join(
+            f"{y}-{m:02d},100\n" for y in range(2009, 2025) for m in range(1, 13)))
+        text = files[bad_file].read_text()
+        start = text.index("2015-03,") + len("2015-03,")
+        files[bad_file].write_text(text[:start] + cell + text[text.index("\n", start):])
+        years = ["--from-year", 2014, "--to-year", 2023] * (command == "break-scan")
+        deflate = ["--deflate-by", files["cpi"]] * (bad_file == "cpi")
+        assert run([command, "--data", files["panel"], *deflate, *years,
+                    "--out", tmp_path / "out"]) == 2
+        label = " deflated by ".join(map(str, [files["panel"], *deflate[1:]]))
+        assert capsys.readouterr().err == f"error: {label}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_constructed_shift_detected(self, tmp_path):
         rng = np.random.default_rng(44)
         panel = make_shift_panel(tmp_path / "panel.csv", rng)
@@ -1169,6 +1195,19 @@ def test_every_command_runs_without_scipy(tmp_path):
                              if p.name != "manifest.json")
     for name in written:
         assert (open_ / name).read_bytes() == (blocked / name).read_bytes()
+
+
+def test_seastats_imports_no_io_cli_or_workflows():
+    """The battery loads neither the file readers and writers, the CLI nor
+    the solver's pipelines, so a process that only runs the battery (the
+    benchmark's shift-mc) pays for none of their imports."""
+    proc = run_python("import json, sys, thickmarket.seastats; "
+                      "print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "thickmarket.seastats" in loaded
+    assert not loaded & {"thickmarket.dataio", "thickmarket.cli",
+                         "thickmarket.workflows"}
 
 
 def test_workflows_imports_no_battery_io_or_cli():

@@ -301,6 +301,15 @@ class TestReadSharesCsv:
                                            header="month,share"))
         assert np.allclose(shares.shares.values, 1.0 / 12.0)
 
+    @pytest.mark.parametrize("header", ["month,value", "date,share", ""],
+                             ids=["no-share", "no-month", "empty"])
+    def test_missing_header_rejected(self, tmp_path, header):
+        path = tmp_path / "m.csv"
+        path.write_text(header + "".join(f"\n{m},1" for m in range(1, 13)))
+        pattern = f"^{re.escape(str(path))}: expected header 'month,share'$"
+        with pytest.raises(DataError, match=pattern):
+            read_shares_csv(path)
+
     def test_missing_month_rejected(self, tmp_path):
         rows = [f"{m},1" for m in range(1, 12)]
         with pytest.raises(DataError, match="missing"):
@@ -535,6 +544,17 @@ class TestDeflation:
         with pytest.raises(DataError, match=f"^{message}$"):
             deflate_and_index(series(dates, np.ones(12)),
                               series(cpi.keys(), list(cpi.values())))
+
+    @pytest.mark.parametrize("nominal, deflator", [(1e5, 1e-320), (1e308, 0.5)],
+                             ids=["subnormal-deflator", "overflowing-value"])
+    def test_non_finite_deflated_value_names_its_month(self, nominal, deflator):
+        """A deflator that is finite and non-zero can still overflow the
+        deflated value to inf; that is refused, with no RuntimeWarning."""
+        dates = month_range((2019, 1), (2019, 12))
+        values, cpi = np.ones(12), np.full(12, 2.0)
+        values[7], cpi[7] = nominal, deflator
+        with pytest.raises(DataError, match="^deflated value is not finite at 2019-08$"):
+            deflate_and_index(series(dates, values), series(dates, cpi))
 
     def test_empty_deflator_covers_nothing(self):
         with pytest.raises(DataError, match="^deflator does not cover 2019-01$"):

@@ -182,6 +182,41 @@ class TestMonthlyPanel:
         with pytest.raises(DataError, match=f"whole numbers, not {bad}$"):
             SeasonalComponents(years=years, months=months, deviations=np.ones(2))
 
+    @pytest.mark.parametrize("years, months, values, message", [
+        ([2020, 2020, 2021], [11, 12], [1.0, 2.0, 3.0],
+         "years and months must be equal-length vectors"),
+        ([[2020, 2021]], [[1, 2]], [[1.0, 2.0]],
+         "years and months must be equal-length vectors"),
+        ([2020, 2021], [1, 2], [1.0, 2.0, 3.0],
+         "values must be a vector as long as years and months"),
+    ], ids=["months", "2-d", "values"])
+    def test_unequal_lengths_rejected(self, years, months, values, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            MonthlyPanel(np.array(years), np.array(months), np.array(values))
+
+    def test_layouts_are_checked_and_built_once(self, monkeypatch):
+        """Panels and components built directly on the years and months of
+        the last layout, in any dtype, get it without a check or a build:
+        one call of ``_integers`` (both arrays at once) and one layout."""
+        calls = {"_integers": 0, "_CalendarLayout": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(seastats, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(seastats, name, counting)
+        monkeypatch.setattr(seastats, "_last_layout", None)
+        years = np.repeat(np.arange(2012, 2024), 12)
+        months = np.tile(MONTHS, 12)
+        values = 100.0 + SEASONAL[months - 1]
+        layouts = set()
+        for y, m in ((years, months), (years.astype(float), months.astype(np.int32)),
+                     (years.tolist(), months.tolist()), (years.copy(), months.copy())):
+            layouts.add(MonthlyPanel(y, m, values).layout)
+            layouts.add(SeasonalComponents(years=y, months=m, deviations=values).layout)
+        assert len(layouts) == 1
+        assert calls == {"_integers": 1, "_CalendarLayout": 1}
+        assert layouts.pop().years.dtype == int
+
     def test_whole_float_years_and_months_are_taken_as_int(self):
         """Panels and components of whole float years and months give the
         bits of integer ones."""
@@ -201,6 +236,54 @@ class TestMonthlyPanel:
                       lambda y, m: SeasonalComponents(years=y, months=m,
                                                       deviations=values.copy())):
             assert battery(build(*as_float)) == battery(build(years, months))
+
+
+class TestDirectComponents:
+    """Components built without their layout are refused what a panel is
+    (years that are not whole numbers in ``TestMonthlyPanel``), and
+    deviations that are not a finite vector as long as the rows."""
+
+    ROWS = [(2020, m) for m in MONTHS] + [(2021, m) for m in MONTHS]
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda y, m, d: (y, np.where(m == 12, 13, m), d), "months must lie in 1..12"),
+        (lambda y, m, d: (y, np.where(m == 1, 0, m), d), "months must lie in 1..12"),
+        (lambda y, m, d: (y, m[:-1], d[:-1]),
+         "years and months must be equal-length vectors"),
+        (lambda y, m, d: (y[None], m[None], d[None]),
+         "years and months must be equal-length vectors"),
+        (lambda y, m, d: (y, m, d[:-1]),
+         "deviations must be a vector as long as years and months"),
+        (lambda y, m, d: (y, m, np.where(m == 3, np.nan, d)), "deviation at 2020-03 is nan"),
+        (lambda y, m, d: (y, m, np.where(y == 2021, np.inf, d)),
+         "deviation at 2021-01 is inf"),
+    ], ids=["month-13", "month-0", "unequal-lengths", "2-d", "short-deviations",
+            "nan", "inf"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_refused(self, change, message, warm, monkeypatch):
+        """On a cold layout slot and with the layout of the unchanged rows
+        in it."""
+        years, months = (np.array(a) for a in zip(*self.ROWS))
+        deviations = SEASONAL[months - 1]
+        monkeypatch.setattr(seastats, "_last_layout", None)
+        if warm:
+            SeasonalComponents(years=years, months=months, deviations=deviations)
+        y, m, d = change(years, months, deviations)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            SeasonalComponents(years=y, months=m, deviations=d)
+
+    def test_replaced_rows_and_deviations_are_checked(self):
+        """``dataclasses.replace`` with new months looks their layout up, and
+        new deviations are checked on the layout kept, and stored as floats."""
+        comp = annual_mean_deviation(full_panel({2020: 100.0 + MONTHS}))
+        with pytest.raises(DataError, match="^months must lie in 1..12$"):
+            dataclasses.replace(comp, months=np.where(comp.months == 12, 13, comp.months))
+        d = comp.deviations.copy()
+        d[4] = -np.inf
+        with pytest.raises(DataError, match="^deviation at 2020-05 is -inf$"):
+            dataclasses.replace(comp, deviations=d)
+        assert dataclasses.replace(comp, deviations=list(range(12))).deviations.dtype \
+            == float
 
 
 class TestAnnualMeanDeviation:
@@ -250,6 +333,23 @@ class TestAnnualMeanDeviation:
         with pytest.raises(DataError, match="zero mean"):
             annual_mean_deviation(full_panel({2020: vals}))
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "deviation at 2021-01 is nan"),
+        (np.inf, "deviation at 2021-01 is nan"),
+        (1e307, "deviation at 2021-03 is inf"),
+        (1e308, "deviation at 2021-01 is -inf"),
+    ], ids=["nan", "inf", "overflow", "overflow-in-the-year"])
+    def test_non_finite_deviation_rejected(self, bad, message):
+        """A NaN or inf value makes its year's mean, and so every deviation
+        of that year, non-finite; a finite value too large for the
+        deviation's arithmetic overflows in its own month, or in every
+        month of its year once 100 times the mean overflows. The first is
+        named, and no RuntimeWarning is emitted on the way."""
+        values = {y: 100.0 + MONTHS for y in range(2019, 2023)}
+        values[2021] = np.where(MONTHS == 3, bad, values[2021])
+        with pytest.raises(DataError, match=f"^{message}$"):
+            annual_mean_deviation(full_panel(values))
+
 
 class TestRollingMeanDeviation:
     def test_constant_series_is_flat_in_both_modes(self):
@@ -283,6 +383,21 @@ class TestRollingMeanDeviation:
         panel = full_panel({2010: np.arange(1.0, 13.0)})
         comp = centered_mean_deviation(panel)
         assert comp.deviations.size == 0
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.inf, "deviation at 2020-09 is nan"),
+        (1e307, "deviation at 2021-03 is inf"),
+        (1e308, "deviation at 2020-09 is -inf"),
+    ], ids=["inf", "overflow", "overflow-in-the-windows"])
+    def test_non_finite_deviation_rejected(self, bad, message):
+        """A NaN is a gap that drops the windows over it, but an inf makes
+        the deviations of its windows non-finite, and a finite value too
+        large overflows the deviation of its month or of its windows: the
+        first is named, with no RuntimeWarning."""
+        values = {y: 100.0 + MONTHS for y in range(2019, 2023)}
+        values[2021] = np.where(MONTHS == 3, bad, values[2021])
+        with pytest.raises(DataError, match=f"^{message}$"):
+            centered_mean_deviation(full_panel(values))
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["clean", "nan"])
     def test_nan_panel_on_a_shared_layout(self, order, monkeypatch):
@@ -499,7 +614,7 @@ def assert_matches_lstsq_hc1(fit, X, y):
 
 class TestFactorReuse:
     """fit_seasonal_shift factors a design once and refactors on any change
-    to the layout (values or dtype), the break year or the year effects."""
+    to the layout's values, the break year or the year effects."""
 
     @pytest.fixture
     def factor_calls(self, monkeypatch):
@@ -537,20 +652,22 @@ class TestFactorReuse:
         assert len(factor_calls) == 1
 
     def test_each_design_change_factors_again(self, factor_calls):
+        """int32 years are a dtype, not a change: every layout is int, so
+        they get the int64 layout and its design."""
         years = np.repeat(np.arange(2012, 2024), 12)
         months = np.tile(MONTHS, 12)
         kept = years != 2015
         variants = [
-            (self.noisy(years, months, 1), 2019, True),
-            (self.noisy(years, months, 2), 2020, True),
-            (self.noisy(years, months, 3), 2020, False),
-            (self.noisy(years.astype(np.int32), months, 4), 2020, False),
-            (self.noisy(years[kept], months[kept], 5), 2020, False),
+            (self.noisy(years, months, 1), 2019, True, 1),
+            (self.noisy(years, months, 2), 2020, True, 2),
+            (self.noisy(years, months, 3), 2020, False, 3),
+            (self.noisy(years.astype(np.int32), months, 4), 2020, False, 3),
+            (self.noisy(years[kept], months[kept], 5), 2020, False, 4),
         ]
-        for count, (comp, break_year, year_effects) in enumerate(variants, 1):
+        for comp, break_year, year_effects, count in variants:
             self.fit_and_check(comp, break_year, year_effects)
             assert len(factor_calls) == count
-        assert factor_calls[4] == (132, 24)
+        assert factor_calls[3] == (132, 24)
 
     def test_cached_arrays_are_read_only(self, factor_calls):
         years = np.repeat(np.arange(2012, 2024), 12)

@@ -957,6 +957,19 @@ class TestChecksAtTheEdge:
         assert calls == []
 
 
+    @pytest.mark.parametrize("given", ["initial_X", "initial_v"])
+    @pytest.mark.parametrize("shape", [(11,), (13,), (12, 1)])
+    def test_warm_start_of_the_wrong_shape_is_domain_error(self, monkeypatch,
+                                                            pre_params, given, shape):
+        calls = count_steps(monkeypatch)
+        start = {"initial_X": np.full(12, 0.3), "initial_v": np.full(12, 0.1)}
+        start[given] = np.full(shape, start[given][0])
+        for solve in (solve_equilibrium, solve_with_endogenous_u):
+            with pytest.raises(DomainError, match=rf"^{given} must have shape \(12,\)$"):
+                solve(pre_params, SolverConfig(**start))
+        assert calls == []
+
+
 def scipy_modules_after_import(module):
     """Top two levels of the scipy modules a fresh interpreter holds after
     importing ``module``."""
