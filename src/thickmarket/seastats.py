@@ -372,7 +372,7 @@ def annual_mean_deviation(panel: MonthlyPanel,
     observations are dropped and reported in ``dropped_years``. A retained
     year with zero mean is an error (the deviation would divide by zero),
     as is a deviation that is not finite (from a NaN or inf value, or one
-    so large that the deviation overflows).
+    so large that the deviation overflows), naming the value behind it.
     """
     layout = panel.layout
     kept, mask, sub, rows, dropped = layout.kept(max(min_months_per_year, 1))
@@ -387,6 +387,7 @@ def annual_mean_deviation(panel: MonthlyPanel,
     mean = means[rows]
     with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
         d = 100.0 * (values - mean) / mean
+    _refuse_non_finite(panel, d, sub, lambda i: layout.years == sub.years[i])
     return SeasonalComponents(years=sub.years, months=sub.months, deviations=d,
                               dropped_years=dropped, layout=sub)
 
@@ -398,7 +399,8 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
     weights on both endpoints), which annihilates any 12-periodic cycle;
     months without a complete window (boundaries, gaps, NaN values) are
     omitted. A deviation that is not finite (from an inf value, or one so
-    large that the mean or the deviation overflows) is an error.
+    large that the mean or the deviation overflows) is an error naming the
+    value behind it.
     """
     layout = panel.layout
     # at least one 13-month window; windows over the NaN padding are dropped
@@ -415,8 +417,26 @@ def centered_mean_deviation(panel: MonthlyPanel) -> SeasonalComponents:
             raise DataError("centred rolling mean is zero; deviation undefined")
         d = 100.0 * (grid[pos + 6] - gbar) / gbar
     kept = layout.window_centres(pos.tobytes())
+    _refuse_non_finite(panel, d, kept, lambda i: np.abs(layout.t - pos[i] - 6) <= 6)
     return SeasonalComponents(years=kept.years, months=kept.months, deviations=d,
                               layout=kept)
+
+
+def _refuse_non_finite(panel: MonthlyPanel, d: np.ndarray, kept: _CalendarLayout,
+                       entering) -> None:
+    """Refuse the first deviation d_i of ``kept`` that is not finite, naming
+    the value behind it: of the panel rows ``entering(i)`` that enter d_i,
+    the first that is not finite, else the largest in magnitude."""
+    if np.isfinite(d).all():
+        return
+    i = int(np.argmin(np.isfinite(d)))
+    rows = np.flatnonzero(entering(i))
+    values = panel.values[rows]
+    bad = ~np.isfinite(values)
+    j = rows[np.argmax(bad) if bad.any() else np.argmax(np.abs(values))]
+    raise DataError(
+        f"value {panel.values[j]:g} at {panel.years[j]}-{panel.months[j]:02d} makes "
+        f"the deviation at {kept.years[i]}-{kept.months[i]:02d} non-finite")
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ unknowns and ratio*mean(P)/12 - u joins G, 2n+1 in all.
 
 T is piecewise smooth, with kinks only at the clamps on the cutoffs and at
 max(v, v_lo), so an element J of the generalized Jacobian is read off the
-step's outputs; ``_jacobian`` assembles it in place from templates built
-once per solve, each entry rounded as a term-by-term sum would round it.
-A cold solve, and an unknown u on a warm start too, starts at the
+step's outputs; ``_jacobian`` assembles it from blocks built once per
+solve. A cold solve, and an unknown u on a warm start too, starts at the
 closed-form steady state of the flat model, the same market with the
 annual survival spread evenly over the cycle. Steps are halved until the
 sup norm of G drops; where no cut does, the damped step z += lam*G(z) is
@@ -20,13 +19,12 @@ u. A trial whose G is not finite is rejected; a start or damped step whose
 G is not finite ends the solve. A solve stops at |G| <= 1e-12 * max(1, |z|)
 in sup norms; one that stepped to get there and is still above
 1e-15 * max(1, |z|) takes one more full Newton step. The solution is the
-last iterate with the cutoffs and prices of its evaluation. Every map
-evaluation counts against ``max_iterations``.
+last iterate, its cutoffs and the prices they give. Every map evaluation
+counts against ``max_iterations``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +34,7 @@ from .affine import AffineCoefficients, compute_affine_coefficients
 from .core import ModelParams, PeriodicSeries
 from .errors import ConvergenceError, DomainError
 from .fixtures import DEFAULT_RENT_PRICE_RATIO
-from .mapping import EquilibriumState, _prices, _step, compute_outputs
+from .mapping import EquilibriumState, _prices, _step
 
 _TOL = 1e-12              # stop at |G| <= _TOL * max(1, |z|), sup norms
 _FINISH_TOL = 1e-15       # a stepped solve above this takes one more full step
@@ -173,19 +171,17 @@ def solve_equilibrium(params: ModelParams, config: SolverConfig | None = None,
     config = config or SolverConfig()
     coeffs = compute_affine_coefficients(params.hazards, params.beta, params.u)
     n = params.period
-    z, evals, g, eps, P = _newton(_initial_point(params, config, ratio),
-                                  params, coeffs, config, ratio)
+    z, evals, g, eps = _newton(_initial_point(params, config, ratio),
+                               params, coeffs, config, ratio)
+    X, v, u = z[:n], z[n:2 * n], params.u if ratio is None else float(z[-1])
+    P = _prices(X, v, eps, params, coeffs, u)
+    if not math.isfinite(float(np.abs(P).max())):   # a fixed u's G reads no P
+        raise ConvergenceError("equilibrium solve ended at non-finite prices")
     wrap = PeriodicSeries.wrap
-    state = EquilibriumState(wrap(z[:n]), wrap(z[n:2 * n]), wrap(eps))
-    if P is None:   # at a fixed u no residual reads eps; P does
-        Q, P = compute_outputs(state, params, coeffs)
-        if not np.isfinite(P.values).all():
-            raise ConvergenceError("equilibrium solve ended at non-finite prices")
-    else:
-        Q, P = wrap(np.maximum(0.0, state.v.values - eps)), wrap(P)
     return EquilibriumSolution(
-        state=state, Q=Q, P=P, u=params.u if ratio is None else float(z[-1]),
-        iterations=evals, final_residual=float(np.abs(g[:2 * n]).max()))
+        state=EquilibriumState(wrap(X), wrap(v), wrap(eps)),
+        Q=wrap(np.maximum(0.0, v - eps)), P=wrap(P), u=u, iterations=evals,
+        final_residual=float(np.abs(g[:2 * n]).max()))
 
 
 def solve_with_endogenous_u(params: ModelParams,
@@ -200,13 +196,12 @@ def solve_with_endogenous_u(params: ModelParams,
 
 def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
             config: SolverConfig, ratio: float | None = None
-            ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray | None]:
+            ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Drive G(z) to zero from z as the module docstring sets out.
 
     z is (X, v) at the fixed u of ``params``, or (X, v, u) with the u
-    equation when ``ratio`` is given. Returns (z, evaluations, G(z), eps,
-    P): the clamped cutoffs and, with u unknown, the prices of the
-    evaluation at the returned z; P is None at a fixed u.
+    equation when ``ratio`` is given. Returns (z, evaluations, G(z), eps),
+    eps the clamped cutoffs of the evaluation at the returned z.
     """
     n = params.period
     endogenous = ratio is not None
@@ -222,20 +217,20 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
         evals += 1
         X, v, u = z[:n], z[n:2 * n], u_of(z)
         X_new, v_new, eps = _step(X, v, params, coeffs, u)
-        P = _prices(X, v, eps, params, coeffs, u) if endogenous else None
-        u_eq = [ratio * (P.sum() / n) / 12.0] if endogenous else []
+        u_eq = ([ratio * (_prices(X, v, eps, params, coeffs, u).sum() / n)
+                 / 12.0] if endogenous else [])
         g = np.concatenate((X_new, v_new, u_eq)) - z
         r = float(np.abs(g).max())
         if not (tentative or math.isfinite(r)):
             raise ConvergenceError(
                 f"map evaluation {evals} of the equilibrium solve is not finite "
                 f"(residual {r:.3g}); no iterate can follow it")
-        return g, eps, P, r
+        return g, eps, r
 
     def u_of(z):
         return z[-1] if endogenous else params.u
 
-    g, eps, P, res = evaluate(z)
+    g, eps, res = evaluate(z)
     jac = None   # built at the first step; a warm start may need none
     while res > _TOL * max(1.0, np.abs(z).max()):
         jac = jac or _jacobian_blocks(params, coeffs, ratio)
@@ -245,7 +240,7 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
             if u_of(trial) > u_floor:
                 found = evaluate(trial, tentative=True)
                 if found[-1] <= (1.0 - 1e-4 * t) * res:
-                    z, (g, eps, P, res) = trial, found
+                    z, (g, eps, res) = trial, found
                     break
         else:
             z = z + config.lam * g
@@ -253,7 +248,7 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
                 raise ConvergenceError(
                     "service flow u collapsed toward zero; the rent-to-price "
                     "condition has no positive solution at these parameters")
-            g, eps, P, res = evaluate(z)
+            g, eps, res = evaluate(z)
     # Newton from a close start often meets the test at a few 1e-13; one
     # more full step takes the residual to round-off.
     if jac is not None and res > _FINISH_TOL * max(1.0, np.abs(z).max()):
@@ -261,57 +256,38 @@ def _newton(z: np.ndarray, params: ModelParams, coeffs: AffineCoefficients,
         if dz is not None and u_of(z + dz) > u_floor:
             found = evaluate(z + dz, tentative=True)
             if found[-1] <= res:
-                z, (g, eps, P, res) = z + dz, found
-    return z, evals, g, eps, P
-
-
-@functools.cache
-def _index_tables(n: int, endogenous: bool) -> tuple:
-    """Read-only tables of n and the u mode: the months, the month ahead
-    and behind of each, and the flat positions, in the rows ``_jacobian``
-    stacks, that it adds to last (each X row's own X, which takes -1, and
-    own v, each v row's v of the month behind, each price row's own v)."""
-    N = 2 * n + endogenous
-    months = np.arange(n)
-    ahead, behind = (months + 1) % n, months - 1
-    own_v = n + months
-    rows = np.concatenate((months, np.arange((2 + endogenous) * n)))
-    cols = np.concatenate((months, own_v, own_v[behind], own_v)[:3 + endogenous])
-    tables = (months, ahead, behind, rows * N + cols, np.full(n, -1.0))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+                z, (g, eps, res) = z + dz, found
+    return z, evals, g, eps
 
 
 def _jacobian_blocks(params: ModelParams, coeffs: AffineCoefficients,
                      ratio: float | None) -> tuple:
-    """The parts of G's generalized Jacobian that do not depend on z.
-
-    Built once per solve. Row m of d_match and d_raw is the gradient, in
-    the unknowns, of the match value beta X_{m+1} + u and of the raw cutoff
-    (beta X_{m+1} + u - D_m)/A_m; with ``ratio``, row m of d_P is that of
-    the z-free part of P_m. ``base`` stacks d_match for the X rows, -I for
-    the v rows and d_P for the price rows, and ``raw`` the raw-cutoff rows
-    that enter them: d_raw, d_raw of the month behind and d_raw.
+    """The parts of G's generalized Jacobian that do not depend on z,
+    built once per solve. Row m of d_match and d_raw is the gradient of the
+    match value beta X_{m+1} + u and of the raw cutoff
+    (beta X_{m+1} + u - D_m)/A_m. ``base`` is d_match - I on the X rows, -I
+    on the v rows and, with ``ratio``, ratio/12 times the mean z-free price
+    gradient, less 1 at u, on the u row. ``raw`` stacks d_raw and d_raw of
+    the month behind; ``weights`` are the u row's ratio/(12n) (theta/2) A.
     """
     n, beta, theta = params.period, params.beta, params.theta
-    endogenous = ratio is not None
-    N, k = 2 * n + endogenous, 2 + endogenous
-    months, ahead, behind, positions, minus_ones = _index_tables(n, endogenous)
+    N = 2 * n + (ratio is not None)
+    months, behind = np.arange(n), (np.arange(n) - 1) % n   # month m - 1 mod n
     A = coeffs.A.values
     d_match = np.zeros((n, N))
-    d_match[months, ahead] = beta
-    if endogenous:
-        d_match[:, -1] = 1.0
+    d_match[months, (months + 1) % n] = beta
+    d_match[:, 2 * n:] = 1.0   # the u column, when u is unknown
     d_raw = d_match.copy()
     d_raw[:, :n] -= coeffs._D_matrix
     d_raw /= A[:, None]
-    base = np.concatenate((d_match, -np.eye(n, N, n), theta * d_match)[:k])
-    if endogenous:   # d_P = theta d_match + (1 - theta)/(1 - beta) d_u
-        base[2 * n:, -1] += (1.0 - theta) / (1.0 - beta)
-    return (n, ratio, base, np.concatenate((d_raw, d_raw[behind], d_raw)[:k]),
-            positions, minus_ones, behind, A, 0.5 * A, 0.5 * theta * A,
-            params.hazards.survival.values, coeffs.v_lo)
+    base = -np.eye(N)
+    base[:n] += d_match
+    weights = None if ratio is None else ratio / (12.0 * n) * 0.5 * theta * A
+    if ratio is not None:   # P = theta match + (1 - theta) u/(1 - beta) + ...
+        base[-1] += ratio / 12.0 * theta * d_match.mean(axis=0)
+        base[-1, -1] += ratio / 12.0 * (1.0 - theta) / (1.0 - beta)
+    return (n, months, behind, base, np.concatenate((d_raw, d_raw[behind])),
+            weights, A, params.hazards.survival.values, coeffs.v_lo)
 
 
 def _jacobian(z: np.ndarray, eps: np.ndarray, jac: tuple) -> np.ndarray:
@@ -320,33 +296,25 @@ def _jacobian(z: np.ndarray, eps: np.ndarray, jac: tuple) -> np.ndarray:
 
     The cutoff e_m follows its raw value where 0 < e_m < v_m, follows v_m
     where e_m = v_m and stays at 0 otherwise; max(v_m, v_lo) follows v_m
-    where v_m > v_lo. Each row is its ``base`` row plus a multiple of its
-    raw-cutoff row; the v terms and the -1 of an X row's own X are added
-    last. With u unknown, the u row is ratio/12 times the mean of the price
-    rows, less 1 on its diagonal.
+    where v_m > v_lo. So J is ``base`` plus the raw rows scaled per row and
+    the v terms, and with u unknown the u row's terms of the cutoffs.
     """
-    n, ratio, base, raw, positions, minus_ones, behind, A, half_A, \
-        half_theta_A, phi, v_lo = jac
+    n, months, behind, base, raw, weights, A, phi, v_lo = jac
     v = z[n:2 * n]
     inner = (eps > 0.0) & (eps < v)
     at_v = eps == v
     gap, s = v - eps, np.maximum(v, v_lo)
     a = A * gap / s                  # 0 where e_m = v_m
-    b = half_A * gap * gap / (s * s) * (v > v_lo)
-    scales = [-a * inner, phi * inner[behind]]
-    terms = [minus_ones, a - b, phi * at_v[behind]]
-    if ratio is not None:
-        scales.append(-half_theta_A * inner)
-        terms.append(half_theta_A * ~at_v)
-    J = raw * np.concatenate(scales)[:, None]
-    J += base
+    b = 0.5 * A * gap * gap / (s * s) * (v > v_lo)
+    J = base.copy()
+    J[:2 * n] += raw * np.concatenate((-a * inner, phi * inner[behind]))[:, None]
+    J[months, n + months] += a - b
     # Added, not assigned: at n = 1 a v row's month behind is its own -1.
-    J.flat[positions] += np.concatenate(terms)
-    if ratio is None:
-        return J
-    J[2 * n] = ratio / 12.0 * (J[2 * n:].sum(axis=0) / n)
-    J[2 * n, -1] -= 1.0
-    return J[:2 * n + 1]
+    J[n + months, n + behind] += phi * at_v[behind]
+    if weights is not None:
+        J[-1] -= (weights * inner) @ raw[:n]
+        J[-1, n:2 * n] += weights * ~at_v
+    return J
 
 
 def _newton_direction(J: np.ndarray, g: np.ndarray) -> np.ndarray | None:

@@ -15,6 +15,7 @@ for _var in BLAS_THREAD_VARS:
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 from thickmarket import (  # noqa: E402
     HazardProfile,
     ModelParams,
@@ -30,6 +31,13 @@ from thickmarket.fixtures import (  # noqa: E402
     DEFAULT_THETA,
     shares_fixture,
 )
+
+# One profile for every property test, loaded before any test module builds
+# its settings: examples come from a fixed derivation per test, so every run
+# checks the same cases, and no deadline, as a first example pays for imports.
+# A test's own settings give only max_examples.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def pytest_report_header(config):

@@ -569,7 +569,8 @@ class TestShiftTestCommand:
     @pytest.mark.parametrize("command", ["shift-test", "break-scan"])
     @pytest.mark.parametrize("bad_file, cell, message", [
         ("cpi", "1e-320", "deflated value is not finite at 2015-03"),
-        ("panel", "1e308", "deviation at 2015-01 is -inf"),
+        ("panel", "1e308",
+         "value 1e+308 at 2015-03 makes the deviation at 2015-01 non-finite"),
     ], ids=["subnormal-cpi", "huge-price"])
     def test_non_finite_data_is_refused(self, tmp_path, capsys, command,
                                         bad_file, cell, message):

@@ -259,7 +259,7 @@ class TestReaderRestatement:
         occur often."""
         path, seen = tmp_path / "restated.csv", {str: 0, tuple: 0}
 
-        @settings(derandomize=True, max_examples=150, deadline=None)
+        @settings(max_examples=150)
         @given(document=monthly_csvs())
         def check(document):
             text, date_column, value_column = document

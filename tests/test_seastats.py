@@ -334,17 +334,18 @@ class TestAnnualMeanDeviation:
             annual_mean_deviation(full_panel({2020: vals}))
 
     @pytest.mark.parametrize("bad, message", [
-        (np.nan, "deviation at 2021-01 is nan"),
-        (np.inf, "deviation at 2021-01 is nan"),
-        (1e307, "deviation at 2021-03 is inf"),
-        (1e308, "deviation at 2021-01 is -inf"),
+        (np.nan, "value nan at 2021-03 makes the deviation at 2021-01 non-finite"),
+        (np.inf, "value inf at 2021-03 makes the deviation at 2021-01 non-finite"),
+        (1e307, r"value 1e\+307 at 2021-03 makes the deviation at 2021-03 non-finite"),
+        (1e308, r"value 1e\+308 at 2021-03 makes the deviation at 2021-01 non-finite"),
     ], ids=["nan", "inf", "overflow", "overflow-in-the-year"])
     def test_non_finite_deviation_rejected(self, bad, message):
         """A NaN or inf value makes its year's mean, and so every deviation
         of that year, non-finite; a finite value too large for the
         deviation's arithmetic overflows in its own month, or in every
-        month of its year once 100 times the mean overflows. The first is
-        named, and no RuntimeWarning is emitted on the way."""
+        month of its year once 100 times the mean overflows. The first bad
+        deviation is named with the value behind it, and no RuntimeWarning
+        is emitted on the way."""
         values = {y: 100.0 + MONTHS for y in range(2019, 2023)}
         values[2021] = np.where(MONTHS == 3, bad, values[2021])
         with pytest.raises(DataError, match=f"^{message}$"):
@@ -385,15 +386,16 @@ class TestRollingMeanDeviation:
         assert comp.deviations.size == 0
 
     @pytest.mark.parametrize("bad, message", [
-        (np.inf, "deviation at 2020-09 is nan"),
-        (1e307, "deviation at 2021-03 is inf"),
-        (1e308, "deviation at 2020-09 is -inf"),
+        (np.inf, "value inf at 2021-03 makes the deviation at 2020-09 non-finite"),
+        (1e307, r"value 1e\+307 at 2021-03 makes the deviation at 2021-03 non-finite"),
+        (1e308, r"value 1e\+308 at 2021-03 makes the deviation at 2020-09 non-finite"),
     ], ids=["inf", "overflow", "overflow-in-the-windows"])
     def test_non_finite_deviation_rejected(self, bad, message):
         """A NaN is a gap that drops the windows over it, but an inf makes
         the deviations of its windows non-finite, and a finite value too
         large overflows the deviation of its month or of its windows: the
-        first is named, with no RuntimeWarning."""
+        first bad deviation is named with the value behind it, with no
+        RuntimeWarning."""
         values = {y: 100.0 + MONTHS for y in range(2019, 2023)}
         values[2021] = np.where(MONTHS == 3, bad, values[2021])
         with pytest.raises(DataError, match=f"^{message}$"):

@@ -39,7 +39,7 @@ from thickmarket.seastats import (
     shift_report,
 )
 
-PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+PROPERTY = settings(max_examples=40)
 SEEDS = st.integers(0, 2**32 - 1)
 
 

@@ -1,6 +1,7 @@
 """Solver: oracles, uniqueness, equivariance, endogenous u, benchmark."""
 
 import ast
+import collections
 import itertools
 import os
 import subprocess
@@ -284,22 +285,27 @@ class TestUniquenessAndSymmetry:
         assert np.array_equal(a.P.values, b.P.values)
         assert a.iterations == b.iterations
 
-    def test_rotating_hazards_rotates_solution(self, pre_params,
-                                               pre_solution):
-        k = 5
-        rotated = ModelParams(
-            beta_hat=pre_params.beta_hat, delta=pre_params.delta,
-            theta=pre_params.theta, u=pre_params.u,
-            hazards=HazardProfile.from_survival(
-                np.roll(pre_params.hazards.survival.values, k)))
-        base = pre_solution
-        rot = solve_equilibrium(rotated, SolverConfig())
-        for attr in ("X", "v", "epsilon"):
-            ref = getattr(base.state, attr).values
-            got = getattr(rot.state, attr).values
-            assert np.abs(np.roll(ref, k) - got).max() < 1e-6
-        assert np.abs(np.roll(base.Q.values, k) - rot.Q.values).max() < 1e-6
-        assert np.abs(np.roll(base.P.values, k) - rot.P.values).max() < 1e-6
+    @settings(max_examples=12)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rotating_hazards_rotates_solution(self, seed):
+        """On eq-sweep-like calibrations, in both u modes and for every
+        shift k, rotating phi by k months rotates X, v, the cutoffs, P and
+        Q by k and leaves u unchanged, within 1e-12 relative."""
+        shares, eta, *_ = property_calibration(seed, wide=False)
+        phi = hazards_from_shares(shares, eta).survival.values
+        for u_fixed in (None, 0.0014):
+            base, u, _ = solve_hazards(HazardProfile.from_survival(phi),
+                                       u_fixed=u_fixed)
+            for k in range(1, 12):
+                rot, u_rot, _ = solve_hazards(
+                    HazardProfile.from_survival(np.roll(phi, k)), u_fixed=u_fixed)
+                assert abs(u_rot - u) <= 1e-12 * u
+                for want, got in ((base.state.X, rot.state.X),
+                                  (base.state.v, rot.state.v),
+                                  (base.state.epsilon, rot.state.epsilon),
+                                  (base.P, rot.P), (base.Q, rot.Q)):
+                    np.testing.assert_allclose(got.values, np.roll(want.values, k),
+                                               rtol=1e-12, atol=0.0)
 
 
 class TestFixedPointIdentities:
@@ -601,6 +607,30 @@ class TestJacobianEntries:
                                        rtol=1e-12, atol=0.0)
 
 
+class TestNewtonCost:
+    """Newton's cost pinned as counts: a Jacobian that slows convergence
+    without moving the fixed point changes them."""
+
+    @pytest.mark.parametrize("u_fixed", [None, 0.0014],
+                             ids=["endogenous-u", "fixed-u"])
+    def test_cold_solves_take_five_evaluations_and_four_jacobians(
+            self, monkeypatch, u_fixed):
+        """Every cold solve of 200 eq-sweep-like calibrations takes 5 map
+        evaluations and builds 4 Jacobians, the finishing step's included."""
+        calls, built = count_steps(monkeypatch), []
+        jacobian = solver._jacobian
+        monkeypatch.setattr(solver, "_jacobian",
+                            lambda *args: built.append(None) or jacobian(*args))
+        counts = collections.Counter()
+        for i in range(200):
+            calls.clear()
+            built.clear()
+            solution, _, _ = solve_calibration(*random_calibration(i),
+                                               u_fixed=u_fixed)
+            counts[solution.iterations, len(calls), len(built)] += 1
+        assert counts == {(5, 5, 4): 200}
+
+
 class TestOnePass:
     """Every solve builds the coefficients once and runs Newton once, and
     a ratio that pins no u stops it before any map evaluation."""
@@ -719,7 +749,7 @@ class TestFlatStart:
         assert e_bar == 1.0
         assert X_bar == 2.0 / (1.0 - constant_params.beta)
 
-    @settings(derandomize=True, max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
     def test_same_point_as_box_corners_in_few_evaluations(self, seed, wide):
         """From the flat start, a solve takes at most 8 evaluations and no
@@ -771,7 +801,7 @@ class TestFlatStart:
                 config, initial_X=np.full(12, X0), initial_v=np.full(12, v0)))
             assert distance(fixed, other) <= 1e-10
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
     def test_every_start_in_the_box_reaches_the_flat_start_answer(self, seed,
                                                                   wide):
@@ -857,7 +887,7 @@ class TestFiniteGuard:
         assert len(calls) == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @settings(derandomize=True, max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(i=st.integers(0, 19), k=st.integers(1, 6), part=st.integers(0, 2),
            month=st.integers(0, 11), endogenous=st.booleans(),
            bad=st.sampled_from([np.nan, np.inf, -np.inf]))
