@@ -358,10 +358,9 @@ def cmd_replicate_nt(args):
     with naming(args.params or "bundled benchmark file"):
         report = replicate_biannual(params, config)
     outputs = {"benchmark_report.json": report}
-    labels = report["labels"]
-    for i, label in enumerate(labels):
-        print(f"  {label}: vacancies {report['vacancies'][i]:.4f}, "
-              f"sale probability {report['sale_probability'][i]:.4f}")
+    for label, v, q in zip(report["labels"], report["vacancies"],
+                           report["sale_probability"]):
+        print(f"  {label}: vacancies {v:.4f}, sale probability {q:.4f}")
     if "targets" in report:
         verdict = "PASS" if report["targets"]["within_tolerance"] else "FAIL"
         print(f"validation against targets: {verdict} "

@@ -1,4 +1,4 @@
-"""The one-step equilibrium map and the equilibrium outputs Q and P.
+"""The one-step equilibrium map and the price formula.
 
 One application of the map, given mover values X and vacancy stocks v:
 
@@ -64,23 +64,13 @@ def _behind(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
 
 
-def compute_outputs(state: EquilibriumState, params: ModelParams,
-                    coeffs: AffineCoefficients) -> tuple[PeriodicSeries, PeriodicSeries]:
-    """Transactions Q and Nash-bargained prices P at a state.
-
-    Q_m = max(0, v_m - e_m). The price averages the buyer's outside option
-    u/(1-beta), the marginal match value beta X_{m+1} + u, and the seller's
-    share of the expected surplus (A_m/2)(v_m - e_m).
-    """
-    X, v, eps = state.X.values, state.v.values, state.epsilon.values
-    return (PeriodicSeries.wrap(np.maximum(0.0, v - eps)),
-            PeriodicSeries.wrap(_prices(X, v, eps, params, coeffs)))
-
-
 def _prices(X: np.ndarray, v: np.ndarray, eps: np.ndarray,
             params: ModelParams, coeffs: AffineCoefficients,
             u: float | None = None) -> np.ndarray:
-    """Raw-array prices P_m at (X, v) with cutoffs eps; ``u`` as in _step."""
+    """Nash-bargained prices P_m at (X, v) with cutoffs eps, ``u`` as in
+    _step. The price averages the buyer's outside option u/(1-beta), the
+    marginal match value beta X_{m+1} + u, and the seller's share of the
+    expected surplus (A_m/2)(v_m - e_m)."""
     beta, theta = params.beta, params.theta
     u = params.u if u is None else u
     return ((1.0 - theta) * u / (1.0 - beta)

@@ -71,9 +71,10 @@ def replicate_biannual(params: dict, config: SolverConfig | None = None) -> dict
     """Solve the two-season benchmark and compare against its targets.
 
     ``params`` must carry beta_hat, delta, theta, u, and survival (a list
-    of per-season survival probabilities); an optional ``targets`` block
-    with sale_probability, vacancies, and tolerance turns the report into
-    a pass/fail validation.
+    of per-season survival probabilities), and may carry n labels, one per
+    season. An optional ``targets`` block with sale_probability and
+    vacancies (n finite numbers each) and a positive tolerance turns the
+    report into a pass/fail validation.
     """
     required = ("beta_hat", "delta", "theta", "u", "survival")
     missing = [k for k in required if k not in params]
@@ -93,13 +94,29 @@ def replicate_biannual(params: dict, config: SolverConfig | None = None) -> dict
                         "sale_probability and vacancies")
     model = ModelParams(beta_hat=beta_hat, delta=delta, theta=theta, u=u,
                         hazards=HazardProfile.from_survival(survival))
+    n = model.period
+    labels = params.get("labels", [str(i + 1) for i in range(n)])
+    if not (isinstance(labels, list) and len(labels) == n
+            and all(isinstance(label, str) for label in labels)):
+        raise DataError(f"labels must be a list of {n} strings, one per season")
+    if targets:
+        for key in ("sale_probability", "vacancies"):
+            x = targets[key]
+            if not (isinstance(x, list) and len(x) == n and all(
+                    type(e) in (int, float) and abs(e) < np.inf for e in x)):
+                raise DataError(f"targets.{key} must be a list of {n} finite "
+                                "numbers, one per season")
+        tol = targets.get("tolerance", 0.005)
+        if not (type(tol) in (int, float) and 0.0 < tol < np.inf):
+            raise DataError("targets.tolerance must be a positive finite "
+                            f"number, got {tol!r}")
     solution = solve_equilibrium(model, config)
     v = solution.state.v.values
     eps = solution.state.epsilon.values
     sale_prob = 1.0 - eps / v
 
     report = {
-        "labels": params.get("labels", [str(i + 1) for i in range(len(v))]),
+        "labels": labels,
         "vacancies": v.tolist(),
         "sale_probability": sale_prob.tolist(),
         "transactions": solution.Q.values.tolist(),
@@ -108,13 +125,12 @@ def replicate_biannual(params: dict, config: SolverConfig | None = None) -> dict
         "residual": float(solution.final_residual),
     }
     if targets:
-        tol = float(targets.get("tolerance", 0.005))
         err_q = np.abs(sale_prob - np.asarray(targets["sale_probability"]))
         err_v = np.abs(v - np.asarray(targets["vacancies"]))
         report["targets"] = {
             "sale_probability": list(targets["sale_probability"]),
             "vacancies": list(targets["vacancies"]),
-            "tolerance": tol,
+            "tolerance": float(tol),
             "max_error_sale_probability": float(err_q.max()),
             "max_error_vacancies": float(err_v.max()),
             "within_tolerance": bool(err_q.max() <= tol and err_v.max() <= tol),

@@ -16,20 +16,18 @@ for _var in BLAS_THREAD_VARS:
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
-from thickmarket import (  # noqa: E402
-    HazardProfile,
-    ModelParams,
-    SolverConfig,
-    compose_beta,
-    compute_affine_coefficients,
-    hazards_from_shares,
-    solve_equilibrium,
-    solve_with_endogenous_u,
-)
+from thickmarket.affine import compute_affine_coefficients  # noqa: E402
+from thickmarket.calibrate import compose_beta, hazards_from_shares  # noqa: E402
+from thickmarket.core import HazardProfile, ModelParams  # noqa: E402
 from thickmarket.fixtures import (  # noqa: E402
     DEFAULT_DELTA,
     DEFAULT_THETA,
     shares_fixture,
+)
+from thickmarket.solver import (  # noqa: E402
+    SolverConfig,
+    solve_equilibrium,
+    solve_with_endogenous_u,
 )
 
 # One profile for every property test, loaded before any test module builds

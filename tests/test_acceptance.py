@@ -12,17 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from thickmarket import (
-    HazardProfile,
-    ModelParams,
-    SolverConfig,
-    compute_affine_coefficients,
-    hazards_from_shares,
-    normalize_shares,
-    seasonal_deviation,
-    solve_kappa,
-    solve_with_endogenous_u,
-)
+from thickmarket.affine import compute_affine_coefficients
+from thickmarket.calibrate import hazards_from_shares, normalize_shares, solve_kappa
+from thickmarket.core import HazardProfile, ModelParams, seasonal_deviation
 from thickmarket.dataio import deflate_and_index, read_monthly_csv, to_panel
 from thickmarket.fixtures import (
     DEFAULT_DELTA,
@@ -40,6 +32,7 @@ from thickmarket.seastats import (
     joint_F_test,
     seasonal_delta,
 )
+from thickmarket.solver import SolverConfig, solve_with_endogenous_u
 from thickmarket.workflows import replicate_biannual
 
 MONTH = {name: i + 1 for i, name in enumerate(

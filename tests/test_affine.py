@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from thickmarket import DomainError, HazardProfile, compute_affine_coefficients
+from thickmarket.affine import compute_affine_coefficients
+from thickmarket.core import HazardProfile
+from thickmarket.errors import DomainError
 
 
 def linear_solve_slopes(phi: np.ndarray, beta: float) -> np.ndarray:

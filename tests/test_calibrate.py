@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thickmarket import (
-    DataError,
-    DomainError,
-    HazardProfile,
-    ModelParams,
+from thickmarket.calibrate import (
     MoveShares,
-    PeriodicSeries,
     compose_beta,
     hazards_from_shares,
     normalize_shares,
     shares_from_trends,
     solve_kappa,
 )
+from thickmarket.core import HazardProfile, ModelParams, PeriodicSeries
+from thickmarket.errors import DataError, DomainError
 from thickmarket.fixtures import (
     ETA_POST,
     ETA_PRE,

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import thickmarket
 from thickmarket import calibrate, cli, solver
 from thickmarket.cli import main
 from thickmarket.mapping import _step
@@ -747,6 +748,31 @@ class TestReplicateBenchmark:
         doc = json.loads((out / "benchmark_report.json").read_text())
         assert doc["sale_probability"][0] == doc["sale_probability"][1]
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("labels", ["winter", "spring", "summer"], "labels"),
+        ("labels", 5, "labels"),
+        ("labels", ["winter"], "labels"),
+        ("tolerance", "x", "targets.tolerance"),
+        ("sale_probability", [0.25], "targets.sale_probability"),
+    ], ids=["three-labels", "labels-not-a-list", "one-label",
+            "tolerance-not-a-number", "one-sale-probability"])
+    def test_malformed_optional_fields_are_refused(self, tmp_path, capsys,
+                                                   field, value, named):
+        """Labels must be n strings and each target n finite numbers, with a
+        positive finite tolerance; otherwise exit 2 naming the field."""
+        params = load_biannual_benchmark()
+        if field == "labels":
+            params["labels"] = value
+        else:
+            params["targets"][field] = value
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(params))
+        out = tmp_path / "nt"
+        assert run(["replicate-nt", "--params", pfile, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pfile}: {named} must be ")
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -1199,16 +1225,38 @@ def test_every_command_runs_without_scipy(tmp_path):
 
 
 def test_seastats_imports_no_io_cli_or_workflows():
-    """The battery loads neither the file readers and writers, the CLI nor
-    the solver's pipelines, so a process that only runs the battery (the
-    benchmark's shift-mc) pays for none of their imports."""
+    """The battery loads only the package, ``core`` and ``errors``: not the
+    solver, the file readers and writers, the CLI nor the solver's
+    pipelines, so a process that only runs the battery (the benchmark's
+    shift-mc) pays for none of their imports."""
     proc = run_python("import json, sys, thickmarket.seastats; "
                       "print(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
-    assert "thickmarket.seastats" in loaded
-    assert not loaded & {"thickmarket.dataio", "thickmarket.cli",
-                         "thickmarket.workflows"}
+    loaded = {name for name in json.loads(proc.stdout)
+              if name.partition(".")[0] == "thickmarket"}
+    assert loaded == {"thickmarket", "thickmarket.core", "thickmarket.errors",
+                      "thickmarket.seastats"}
+
+
+PACKAGE_DIR = Path(cli.__file__).parent
+
+
+@pytest.mark.parametrize("module", sorted(
+    "thickmarket" if path.stem == "__init__" else f"thickmarket.{path.stem}"
+    for path in PACKAGE_DIR.glob("*.py")))
+def test_each_module_imports_alone(module):
+    """Each module imports in a fresh interpreter, so none works only
+    because another module happened to be imported first."""
+    proc = run_python(f"import {module}")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_version_matches_pyproject():
+    """Every manifest records ``__version__``; pyproject.toml states it too."""
+    tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == thickmarket.__version__
 
 
 def test_workflows_imports_no_battery_io_or_cli():

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from thickmarket import (
-    DomainError,
-    HazardProfile,
-    ModelParams,
-    PeriodicSeries,
-    seasonal_deviation,
-)
+from thickmarket.core import HazardProfile, ModelParams, PeriodicSeries, seasonal_deviation
+from thickmarket.errors import DomainError
 
 
 class TestPeriodicSeries:

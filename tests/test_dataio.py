@@ -598,14 +598,14 @@ class TestToPanel:
 
 class TestWriters:
     def test_identical_runs_are_byte_identical(self, tmp_path, pre_params):
-        from thickmarket import SolverConfig, solve_equilibrium
+        from thickmarket.solver import SolverConfig, solve_equilibrium
         sol = solve_equilibrium(pre_params, SolverConfig())
         a = write_results(equilibrium_to_dict(sol, "x", 0.1), tmp_path / "a.json")
         b = write_results(equilibrium_to_dict(sol, "x", 0.1), tmp_path / "b.json")
         assert a.read_bytes() == b.read_bytes()
 
     def test_equilibrium_schema(self, tmp_path, pre_params):
-        from thickmarket import SolverConfig, solve_equilibrium
+        from thickmarket.solver import SolverConfig, solve_equilibrium
         sol = solve_equilibrium(pre_params, SolverConfig())
         path = write_results(equilibrium_to_dict(sol, "x"), tmp_path / "sol.json")
         doc = json.loads(path.read_text())

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from thickmarket import (
-    EquilibriumState,
-    ModelParams,
-    PeriodicSeries,
-    compute_affine_coefficients,
-    compute_outputs,
-)
-from thickmarket.mapping import _step
+from thickmarket.affine import compute_affine_coefficients
+from thickmarket.core import ModelParams
+from thickmarket.mapping import _prices, _step
 
 
 def random_states(box, n, rng):
@@ -19,11 +14,11 @@ def random_states(box, n, rng):
     return X, v
 
 
-def state_at(X, v, params, coeffs):
-    """The state at (X, v) with the map's clamped cutoffs there."""
+def outputs_at(X, v, params, coeffs):
+    """Transactions Q = max(0, v - e) and prices P at (X, v), with the
+    map's clamped cutoffs e there; returns (Q, P, e)."""
     eps = _step(X, v, params, coeffs)[2]
-    return EquilibriumState(PeriodicSeries(X.copy()), PeriodicSeries(v.copy()),
-                            PeriodicSeries(eps))
+    return np.maximum(0.0, v - eps), _prices(X, v, eps, params, coeffs), eps
 
 
 def damped_map(X, v, lam, params, coeffs):
@@ -140,14 +135,13 @@ class TestLipschitzBound:
 
 class TestOutputs:
     def test_cutoff_at_upper_support_kills_trade(self, pre_params, pre_coeffs):
-        v = np.full(12, 0.5)
-        state = EquilibriumState(
-            X=PeriodicSeries(np.full(12, pre_coeffs.box.X_lo)),
-            v=PeriodicSeries(v),
-            epsilon=PeriodicSeries(v.copy()),
-        )
-        Q, _ = compute_outputs(state, pre_params, pre_coeffs)
-        assert np.all(Q.values == 0.0)
+        X, v = np.full(12, pre_coeffs.box.X_lo), np.full(12, 0.5)
+        # at e = v no house sells, Q = max(0, v - e) = 0, and the seller's
+        # share of the surplus vanishes from the price
+        beta, theta, u = pre_params.beta, pre_params.theta, pre_params.u
+        P = _prices(X, v, v.copy(), pre_params, pre_coeffs)
+        expected = (1.0 - theta) * u / (1.0 - beta) + theta * (beta * X + u)
+        assert np.abs(P - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_zero_bargaining_weight_gives_flat_price(self, beta_pair,
                                                      pre_hazards):
@@ -158,18 +152,16 @@ class TestOutputs:
         rng = np.random.default_rng(8)
         X = rng.uniform(coeffs.box.X_lo, coeffs.box.X_hi, 12)
         v = rng.uniform(coeffs.box.v_lo, coeffs.box.v_hi, 12)
-        state = state_at(X, v, params, coeffs)
-        _, P = compute_outputs(state, params, coeffs)
+        _, P, _ = outputs_at(X, v, params, coeffs)
         expected = 0.5 / (1.0 - beta)
-        assert np.abs(P.values - expected).max() < 1e-12 * expected
+        assert np.abs(P - expected).max() < 1e-12 * expected
 
     def test_transactions_never_negative(self, pre_params, pre_coeffs):
         rng = np.random.default_rng(9)
         X, v = random_states(pre_coeffs.box, 50, rng)
         for i in range(50):
-            state = state_at(X[i], v[i], pre_params, pre_coeffs)
-            Q, _ = compute_outputs(state, pre_params, pre_coeffs)
-            assert np.all(Q.values >= 0.0)
+            Q, _, _ = outputs_at(X[i], v[i], pre_params, pre_coeffs)
+            assert np.all(Q >= 0.0)
 
 
 def _step_reference(X, v, params, coeffs):
@@ -233,9 +225,8 @@ class TestKernelMatchesReference:
     def test_outputs(self, pre_params, pre_coeffs):
         X, v = random_states(pre_coeffs.box, 20, np.random.default_rng(11))
         for i in range(20):
-            state = state_at(X[i], v[i], pre_params, pre_coeffs)
-            Q, P = compute_outputs(state, pre_params, pre_coeffs)
-            Q_ref, P_ref = _outputs_reference(
-                X[i], v[i], state.epsilon.values, pre_params, pre_coeffs)
-            assert same_bits(Q.values, Q_ref)
-            assert same_bits(P.values, P_ref)
+            Q, P, eps = outputs_at(X[i], v[i], pre_params, pre_coeffs)
+            Q_ref, P_ref = _outputs_reference(X[i], v[i], eps, pre_params,
+                                              pre_coeffs)
+            assert same_bits(Q, Q_ref)
+            assert same_bits(P, P_ref)
